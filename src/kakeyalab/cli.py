@@ -52,7 +52,9 @@ class SuiteConfig:
     qs_explicit: bool = False
 
     def field_for(self, q):
-        if self.modulus is not None and len(self.qs) == 1:
+        # the modulus belongs to the single q it was given for, not to the
+        # q values --big adds
+        if self.modulus is not None and list(self.qs) == [q]:
             return Field(q, modulus=self.modulus)
         return Field(q)
 
@@ -74,8 +76,7 @@ def _fmt(x):
     return str(x)
 
 
-def make_row(suite, bound, q, n, u, v, lhs, rhs, holds, seed="", trial="",
-             sense="le"):
+def make_row(suite, bound, q, n, u, v, lhs, rhs, holds, seed="", trial=""):
     if rhs:
         ratio = lhs / rhs
     else:
@@ -251,7 +252,7 @@ def suite_rd_l2(cfg):
             mx.GridFunction.delta(dom)), 2)
         rows.append(make_row("rd-l2", "rd-l2-delta-sharpness", q, 1, 2, 2,
                              delta_ratio, math.sqrt(q),
-                             delta_ratio >= math.sqrt(q), sense="ge"))
+                             delta_ratio >= math.sqrt(q)))
     return rows
 
 

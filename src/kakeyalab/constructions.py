@@ -111,7 +111,9 @@ def pointset_from_json(doc):
         else:
             raise DomainError(f"unknown domain kind {doc['domain']!r}")
         return PointSet(domain, (int(i) for i in doc["points"]))
-    except (KeyError, TypeError) as exc:
+    except DomainError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed point-set document: {exc}") from exc
 
 

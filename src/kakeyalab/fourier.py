@@ -15,30 +15,65 @@ import numpy as np
 from .field import DomainError
 from .maximal import Domain, GridFunction, VerifyReport, lp_norm, REL_TOL
 
-_CHI_MATRICES = {}
+# field -> {name: read-only table}; each table is built on first use
+_FIELD_TABLES = {}
+
+
+def _field_table(field, name, build):
+    tables = _FIELD_TABLES.setdefault(field, {})
+    if name not in tables:
+        table = build(field)
+        table.flags.writeable = False
+        tables[name] = table
+    return tables[name]
 
 
 def chi_matrix(field):
     """The q x q table chi(i*j); symmetric, cached per field."""
-    if field not in _CHI_MATRICES:
-        m = field.np_chi[field.np_mul]
-        m.flags.writeable = False
-        _CHI_MATRICES[field] = m
-    return _CHI_MATRICES[field]
+    return _field_table(field, "chi", lambda f: f.np_chi[f.np_mul])
+
+
+def _u_plane_index(field):
+    """Flat [x, y] plane index of the point (x, mx - g), indexed [m, g, x]."""
+    q = field.q
+    mul = field.np_mul.astype(np.int64)
+    sub = field.np_sub.astype(np.int64)
+    xs = np.arange(q, dtype=np.int64)
+    return xs * q + sub[mul[:, None, :], xs[None, :, None]]
+
+
+def _u_phases(field):
+    """chi(xi g x) indexed [xi, g, x]."""
+    return chi_matrix(field)[field.np_mul]
 
 
 class CentralFourierTable:
-    """f^(x, y; xi) as a dense (q, q, q) complex table indexed [x, y, xi]."""
+    """f^(x, y; xi) as a dense (q, q, q) complex table indexed [x, y, xi].
 
-    __slots__ = ("field", "table")
+    It keeps its frequency planes as contiguous rows and the last
+    t_components result, both built on first use, so the table must not be
+    written after construction.
+    """
+
+    __slots__ = ("field", "table", "_planes", "_components")
 
     def __init__(self, field, table):
         self.field = field
         self.table = table
+        self._planes = None
+        self._components = None   # (family, components)
 
     def slice(self, xi):
         """f^(., .; xi) as a (q, q) array."""
         return self.table[:, :, xi]
+
+    def planes(self):
+        """The (q, q*q) array whose row xi is f^(., .; xi) flattened."""
+        if self._planes is None:
+            q = self.field.q
+            self._planes = np.ascontiguousarray(self.table.reshape(q * q, q).T)
+            self._planes.flags.writeable = False
+        return self._planes
 
     def plancherel_defect(self, F):
         """Relative gap in sum |f^|^2 = q |f|_2^2."""
@@ -53,14 +88,26 @@ def _require_h1(F):
         raise DomainError("central Fourier transform is defined on H_1")
 
 
-def central_fourier(F):
-    """Transform the central variable of an H_1 grid function."""
+def _transform(F):
     _require_h1(F)
     q = F.field.q
     vals = np.asarray(F.values, dtype=np.complex128).reshape(q, q, q)
     # contract t against chi(-xi t): vals[x,y,t] @ conj(chi)[t,xi]
     table = vals @ np.conj(chi_matrix(F.field))
+    table.flags.writeable = False   # shared through F's memo
     return CentralFourierTable(F.field, table)
+
+
+_TABLE_KEY = "central-fourier"
+
+
+def central_fourier(F):
+    """Transform the central variable of an H_1 grid function.
+
+    The table is memoized on F and shared with every function here that
+    takes F in place of a table.
+    """
+    return F.memo(_TABLE_KEY, lambda: _transform(F))
 
 
 def inverse_central_fourier(tab):
@@ -73,7 +120,8 @@ def inverse_central_fourier(tab):
 def _as_table(f_or_table):
     if isinstance(f_or_table, CentralFourierTable):
         return f_or_table
-    return central_fourier(f_or_table)
+    # the same memo entry as central_fourier, without a second call to it
+    return f_or_table.memo(_TABLE_KEY, lambda: _transform(f_or_table))
 
 
 def _family_plane_and_t(family):
@@ -98,10 +146,25 @@ def t_xi_component(f, xi, family):
 
 
 def t_components(f, family):
-    """All frequency components at once: array of shape (q, #D_1)."""
+    """All frequency components at once: array of shape (q, #D_1).
+
+    Row xi equals t_xi_component(f, xi, family) bit for bit.  The result is
+    read-only and kept on the table, so a second call with the same family
+    returns it.
+    """
     tab = _as_table(f)
+    if tab._components is not None and tab._components[0] is family:
+        return tab._components[1]
     q = tab.field.q
-    return np.stack([t_xi_component(tab, xi, family) for xi in range(q)])
+    xy_idx, t_idx = _family_plane_and_t(family)
+    chi = chi_matrix(tab.field)
+    planes = tab.planes()
+    comps = np.empty((q, len(family)), dtype=np.complex128)
+    for xi in range(q):
+        comps[xi] = (planes[xi][xy_idx] * chi[xi][t_idx]).sum(axis=1) / q
+    comps.flags.writeable = False
+    tab._components = (family, comps)
+    return comps
 
 
 class UTable:
@@ -127,15 +190,12 @@ def u_tables(f, xi):
     if xi == 0:
         raise DomainError("U tables are defined for nonzero xi")
     q = field.q
-    mul = field.np_mul.astype(np.int64)
-    sub = field.np_sub.astype(np.int64)
-    xs = np.arange(q, dtype=np.int64)
-    y_idx = sub[mul[:, None, :], xs[None, :, None]]   # [m, g, x] = mx - g
-    phase = field.np_chi[mul[mul[xi][xs][:, None], xs[None, :]]]  # [g, x]
-    plane = tab.table[:, :, xi]                       # [x, y]
-    u = (plane[xs[None, None, :], y_idx] * phase[None, :, :]).sum(axis=2)
+    index = _field_table(field, "u-plane-index", _u_plane_index)
+    phase = _field_table(field, "u-phases", _u_phases)[xi]      # [g, x]
+    plane = tab.planes()[xi]                                    # [x*q + y]
+    u = (plane[index] * phase[None, :, :]).sum(axis=2)
     # U_inf(g) = sum_y f^(g, y; xi) chi(xi g y); same phase table with y for x
-    u_inf = (plane * phase).sum(axis=1)
+    u_inf = (plane.reshape(q, q) * phase).sum(axis=1)
     return UTable(field, xi, u, u_inf)
 
 
@@ -186,8 +246,8 @@ def g_rho(tab, xi, rho):
 def split_bound_check(f, family, tol=REL_TOL):
     """|T_0 f|_2 <= sqrt(2q) |f|_2 and |T_{/=0} f|_2 <= sqrt(5q) |f|_2."""
     tab = _as_table(f)
-    fnorm = lp_norm(f.values if isinstance(f, GridFunction) else
-                    inverse_central_fourier(tab).values, 2)
+    fnorm = (f if isinstance(f, GridFunction) else
+             inverse_central_fourier(tab)).norm(2)
     q = tab.field.q
     comps = t_components(tab, family)
     lhs0 = lp_norm(comps[0], 2)

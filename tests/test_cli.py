@@ -146,6 +146,29 @@ def test_maxop_malformed_file(tmp_path):
     assert cli.main(["maxop", "--in", str(missing)]) == 2
 
 
+def test_maxop_non_integer_q_exits_2(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"domain": "heisenberg", "q": "x", "values": [[1, 0]]}')
+    assert cli.main(["maxop", "--in", str(bad)]) == 2
+
+
+def test_maxop_one_element_value_pair_exits_2(tmp_path):
+    doc = mx.grid_to_json(mx.GridFunction.delta(
+        mx.Domain.heisenberg(Field(3), 1)))
+    doc["values"][0] = [1.0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["maxop", "--in", str(bad)]) == 2
+
+
+def test_modulus_with_big_applies_to_the_given_q_only():
+    assert cli.main(["verify", "--q", "9", "--modulus", "2,1,1", "--big",
+                     "--suite", "census"]) == 0
+    cfg = cli.SuiteConfig(qs=(9,), modulus=(2, 1, 1), big=True)
+    assert cfg.field_for(9).modulus == (2, 1, 1)
+    assert cfg.field_for(16).modulus == Field(16).modulus
+
+
 def test_dump_fourier(tmp_path):
     dump = tmp_path / "fourier.json"
     code = cli.main(["verify", "--suite", "fourier", "--q", "3",

@@ -406,6 +406,15 @@ def test_pointset_roundtrip(f5):
     assert doc["points"] == sorted(doc["points"])
 
 
+@pytest.mark.parametrize("edit", [{"q": "x"}, {"points": ["a"]},
+                                  {"n": "one"}])
+def test_pointset_json_value_errors_are_domain_errors(f5, edit):
+    doc = cn.pointset_to_json(cn.extremal_set("bush", f5))
+    doc.update(edit)
+    with pytest.raises(DomainError, match="malformed"):
+        cn.pointset_from_json(doc)
+
+
 def test_pointset_rejects_bad_index(f5):
     with pytest.raises(DomainError):
         cn.PointSet(h1(f5), [125])

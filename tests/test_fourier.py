@@ -148,6 +148,25 @@ def test_u_tables_match_direct_definition():
         assert abs(ut.u_inf[g] - direct) < 1e-12
 
 
+@pytest.mark.parametrize("q,xi", [(16, 1), (16, 11), (27, 2), (27, 19)])
+def test_u_tables_match_direct_definition_prime_power(q, xi):
+    # the cached index and phase tables against the definition, where field
+    # multiplication is not multiplication mod q
+    fld = Field(q)
+    tab = fr.central_fourier(random_f(fld, 7, q))
+    ut = fr.u_tables(tab, xi)
+    for m in range(q):
+        for g in range(q):
+            direct = sum(tab.table[x, fld.sub(fld.mul(m, x), g), xi]
+                         * fld.chi(fld.mul(fld.mul(xi, g), x))
+                         for x in range(q))
+            assert abs(ut.u[m, g] - direct) < 1e-9
+    for g in range(q):
+        direct = sum(tab.table[g, y, xi] * fld.chi(fld.mul(fld.mul(xi, g), y))
+                     for y in range(q))
+        assert abs(ut.u_inf[g] - direct) < 1e-9
+
+
 def test_key_counting_delta(f7):
     d0 = mx.GridFunction.delta(h1(f7))
     for xi in range(1, 7):
@@ -249,3 +268,36 @@ def test_split_bounds_random_q11():
         fam = mx.linearize("refined", f11, for_function=f)
         r0, rrest = fr.split_bound_check(f, fam)
         assert r0.holds and rrest.holds
+
+
+# -- shared tables and components ---------------------------------------------
+
+
+@pytest.mark.parametrize("q", [5, 16, 27])
+def test_t_components_equal_per_frequency_oracle(q):
+    fld = Field(q)
+    f = random_f(fld, 20, q)
+    fam = mx.linearize("refined", fld, for_function=f)
+    tab = fr.central_fourier(f)
+    comps = fr.t_components(tab, fam)
+    oracle = np.stack([fr.t_xi_component(tab, xi, fam) for xi in range(q)])
+    assert np.array_equal(comps, oracle)  # bit for bit, not approximately
+    other = mx.linearize("refined", fld)
+    assert np.array_equal(
+        fr.t_components(f, other),
+        np.stack([fr.t_xi_component(tab, xi, other) for xi in range(q)]))
+
+
+def test_table_and_components_are_shared_per_input(f7):
+    f = random_f(f7, 21)
+    tab = fr.central_fourier(f)
+    assert fr.central_fourier(f) is tab
+    assert not tab.table.flags.writeable
+    fam = mx.linearize("refined", f7, for_function=f)
+    comps = fr.t_components(f, fam)
+    assert fr.t_components(tab, fam) is comps
+    assert not comps.flags.writeable
+    # a fresh copy of the input gets its own, equal, table
+    copy = mx.GridFunction(f.domain, f.values)
+    assert fr.central_fourier(copy) is not tab
+    assert np.array_equal(fr.central_fourier(copy).table, tab.table)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -95,6 +96,24 @@ def test_lp_norm_embeddings(vals):
     assert mx.lp_norm(g, 2) <= mx.lp_norm(g, 1) + 1e-9
     assert mx.lp_norm(g, 1) <= math.sqrt(n) * mx.lp_norm(g, 2) + 1e-9
     assert mx.lp_norm(g, 2) <= math.sqrt(n) * mx.lp_norm(g, INF) + 1e-9
+
+
+def test_lp_norm_rescales_outside_double_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mx.lp_norm([1e200, 1e200], 3) == pytest.approx(
+            2 ** (1 / 3) * 1e200, rel=1e-14)
+        assert mx.lp_norm([1e200, 1e200], 2) == pytest.approx(
+            math.sqrt(2) * 1e200, rel=1e-14)
+        assert mx.lp_norm([1e-200], 3) == pytest.approx(1e-200, rel=1e-14)
+        assert mx.lp_norm([3e-170, 4e-170], 2) == pytest.approx(5e-170,
+                                                               rel=1e-14)
+
+
+def test_lp_norm_ordinary_inputs_keep_their_bits():
+    g = np.abs(mx.random_complex_grid(h1(Field(5)), mx.seeded_rng(4)).values)
+    assert mx.lp_norm(g, 3) == float((g**3.0).sum() ** (1.0 / 3.0))
+    assert mx.lp_norm(g, 2) == float(math.sqrt((g * g).sum()))
 
 
 # -- operators -----------------------------------------------------------------
@@ -412,6 +431,29 @@ def test_verify_bound_zero_function(f3):
     assert rep.holds
 
 
+@pytest.mark.parametrize("q", [5, 9])
+def test_verify_bound_memo_matches_fresh_inputs(q):
+    fld = Field(q)
+    rng = mx.seeded_rng(30, q)
+    inputs = {"heis": mx.random_complex_grid(h1(fld), rng),
+              "refined": mx.random_complex_grid(h1(fld), rng),
+              "affine": mx.random_complex_grid(mx.Domain.affine(fld, 2), rng)}
+    for spec in mx.bound_catalog(q) + mx.offdiag_catalog():
+        F = inputs[spec.operator]
+        shared = mx.verify_bound(spec, F)
+        fresh = mx.verify_bound(spec, mx.GridFunction(F.domain, F.values))
+        assert (shared.lhs, shared.rhs, shared.holds) == \
+            (fresh.lhs, fresh.rhs, fresh.holds), spec.name
+
+
+def test_grid_function_norm_is_memoized_per_exponent(f5):
+    F = mx.random_complex_grid(h1(f5), mx.seeded_rng(31))
+    assert F.norm(2) == mx.lp_norm(F.values, 2)
+    assert F.norm(Fraction(2)) == F.norm(2)
+    assert F.norm("inf") == float(np.abs(F.values).max())
+    assert F.memo("k", lambda: object()) is F.memo("k", lambda: object())
+
+
 def test_bound_catalog_constants(f5):
     names = {s.name: s for s in mx.bound_catalog(5)}
     assert names["planar-l1"].constant == 6
@@ -473,6 +515,18 @@ def test_grid_json_rejects_bad_domain(f5):
     doc = mx.grid_to_json(mx.GridFunction.delta(h1(f5)))
     doc["domain"] = "projective"
     with pytest.raises(DomainError):
+        mx.grid_from_json(doc)
+
+
+@pytest.mark.parametrize("edit", [
+    {"q": "x"},
+    {"values": [[1.0]] + [[0.0, 0.0]] * 124},
+    {"n": "one"},
+])
+def test_grid_json_value_errors_are_domain_errors(f5, edit):
+    doc = mx.grid_to_json(mx.GridFunction.delta(h1(f5)))
+    doc.update(edit)
+    with pytest.raises(DomainError, match="malformed"):
         mx.grid_from_json(doc)
 
 
