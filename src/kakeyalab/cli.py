@@ -398,9 +398,10 @@ def sweep_rows(cfg, suite_name="exponents"):
 
 def suite_exponents(cfg):
     # slope fits need q large enough that lower-order terms decay; the
-    # default window runs 5..25 regardless of the verify q-list
+    # default window runs 5..25 regardless of the verify q-list, always over
+    # the built-in fields (--modulus names a single q, the window has >= 3)
     qs = cfg.qs if cfg.qs_explicit and len(cfg.qs) >= 3 else SWEEP_QS
-    sub = SuiteConfig(qs=tuple(qs), seed=cfg.seed, modulus=cfg.modulus)
+    sub = SuiteConfig(qs=tuple(qs), seed=cfg.seed)
     return sweep_rows(sub, "exponents")
 
 
@@ -615,9 +616,13 @@ def _config_from(args, default_qs=DEFAULT_QS, suites=ALL_SUITES):
         raise DomainError("--trials must be at least 1")
     modulus = None
     if args.modulus:
-        modulus = tuple(int(c) for c in args.modulus.split(","))
+        try:
+            modulus = tuple(int(c) for c in args.modulus.split(","))
+        except ValueError as exc:
+            raise DomainError(f"bad modulus {args.modulus!r}") from exc
         if len(qs) != 1:
             raise DomainError("--modulus needs a single q")
+        Field(qs[0], modulus=modulus)  # rejects a bad modulus for every suite
     return SuiteConfig(qs=qs, n=args.n, suites=suites, seed=args.seed,
                        trials=args.trials, tol=args.tol, out=args.out,
                        dump_fourier=args.dump_fourier, big=args.big,

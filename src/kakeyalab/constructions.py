@@ -547,15 +547,20 @@ def omega_partition(ps, selection=None):
 
 
 def _best_contained_line(affine_ps, omega):
+    """The contained affine line of direction omega with the smallest mu,
+    first in row order on ties; None when no line fits."""
     field = affine_ps.domain.field
     vdir = hz.ProjectiveDirection(field, omega.rep)
+    dirs, table = affine_incidence(field, 3)
+    rows = table[dirs.index(vdir)]
     best = None
     best_mu = None
-    for line in hz.affine_lines_with_direction(field, 3, vdir):
-        if affine_ps.contains_line(line):
-            mu = mu_parameter(line).index
-            if best is None or mu < best_mu:
-                best, best_mu = line, mu
+    for r in np.flatnonzero(affine_ps.mask[rows].all(axis=1)):
+        base = hz.affine_point_from_index(field, 3, int(rows[r, 0]))
+        line = hz.AffineLine(field, base, vdir)
+        mu = mu_parameter(line).index
+        if best is None or mu < best_mu:
+            best, best_mu = line, mu
     return best
 
 

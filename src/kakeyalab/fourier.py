@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from .field import DomainError
-from .maximal import Domain, GridFunction, VerifyReport, lp_norm, REL_TOL
+from .maximal import (Domain, GridFunction, VerifyReport, affine_incidence,
+                      lp_norm, REL_TOL)
 
 # field -> {name: read-only table}; each table is built on first use
 _FIELD_TABLES = {}
@@ -34,12 +35,14 @@ def chi_matrix(field):
 
 
 def _u_plane_index(field):
-    """Flat [x, y] plane index of the point (x, mx - g), indexed [m, g, x]."""
-    q = field.q
-    mul = field.np_mul.astype(np.int64)
-    sub = field.np_sub.astype(np.int64)
-    xs = np.arange(q, dtype=np.int64)
-    return xs * q + sub[mul[:, None, :], xs[None, :, None]]
+    """Flat [x, y] plane index of the point (x, mx - g), indexed [m, g, x].
+
+    These are the planar lines of direction [1:m], the first q blocks of the
+    affine table, whose row -g starts at (0, -g).  The copy is C-ordered:
+    u_tables sums the gather along x, and its bits depend on the layout.
+    """
+    _, table = affine_incidence(field, 2)
+    return np.ascontiguousarray(table[:field.q, field.np_neg])
 
 
 def _u_phases(field):

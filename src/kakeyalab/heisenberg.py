@@ -4,7 +4,8 @@ Points, directions and lines are immutable; coordinates are stored as field
 indices (plain ints).  The point enumeration is row-major with t fastest,
 then the y block, then the x block, and every line is materialized as its
 q-point sequence so set-level oracles stay cheap.  Bulk enumeration (all
-lines of a direction at once) runs through index tables instead of objects.
+lines of a direction at once) runs through index tables instead of objects;
+one coset builder makes every such table, for H_n and F_q^d alike.
 """
 
 from __future__ import annotations
@@ -93,10 +94,6 @@ def _as_seq(c):
     if isinstance(c, (tuple, list)):
         return c
     return (c,)
-
-
-def group_mul(p, p2):
-    return p * p2
 
 
 def enumerate_points(field, n=1):
@@ -320,14 +317,6 @@ def horizontal_line(p, v):
     return HorizontalLine(p, v)
 
 
-def t_slope(line):
-    return line.t_slope()
-
-
-def refined_direction(line):
-    return line.refined_direction()
-
-
 def lines_with_refined_direction(omega):
     """The q pairwise-disjoint lines of refined direction omega (n=1).
 
@@ -382,31 +371,62 @@ def all_horizontal_lines(field, n=1):
 _TRANSVERSALS = {}
 
 
-def _transversal(field, n, lead):
-    """Coordinate arrays of the points whose (x,y)-coordinate lead is 0.
+def _transversal(field, dim, rep):
+    """Coordinate arrays of the points of F_q^dim where rep's leading nonzero
+    coordinate, at position lead, vanishes; row-major.
 
-    Every line whose direction has its leading 1 at position lead crosses
-    this hyperplane exactly once, so it indexes the coset family.
+    Every coset of direction rep crosses this hyperplane exactly once, so it
+    indexes the coset family.  The cache is keyed by (field, dim, lead):
+    H_1 and F_q^3 share one point enumeration, hence one entry.
     """
-    key = (field, n, lead)
+    lead = next(j for j, c in enumerate(rep) if c)
+    key = (field, dim, lead)
     if key not in _TRANSVERSALS:
         q = field.q
-        coords = np.indices((q,) * (2 * n + 1)).reshape(2 * n + 1, -1)
+        coords = np.indices((q,) * dim).reshape(dim, -1)
         _TRANSVERSALS[key] = coords[:, coords[lead] == 0].astype(np.int64)
     return _TRANSVERSALS[key]
 
 
-def _direction_twist(field, n, v, base):
-    """x.b - y.a over an array of base coordinates: the t-slope per base."""
+def _twist(field, rep, base):
+    """x.b - y.a over an array of base coordinates: the t step per base."""
     add = field.np_add.astype(np.int64)
     mul = field.np_mul.astype(np.int64)
     sub = field.np_sub.astype(np.int64)
-    a, b = v.rep[:n], v.rep[n:]
+    n = len(rep) // 2
+    a, b = rep[:n], rep[n:]
     twist = None
     for i in range(n):
         term = sub[mul[:, b[i]][base[i]], mul[:, a[i]][base[n + i]]]
         twist = term if twist is None else add[twist, term]
     return twist
+
+
+def _coset_table(field, rep, horizontal=False, out=None):
+    """Point indices of the cosets {base + s.step} of one direction.
+
+    The one builder behind every line and incidence table.  Rows run over
+    the transversal where rep's leading coordinate vanishes; column s is the
+    point at parameter s.  The step is rep itself (affine lines of F_q^d,
+    d = len(rep)) or, when horizontal, rep followed by the per-row t step
+    x.b - y.a (horizontal lines of H_n, 2n+1 = len(rep) + 1).  Fills out,
+    a (#rows, q) int32 array, or a new one, and returns it.
+    """
+    q = field.q
+    add = field.np_add.astype(np.int64)
+    mul = field.np_mul.astype(np.int64)
+    base = _transversal(field, len(rep) + 1 if horizontal else len(rep), rep)
+    twist = _twist(field, rep, base) if horizontal else None
+    if out is None:
+        out = np.empty((base.shape[1], q), dtype=np.int32)
+    for s in range(q):
+        idx = np.zeros(base.shape[1], dtype=np.int64)
+        for j, c in enumerate(rep):
+            idx = idx * q + add[:, field.mul(s, c)][base[j]]
+        if horizontal:
+            idx = idx * q + add[base[-1], mul[:, s][twist]]
+        out[:, s] = idx
+    return out
 
 
 def line_table_for_direction(field, n, v):
@@ -415,34 +435,12 @@ def line_table_for_direction(field, n, v):
     Row r holds the r-th coset in transversal order; column s is the point
     at parameter s, matching HorizontalLine's own parametrization.
     """
-    q = field.q
-    add = field.np_add.astype(np.int64)
-    mul = field.np_mul.astype(np.int64)
-    rep = v.rep
-    lead = next(j for j, c in enumerate(rep) if c)
-    base = _transversal(field, n, lead)
-    a, b = rep[:n], rep[n:]
-    twist = _direction_twist(field, n, v, base)
-    table = np.empty((base.shape[1], q), dtype=np.int32)
-    for s in range(q):
-        idx = np.zeros(base.shape[1], dtype=np.int64)
-        for i in range(n):
-            idx = idx * q + add[:, field.mul(s, a[i])][base[i]]
-        for i in range(n):
-            idx = idx * q + add[:, field.mul(s, b[i])][base[n + i]]
-        idx = idx * q + add[base[2 * n], mul[:, s][twist]]
-        table[:, s] = idx
-    return table
+    return _coset_table(field, v.rep, horizontal=True)
 
 
 def line_slope_table(field, n, v):
     """t-slope c(L) of each row of line_table_for_direction(field, n, v)."""
-    lead = next(j for j, c in enumerate(v.rep) if c)
-    return _direction_twist(field, n, v, _transversal(field, n, lead))
-
-
-def project(p):
-    return p.project()
+    return _twist(field, v.rep, _transversal(field, 2 * n + 1, v.rep))
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +465,8 @@ def census(field, n=1):
 
     Lines are enumerated direction by direction through the index tables;
     each direction's lines must partition H_n, every (direction, slope)
-    class must be realized, and all counts must match the formulas.
+    class must be realized, and all counts must match the formulas.  The
+    points counted are the distinct ones the first direction's lines cover.
     """
     q = field.q
     proj = enumerate_projective_directions(field, n)
@@ -484,15 +483,18 @@ def census(field, n=1):
         lines_per_point=num_proj,
     )
 
-    total = q ** (2 * n + 1)
-    whole = np.arange(total)
+    whole = np.arange(q ** (2 * n + 1))
+    points = None
     total_lines = 0
     per_dir_counts = set()
     per_refined_counts = set()
     realized_refined = 0
     for v in proj:
         table = line_table_for_direction(field, n, v)
-        if not np.array_equal(np.sort(table, axis=None), whole):
+        covered = np.sort(table, axis=None)
+        if points is None:
+            points = len(np.unique(covered))
+        if not np.array_equal(covered, whole):
             raise AssertionError(f"lines of direction {v} do not partition")
         total_lines += table.shape[0]
         per_dir_counts.add(table.shape[0])
@@ -502,7 +504,7 @@ def census(field, n=1):
     origin = HPoint.origin(field, n)
     by_enum = Census(
         q=q, n=n,
-        points=len(enumerate_points(field, n)),
+        points=points,
         proj_directions=len(set(proj)),
         refined_directions=len(set(refined)),
         lines=total_lines,

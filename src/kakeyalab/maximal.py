@@ -2,8 +2,10 @@
 
 Operator evaluation is table-driven: for each field we build, once, the
 point-index incidence arrays of every line family and evaluate operators as
-vectorized gather/sum/max passes.  Line sums on integer-valued inputs stay
-exact integers; only norms and q^alpha move to floating point.
+vectorized gather/sum/max passes.  Every table comes from the one coset
+builder in heisenberg.py, affine and horizontal lines alike.  Line sums on
+integer-valued inputs stay exact integers; only norms and q^alpha move to
+floating point.
 """
 
 from __future__ import annotations
@@ -283,25 +285,15 @@ _REFINED_TABLES = {}
 def affine_incidence(field, d):
     """(directions, int32 array (#dirs, q^{d-1}, q) of point indices).
 
-    Lines of a fixed direction are built from the transversal hyperplane
-    where the leading coordinate vanishes, all in index arithmetic.
+    Each direction's block holds its parallel lines in transversal order.
     """
     key = (field, d)
     if key not in _AFFINE_TABLES:
         q = field.q
         dirs = hz.enumerate_directions(field, d)
-        add = field.np_add.astype(np.int64)
-        pts = np.indices((q,) * d).reshape(d, -1).astype(np.int64)
-        weights = q ** np.arange(d - 1, -1, -1, dtype=np.int64)
         table = np.empty((len(dirs), q ** (d - 1), q), dtype=np.int32)
         for i, v in enumerate(dirs):
-            lead = next(j for j, c in enumerate(v.rep) if c)
-            bases = pts[:, pts[lead] == 0]
-            for s in range(q):
-                idx = np.zeros(bases.shape[1], dtype=np.int64)
-                for j in range(d):
-                    idx += weights[j] * add[:, field.mul(s, v.rep[j])][bases[j]]
-                table[i, :, s] = idx
+            hz._coset_table(field, v.rep, out=table[i])
         table.flags.writeable = False
         _AFFINE_TABLES[key] = (dirs, table)
     return _AFFINE_TABLES[key]
@@ -325,30 +317,18 @@ def heis1_incidence(field):
 def refined_incidence(field):
     """(refined directions, (q^2+q, q, q) point-index table) for H_1.
 
-    Row (omega, tau) holds the normal-form line L_{omega,tau}; indices are
-    assembled arithmetically, matching HorizontalLine.point_indices.
+    Row (omega, tau) holds the normal-form line L_{omega,tau}.  The lines of
+    a projective direction, stably sorted by their t-slope c, fall into the
+    q blocks [a:b:c]; inside a block the transversal's t coordinate is tau.
     """
     if field not in _REFINED_TABLES:
         q = field.q
         dirs = hz.enumerate_refined_directions(field, 1)
-        add = field.np_add.astype(np.int64)
-        mul = field.np_mul.astype(np.int64)
-        sub = field.np_sub.astype(np.int64)
-        taus = np.arange(q, dtype=np.int64)[:, None]
-        xs = np.arange(q, dtype=np.int64)[None, :]
         table = np.empty((len(dirs), q, q), dtype=np.int32)
-        for i, om in enumerate(dirs):
-            chart = om.chart()
-            if chart[0] == "slope":
-                _, m, g = chart
-                y = sub[mul[m], g]            # y(x) = m x - g
-                xy = (np.arange(q) * q + y) * q
-                t = add[taus, mul[g][xs]]     # t = tau + g x
-            else:
-                g = chart[1]
-                xy = (g * q + np.arange(q)) * q
-                t = add[taus, mul[g][xs]]     # t = tau + g y
-            table[i] = xy[None, :] + t
+        for i, v in enumerate(hz.enumerate_projective_directions(field, 1)):
+            order = np.argsort(hz.line_slope_table(field, 1, v), kind="stable")
+            lines = hz.line_table_for_direction(field, 1, v)
+            table[i * q:(i + 1) * q] = lines[order].reshape(q, q, q)
         table.flags.writeable = False
         _REFINED_TABLES[field] = (dirs, table)
     return _REFINED_TABLES[field]
@@ -552,15 +532,16 @@ def family_gram(family):
     return gram
 
 
-def ttstar_matrix(family):
-    """The (q+1) x (q+1) matrix of |l_v ∩ l_v'| for a planar family."""
+def ttstar_spectrum(family):
+    """Eigenvalues of TT*, descending; always {2q} + {q-1} x q.
+
+    TT* is the (q+1) x (q+1) matrix of |l_v ∩ l_v'|, defined for planar
+    families only.
+    """
     if family.kind != "planar":
         raise DomainError("TT* spectrum is defined for planar families")
-    return family_gram(family)
-
-def ttstar_spectrum(family):
-    """Eigenvalues of TT*, descending; always {2q} + {q-1} x q."""
-    return np.sort(np.linalg.eigvalsh(ttstar_matrix(family).astype(np.float64)))[::-1]
+    gram = family_gram(family).astype(np.float64)
+    return np.sort(np.linalg.eigvalsh(gram))[::-1]
 
 
 def l2_operator_norm(family):

@@ -102,6 +102,15 @@ def test_modulus_flag_requires_single_q():
     assert cli.main(["census", "--q", "9", "--modulus", "1,0,1"]) == 0
 
 
+def test_bad_modulus_exits_2_for_every_suite():
+    # exponents sweeps its own q window, yet must still reject the flag
+    for suite in ("census", "exponents"):
+        assert cli.main(["verify", "--q", "9", "--modulus", "1,0,0",
+                         "--suite", suite]) == 2
+    assert cli.main(["verify", "--q", "9", "--modulus", "1,x",
+                     "--suite", "exponents"]) == 2
+
+
 # -- grid/point-set file IO -----------------------------------------------------
 
 

@@ -173,6 +173,25 @@ def test_example_affine_not_refined(q):
                        for L in hz.lines_with_refined_direction(om0))
 
 
+@pytest.mark.parametrize("q", [5, 7, 9])
+def test_best_contained_line_matches_object_scan(q):
+    # oracle: walk the AffineLine objects in scan order, keep the first
+    # contained line of smallest mu
+    fld = Field(q)
+    dirs = hz.enumerate_refined_directions(fld, 1)
+    e = cn.as_affine_set(cn.example_affine_not_refined(dirs[len(dirs) // 2]))
+    for om in dirs:
+        v = hz.ProjectiveDirection(fld, om.rep)
+        want = want_mu = None
+        for line in hz.affine_lines_with_direction(fld, 3, v):
+            if e.contains_line(line):
+                mu = cn.mu_parameter(line).index
+                if want is None or mu < want_mu:
+                    want, want_mu = line, mu
+        got = cn._best_contained_line(e, om)
+        assert (got.base, got.points) == (want.base, want.points)
+
+
 def test_example_11_1_every_line_meets_removed_fiber(f5):
     om0 = hz.RefinedDirection(f5, (1, 2, 3))
     e = cn.example_affine_not_refined(om0)

@@ -167,6 +167,23 @@ def test_u_tables_match_direct_definition_prime_power(q, xi):
         assert abs(ut.u_inf[g] - direct) < 1e-9
 
 
+@pytest.mark.parametrize("q", [3, 16, 27])
+def test_u_tables_bits_match_c_ordered_gather(q):
+    # bit for bit against a C-ordered gather built from the definition; the
+    # layout matters because key_counting_check sums u in memory order
+    fld = Field(q)
+    tab = fr.central_fourier(random_f(fld, 8, q))
+    index = np.array([[[x * q + fld.sub(fld.mul(m, x), g) for x in range(q)]
+                       for g in range(q)] for m in range(q)])
+    for xi in range(1, q):
+        phase = np.array([[fld.chi(fld.mul(fld.mul(xi, g), x))
+                           for x in range(q)] for g in range(q)])
+        want = (tab.planes()[xi][index] * phase[None, :, :]).sum(axis=2)
+        got = fr.u_tables(tab, xi).u
+        assert np.array_equal(got, want)
+        assert (np.abs(got) ** 2).sum() == (np.abs(want) ** 2).sum()
+
+
 def test_key_counting_delta(f7):
     d0 = mx.GridFunction.delta(h1(f7))
     for xi in range(1, 7):

@@ -3,6 +3,7 @@ import pytest
 
 from kakeyalab.field import DomainError, Field
 from kakeyalab import heisenberg as hz
+from kakeyalab import maximal as mx
 
 
 @pytest.fixture(scope="module")
@@ -225,7 +226,7 @@ def test_every_refined_direction_realized(f5):
 
 
 def test_project_point(f5):
-    assert hz.project(hz.HPoint(f5, 1, 2, 3)) == (1, 2)
+    assert hz.HPoint(f5, 1, 2, 3).project() == (1, 2)
 
 
 def test_project_line_bijective(f5):
@@ -265,19 +266,41 @@ def test_planar_line_equation(f5):
 # -- bulk line tables --------------------------------------------------------
 
 
-@pytest.mark.parametrize("q,n", [(3, 1), (4, 1), (5, 1), (3, 2)])
+@pytest.mark.parametrize("q,n", [(3, 1), (4, 1), (5, 1), (9, 1), (3, 2),
+                                 (4, 2)])
 def test_line_table_matches_objects(q, n):
+    # ordered: row r is the r-th line of the object scan, column s its s-th
+    # point, so any reordering of rows or columns fails
     f = Field(q)
     for v in hz.enumerate_projective_directions(f, n):
+        lines = hz.lines_with_direction(f, n, v)
         table = hz.line_table_for_direction(f, n, v)
-        got = {frozenset(row) for row in table.tolist()}
-        want = {frozenset(L.point_indices)
-                for L in hz.lines_with_direction(f, n, v)}
-        assert got == want
+        assert table.tolist() == [list(L.point_indices) for L in lines]
         slopes = hz.line_slope_table(f, n, v)
-        for row, c in zip(table, slopes):
-            L = hz.horizontal_line(hz.point_from_index(f, n, int(row[0])), v)
-            assert L.t_slope().index == int(c)
+        assert slopes.tolist() == [L.t_slope().index for L in lines]
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 9])
+def test_incidence_tables_match_objects(q):
+    f = Field(q)
+    for d in (2, 3):
+        dirs, table = mx.affine_incidence(f, d)
+        assert dirs == hz.enumerate_directions(f, d)
+        for v, block in zip(dirs, table):
+            lead = next(j for j, c in enumerate(v.rep) if c)
+            bases = [p for p in hz.enumerate_affine_points(f, d)
+                     if p[lead] == 0]
+            assert block.tolist() == [
+                list(hz.AffineLine(f, b, v).point_indices) for b in bases]
+    dirs, table = mx.refined_incidence(f)
+    assert dirs == hz.enumerate_refined_directions(f, 1)
+    want = [[list(L.point_indices) for L in hz.lines_with_refined_direction(om)]
+            for om in dirs]
+    assert table.tolist() == want
+    hdirs, htable = mx.heis1_incidence(f)
+    assert hdirs == hz.enumerate_projective_directions(f, 1)
+    assert htable.tolist() == [sum(want[i * q:(i + 1) * q], [])
+                               for i in range(q + 1)]
 
 
 def test_lines_with_direction_partition(f5):

@@ -362,7 +362,7 @@ def test_ttstar_independent_of_family(f7):
 
 def test_ttstar_rejects_non_planar(f3):
     with pytest.raises(DomainError):
-        mx.ttstar_matrix(mx.linearize("refined", f3))
+        mx.ttstar_spectrum(mx.linearize("refined", f3))
 
 
 def _dense_sigma_max(fam):
