@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import DomainError, Field, FieldElement
+from .field import DomainError, Field, FieldElement, field_table
 from . import heisenberg as hz
 from .maximal import (Domain, ExtendedExponent, GridFunction, VerifyReport,
                       affine_incidence, as_exponent, exponent_Ard,
@@ -261,19 +261,14 @@ def _cert_inequality(A, B, q, term, u, v, two_power):
     return A**uu * 2 ** (two_power * vv) >= q ** int(e) * B**vv
 
 
-_OPVALUE_CACHE = {}
-
-
 def _extremal_op_values(kind, field, n, operator):
-    """Exact integer operator values of a named indicator, cached."""
-    key = (field, n, kind, operator)
-    if key not in _OPVALUE_CACHE:
-        F = extremal_function(kind, field, n)
-        vals = (refined_max_op(F) if operator == "refined"
-                else heis_max_op(F))
-        _OPVALUE_CACHE[key] = (np.rint(np.real(vals)).astype(np.int64),
-                               int(F.values.sum()))
-    return _OPVALUE_CACHE[key]
+    """Exact integer operator values of a named indicator, cached per field."""
+    def build(f):
+        F = extremal_function(kind, f, n)
+        vals = refined_max_op(F) if operator == "refined" else heis_max_op(F)
+        return np.rint(np.real(vals)).astype(np.int64), int(F.values.sum())
+
+    return field_table(field, ("extremal-op-values", n, kind, operator), build)
 
 
 def lower_bound_ratio(kind, field, u, v, *, n=1, operator="refined"):
@@ -383,18 +378,17 @@ def example_refined_not_affine(field):
     q = field.q
     if q % 2 == 0 or q <= 3:
         raise DomainError("this example needs odd q > 3")
-    idx = set()
-    for m in range(q):
-        m2 = field.mul(m, m)
-        for g in range(q):
-            for x in range(q):
-                y = field.sub(field.mul(m, x), g)
-                t = field.add(m2, field.mul(g, x))
-                idx.add(hz.HPoint(field, x, y, t).index)
-    for g in range(q):
-        for y in range(q):
-            idx.add(hz.HPoint(field, g, y, field.mul(g, y)).index)
-    return PointSet(Domain.heisenberg(field, 1), idx)
+    mul = field.np_mul.astype(np.int64)
+    mask = np.zeros(q**3, dtype=bool)
+    # slope chart [1:m:g]: the bent line (x, mx - g, m^2 + gx)
+    m, g, x = np.ogrid[:q, :q, :q]
+    y = field.np_sub[mul[m, x], g]
+    t = field.np_add[mul[m, m], mul[g, x]]
+    mask[((x * q + y) * q + t).ravel()] = True
+    # vertical chart [0:1:g]: the line (g, y, gy)
+    g, y = np.ogrid[:q, :q]
+    mask[((g * q + y) * q + mul[g, y]).ravel()] = True
+    return PointSet.from_mask(Domain.heisenberg(field, 1), mask)
 
 
 def vertical_fiber_sizes(ps):

@@ -319,6 +319,30 @@ class Field:
         return f"Field({self.q}, modulus={list(self.modulus)})"
 
 
+# (field, key) -> value; keyed by field equality, so equal fields built
+# apart share every entry.  No size limit: the entries are the per-field
+# index and phase tables, each built once per process.
+_FIELD_TABLES = {}
+
+
+def field_table(field, key, build):
+    """build(field), computed once per (field, key) and cached.
+
+    Every ndarray in the value, whether the value itself or a member of a
+    tuple, is made read-only, because all callers share it.
+    """
+    try:
+        return _FIELD_TABLES[field, key]
+    except KeyError:
+        pass
+    value = build(field)
+    for part in value if isinstance(value, tuple) else (value,):
+        if isinstance(part, np.ndarray):
+            part.flags.writeable = False
+    _FIELD_TABLES[field, key] = value
+    return value
+
+
 class FieldElement:
     """An element of F_q: an index plus a reference to its Field."""
 

@@ -12,26 +12,14 @@ import math
 
 import numpy as np
 
-from .field import DomainError
+from .field import DomainError, field_table
 from .maximal import (Domain, GridFunction, VerifyReport, affine_incidence,
                       lp_norm, REL_TOL)
-
-# field -> {name: read-only table}; each table is built on first use
-_FIELD_TABLES = {}
-
-
-def _field_table(field, name, build):
-    tables = _FIELD_TABLES.setdefault(field, {})
-    if name not in tables:
-        table = build(field)
-        table.flags.writeable = False
-        tables[name] = table
-    return tables[name]
 
 
 def chi_matrix(field):
     """The q x q table chi(i*j); symmetric, cached per field."""
-    return _field_table(field, "chi", lambda f: f.np_chi[f.np_mul])
+    return field_table(field, "chi", lambda f: f.np_chi[f.np_mul])
 
 
 def _u_plane_index(field):
@@ -193,8 +181,8 @@ def u_tables(f, xi):
     if xi == 0:
         raise DomainError("U tables are defined for nonzero xi")
     q = field.q
-    index = _field_table(field, "u-plane-index", _u_plane_index)
-    phase = _field_table(field, "u-phases", _u_phases)[xi]      # [g, x]
+    index = field_table(field, "u-plane-index", _u_plane_index)
+    phase = field_table(field, "u-phases", _u_phases)[xi]       # [g, x]
     plane = tab.planes()[xi]                                    # [x*q + y]
     u = (plane[index] * phase[None, :, :]).sum(axis=2)
     # U_inf(g) = sum_y f^(g, y; xi) chi(xi g y); same phase table with y for x

@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .field import DomainError, FieldElement
+from .field import DomainError, FieldElement, field_table
 
 
 # ---------------------------------------------------------------------------
@@ -368,24 +368,21 @@ def all_horizontal_lines(field, n=1):
     return out
 
 
-_TRANSVERSALS = {}
-
-
 def _transversal(field, dim, rep):
     """Coordinate arrays of the points of F_q^dim where rep's leading nonzero
     coordinate, at position lead, vanishes; row-major.
 
     Every coset of direction rep crosses this hyperplane exactly once, so it
-    indexes the coset family.  The cache is keyed by (field, dim, lead):
+    indexes the coset family.  The table is cached per (field, dim, lead):
     H_1 and F_q^3 share one point enumeration, hence one entry.
     """
     lead = next(j for j, c in enumerate(rep) if c)
-    key = (field, dim, lead)
-    if key not in _TRANSVERSALS:
-        q = field.q
-        coords = np.indices((q,) * dim).reshape(dim, -1)
-        _TRANSVERSALS[key] = coords[:, coords[lead] == 0].astype(np.int64)
-    return _TRANSVERSALS[key]
+
+    def build(f):
+        coords = np.indices((f.q,) * dim).reshape(dim, -1)
+        return coords[:, coords[lead] == 0].astype(np.int64)
+
+    return field_table(field, ("transversal", dim, lead), build)
 
 
 def _twist(field, rep, base):

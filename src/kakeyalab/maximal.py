@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import DomainError, Field
+from .field import DomainError, Field, field_table
 from . import heisenberg as hz
 
 INF = math.inf
@@ -85,25 +85,34 @@ def as_exponent(u):
 _POW_RANGE_LOG2 = 960
 
 
-def lp_norm(values, u):
-    """(sum |g|^u)^(1/u) on a flat table; max for u = infinity."""
-    u = as_exponent(u)
+def lp_norm(values, u, axis=None):
+    """(sum |g|^u)^(1/u) on a flat table; max for u = infinity.
+
+    With an axis, the norm of every slice along it, as an array.
+    """
+    uu = float(as_exponent(u))
     a = np.abs(np.asarray(values, dtype=np.complex128))
     if a.size == 0:
         return 0.0
-    if u.is_inf:
-        return float(a.max())
-    uu = float(u.value)
-    if uu == 1:
-        return float(a.sum())
-    amax = float(a.max())
-    scale = 1.0
-    if amax and (uu * abs(math.log2(amax)) + math.log2(a.size)
-                 > _POW_RANGE_LOG2):
-        a, scale = a / amax, amax
-    if uu == 2:
-        return float(math.sqrt((a * a).sum())) * scale
-    return float((a**uu).sum() ** (1.0 / uu)) * scale
+    if uu == INF:
+        out = a.max(axis)
+    elif uu == 1:
+        out = a.sum(axis)
+    else:
+        amax = a.max(axis)
+        count = a.size if axis is None else a.shape[axis]
+        # u*|log2 amax| + log2(count) > _POW_RANGE_LOG2, solved for amax
+        limit = 2.0 ** ((_POW_RANGE_LOG2 - math.log2(count)) / uu)
+        rescale = (amax > limit) | ((amax > 0) & (amax < 1 / limit))
+        scale = 1.0
+        if rescale.any():
+            scale = np.where(rescale, amax, 1.0)
+            a = a / (scale if axis is None else np.expand_dims(scale, axis))
+        if uu == 2:
+            out = np.sqrt((a * a).sum(axis)) * scale
+        else:
+            out = (a**uu).sum(axis) ** (1.0 / uu) * scale
+    return float(out) if axis is None else out
 
 
 def q_pow(q, alpha):
@@ -277,26 +286,22 @@ def seeded_rng(*key):
 # incidence tables
 
 
-_AFFINE_TABLES = {}
-_HEIS1_TABLES = {}
-_REFINED_TABLES = {}
-
-
 def affine_incidence(field, d):
     """(directions, int32 array (#dirs, q^{d-1}, q) of point indices).
 
     Each direction's block holds its parallel lines in transversal order.
     """
-    key = (field, d)
-    if key not in _AFFINE_TABLES:
-        q = field.q
-        dirs = hz.enumerate_directions(field, d)
-        table = np.empty((len(dirs), q ** (d - 1), q), dtype=np.int32)
-        for i, v in enumerate(dirs):
-            hz._coset_table(field, v.rep, out=table[i])
-        table.flags.writeable = False
-        _AFFINE_TABLES[key] = (dirs, table)
-    return _AFFINE_TABLES[key]
+    return field_table(field, ("affine-incidence", d),
+                       lambda f: _build_affine(f, d))
+
+
+def _build_affine(field, d):
+    q = field.q
+    dirs = hz.enumerate_directions(field, d)
+    table = np.empty((len(dirs), q ** (d - 1), q), dtype=np.int32)
+    for i, v in enumerate(dirs):
+        hz._coset_table(field, v.rep, out=table[i])
+    return dirs, table
 
 
 def heis1_incidence(field):
@@ -305,13 +310,14 @@ def heis1_incidence(field):
     The q^2 lines of direction [a:b] are exactly the refined lines of
     [a:b:c] over all c, so this is a reshape of the refined table.
     """
-    if field not in _HEIS1_TABLES:
-        dirs = hz.enumerate_projective_directions(field, 1)
-        _, rtable = refined_incidence(field)
-        q = field.q
-        table = rtable.reshape(q + 1, q * q, q)
-        _HEIS1_TABLES[field] = (dirs, table)
-    return _HEIS1_TABLES[field]
+    return field_table(field, "heis1-incidence", _build_heis1)
+
+
+def _build_heis1(field):
+    q = field.q
+    _, rtable = refined_incidence(field)
+    return (hz.enumerate_projective_directions(field, 1),
+            rtable.reshape(q + 1, q * q, q))
 
 
 def refined_incidence(field):
@@ -321,17 +327,18 @@ def refined_incidence(field):
     a projective direction, stably sorted by their t-slope c, fall into the
     q blocks [a:b:c]; inside a block the transversal's t coordinate is tau.
     """
-    if field not in _REFINED_TABLES:
-        q = field.q
-        dirs = hz.enumerate_refined_directions(field, 1)
-        table = np.empty((len(dirs), q, q), dtype=np.int32)
-        for i, v in enumerate(hz.enumerate_projective_directions(field, 1)):
-            order = np.argsort(hz.line_slope_table(field, 1, v), kind="stable")
-            lines = hz.line_table_for_direction(field, 1, v)
-            table[i * q:(i + 1) * q] = lines[order].reshape(q, q, q)
-        table.flags.writeable = False
-        _REFINED_TABLES[field] = (dirs, table)
-    return _REFINED_TABLES[field]
+    return field_table(field, "refined-incidence", _build_refined)
+
+
+def _build_refined(field):
+    q = field.q
+    dirs = hz.enumerate_refined_directions(field, 1)
+    table = np.empty((len(dirs), q, q), dtype=np.int32)
+    for i, v in enumerate(hz.enumerate_projective_directions(field, 1)):
+        order = np.argsort(hz.line_slope_table(field, 1, v), kind="stable")
+        lines = hz.line_table_for_direction(field, 1, v)
+        table[i * q:(i + 1) * q] = lines[order].reshape(q, q, q)
+    return dirs, table
 
 
 def _max_over_table(absvals, table):
@@ -387,19 +394,7 @@ def project_aggregate(F, u):
     """G(x, y) = the l^u norm of the t-fiber of |F|; same u-norm, dominating."""
     if F.domain.kind != "heisenberg":
         raise DomainError("project_aggregate needs an H_n function")
-    u = as_exponent(u)
-    q = F.field.q
-    fibers = np.abs(F.values.reshape(-1, q))
-    if u.is_inf:
-        g = fibers.max(axis=1)
-    else:
-        uu = float(u.value)
-        if uu == 1:
-            g = fibers.sum(axis=1)
-        elif uu == 2:
-            g = np.sqrt((fibers**2).sum(axis=1))
-        else:
-            g = (fibers**uu).sum(axis=1) ** (1.0 / uu)
+    g = lp_norm(F.values.reshape(-1, F.field.q), u, axis=1)
     return GridFunction(Domain.affine(F.field, 2 * F.domain.n), g)
 
 
@@ -472,15 +467,16 @@ def _candidate_tables(kind, field, n):
 
 
 def linearize(kind, field, *, n=1, for_function=None, selection=None,
-              seed=None):
+              rng=None):
     """Fix one line per index.
 
     Exactly one chooser applies: for_function picks the maximizing line per
     index (ties broken by enumeration order), selection passes explicit
-    lines, seed draws a reproducible random family.  With no chooser the
-    first line in enumeration order is taken (it passes through the origin).
+    lines, rng (a numpy Generator) draws a random family.  With no chooser
+    the first line in enumeration order is taken (it passes through the
+    origin).
     """
-    if sum(x is not None for x in (for_function, selection, seed)) > 1:
+    if sum(x is not None for x in (for_function, selection, rng)) > 1:
         raise DomainError("pick at most one chooser")
     dirs, table, domain = _candidate_tables(kind, field, n)
     if selection is not None:
@@ -501,8 +497,7 @@ def linearize(kind, field, *, n=1, for_function=None, selection=None,
             raise DomainError("function domain does not match the family")
         sums = np.abs(for_function.values)[table].sum(axis=2)
         choice = sums.argmax(axis=1)  # first maximum: enumeration-order ties
-    elif seed is not None:
-        rng = seeded_rng(seed)
+    elif rng is not None:
         choice = rng.integers(table.shape[1], size=table.shape[0])
     else:
         choice = np.zeros(table.shape[0], dtype=np.int64)

@@ -42,7 +42,8 @@ def test_criterion_1_ttstar_spectrum():
     for q in QS:
         expected = np.array([2 * q] + [q - 1] * q, dtype=float)
         for trial in range(20):
-            fam = mx.linearize("planar", field(q), seed=trial)
+            fam = mx.linearize("planar", field(q),
+                               rng=mx.seeded_rng(trial))
             eigs = mx.ttstar_spectrum(fam)
             if np.abs(eigs - expected).max() > 1e-8:
                 ok = False
@@ -56,7 +57,8 @@ def test_criterion_2_planar_l2_sharp_norm():
         fld = field(q)
         target = math.sqrt(2 * q)
         fams = [mx.linearize("planar", fld)]
-        fams += [mx.linearize("planar", fld, seed=t) for t in range(20)]
+        fams += [mx.linearize("planar", fld, rng=mx.seeded_rng(t))
+                 for t in range(20)]
         g = mx.random_complex_grid(mx.Domain.affine(fld, 2),
                                    mx.seeded_rng(2, q))
         fams.append(mx.linearize("planar", fld, for_function=g))

@@ -70,6 +70,18 @@ def test_main_verify_writes_csv(tmp_path):
     assert "ttstar-two-eigenvalues" in text
 
 
+def test_verify_summary_names_the_q_values_of_its_rows(monkeypatch, capsys):
+    # a suite may cover other q than --q, as exponents does with its window
+    def window_suite(cfg):
+        return [cli.make_row("w", "ratio", q, 1, 2, 2, 1.0, 1.0, True)
+                for q in (7, 3, 7)] + [
+            cli.make_row("w", "slope", "", 1, 2, 2, 1.0, 1.0, True)]
+    monkeypatch.setitem(cli.SUITES, "census", window_suite)
+    assert cli.main(["verify", "--q", "9", "--suite", "census"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] \
+        == "4/4 checks hold across q=[7, 3]"
+
+
 def test_main_examples(capsys):
     assert cli.main(["examples", "--q", "5"]) == 0
     out = capsys.readouterr().out

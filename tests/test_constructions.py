@@ -200,10 +200,31 @@ def test_example_11_1_every_line_meets_removed_fiber(f5):
         assert any(p.index in removed.indices for p in L.points)
 
 
-@pytest.mark.parametrize("q", [5, 7, 9, 11, 13])
-def test_example_refined_not_affine(q):
-    fld = Field(q)
+def _bent_lines_by_points(fld):
+    # the definitional oracle: every point of the example as an HPoint
+    q = fld.q
+    idx = set()
+    for m in range(q):
+        m2 = fld.mul(m, m)
+        for g in range(q):
+            for x in range(q):
+                y = fld.sub(fld.mul(m, x), g)
+                t = fld.add(m2, fld.mul(g, x))
+                idx.add(hz.HPoint(fld, x, y, t).index)
+    for g in range(q):
+        for y in range(q):
+            idx.add(hz.HPoint(fld, g, y, fld.mul(g, y)).index)
+    return cn.PointSet(h1(fld), idx)
+
+
+@pytest.mark.parametrize("q,modulus", [
+    *(pytest.param(q, None, id=str(q)) for q in (5, 7, 9, 11, 13)),
+    pytest.param(9, (2, 1, 1), id="9-other-modulus"),
+])
+def test_example_refined_not_affine(q, modulus):
+    fld = Field(q, modulus=modulus)
     e = cn.example_refined_not_affine(fld)
+    assert e == _bent_lines_by_points(fld)
     ok, _ = cn.is_full_refined_kakeya(e)
     assert ok
     affine, witness = cn.is_affine_kakeya(cn.as_affine_set(e))

@@ -1,8 +1,14 @@
 import cmath
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kakeyalab import constructions as cn
+from kakeyalab import field as fd
+from kakeyalab import fourier as fr
+from kakeyalab import heisenberg as hz
+from kakeyalab import maximal as mx
 from kakeyalab.field import BUILTIN_MODULI, DomainError, Field
 
 ALL_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27]
@@ -200,3 +206,51 @@ def test_frobenius_fixes_trace(q, data):
     f = Field(q)
     a = data.draw(st.integers(0, q - 1))
     assert f.trace_int(f.pow(a, f.p)) == f.trace_int(a)
+
+
+# -- the per-field table cache ---------------------------------------------
+
+
+def _fill_every_table(fld):
+    mx.affine_incidence(fld, 2)
+    mx.affine_incidence(fld, 3)
+    mx.heis1_incidence(fld)
+    hz.line_table_for_direction(fld, 2,
+                                hz.ProjectiveDirection(fld, (0, 1, 0, 0)))
+    fr.u_tables(mx.GridFunction.delta(mx.Domain.heisenberg(fld, 1)), 1)
+    cn.lower_bound_ratio("bush", fld, 2, 2, operator="heis")
+
+
+def test_every_cached_array_is_read_only():
+    _fill_every_table(Field(3))
+    arrays = [part for value in fd._FIELD_TABLES.values()
+              for part in (value if isinstance(value, tuple) else (value,))
+              if isinstance(part, np.ndarray)]
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        mx.refined_incidence(Field(3))[1][0, 0, 0] = 0
+
+
+def test_equal_fields_share_entries():
+    a, b = Field(5), Field(5)
+    assert a is not b
+    assert mx.refined_incidence(a) is mx.refined_incidence(b)
+    assert fr.chi_matrix(a) is fr.chi_matrix(b)
+    # F_q^3 and H_1 enumerate the same points: one transversal
+    assert hz._transversal(a, 3, (1, 2, 0)) is hz._transversal(b, 3, (1, 0))
+    assert cn._extremal_op_values("bush", a, 1, "refined") \
+        is cn._extremal_op_values("bush", b, 1, "refined")
+
+
+def test_other_modulus_gets_its_own_entries():
+    builtin, other = Field(9), Field(9, modulus=(2, 1, 1))
+    assert builtin != other
+    for fld in (builtin, other):
+        assert np.array_equal(fr.chi_matrix(fld), fld.np_chi[fld.np_mul])
+        dirs, table = mx.affine_incidence(fld, 2)
+        for v, block in zip(dirs, table):
+            assert sorted(map(tuple, block.tolist())) == sorted(
+                ln.point_indices
+                for ln in hz.affine_lines_with_direction(fld, 2, v))
+    assert fr.chi_matrix(builtin) is not fr.chi_matrix(other)
+    assert not np.array_equal(fr.chi_matrix(builtin), fr.chi_matrix(other))

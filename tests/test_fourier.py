@@ -68,7 +68,7 @@ def test_transform_definition_matches_direct_sum():
 def test_decomposition_identity_all_families(f7):
     f = random_f(f7, 3)
     for fam in (mx.linearize("refined", f7),
-                mx.linearize("refined", f7, seed=9),
+                mx.linearize("refined", f7, rng=mx.seeded_rng(9)),
                 mx.linearize("refined", f7, for_function=f)):
         assert fr.decomposition_defect(f, fam) < 1e-9
 
@@ -88,7 +88,7 @@ def test_zero_component_is_planar_average(f7):
 
 def test_delta_component_sum_is_membership(f7):
     d0 = mx.GridFunction.delta(h1(f7))
-    fam = mx.linearize("refined", f7, seed=1)
+    fam = mx.linearize("refined", f7, rng=mx.seeded_rng(1))
     total = fr.t_components(d0, fam).sum(axis=0)
     member = (fam.point_idx == 0).any(axis=1)
     assert np.allclose(total, member.astype(float), atol=1e-9)
@@ -97,7 +97,7 @@ def test_delta_component_sum_is_membership(f7):
 def test_normal_form_factorization(f7):
     # (T_xi f)(omega) = (1/q) chi(xi tau_omega) U_xi(m, gamma)
     f = random_f(f7, 5)
-    fam = mx.linearize("refined", f7, seed=2)
+    fam = mx.linearize("refined", f7, rng=mx.seeded_rng(2))
     tab = fr.central_fourier(f)
     for xi in (1, 3, 6):
         tx = fr.t_xi_component(tab, xi, fam)
