@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -623,10 +624,20 @@ def _config_from(args, default_qs=DEFAULT_QS, suites=ALL_SUITES):
                        modulus=modulus, qs_explicit=args.q is not None)
 
 
+def _emit(text):
+    """Write text to stdout; a reader that stops early (`| head -1`) only
+    ends the output, so the exit status still reports the checks."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the rest goes to os.devnull, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def cmd_census(args):
     cfg = _config_from(args, suites=("census",))
     rows, status = run_suite(cfg)
-    print(rows_to_csv(rows), end="")
+    _emit(rows_to_csv(rows))
     return status
 
 
@@ -637,9 +648,9 @@ def cmd_verify(args):
     ok = sum(1 for r in rows if r["holds"])
     # the q values the rows cover: exponents sweeps its own q window
     qs = [q for q in dict.fromkeys(r["q"] for r in rows) if q != ""]
-    print(f"{ok}/{len(rows)} checks hold across q={qs}")
+    _emit(f"{ok}/{len(rows)} checks hold across q={qs}\n")
     if not cfg.out:
-        print(rows_to_csv(rows), end="")
+        _emit(rows_to_csv(rows))
     return status
 
 
@@ -657,7 +668,7 @@ def cmd_sweep(args):
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(csv_text)
-    print(csv_text, end="")
+    _emit(csv_text)
     return 0 if all(r["holds"] for r in rows) else 1
 
 
@@ -687,7 +698,7 @@ def cmd_maxop(args):
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
-        print(text)
+        _emit(text + "\n")
     return 0
 
 
@@ -695,7 +706,7 @@ def cmd_examples(args):
     cfg = _config_from(args, default_qs=(5, 7, 9, 11, 13),
                        suites=("examples",))
     rows, status = run_suite(cfg)
-    print(rows_to_csv(rows), end="")
+    _emit(rows_to_csv(rows))
     return status
 
 

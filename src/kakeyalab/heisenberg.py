@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .field import DomainError, FieldElement, field_table
+from .field import DomainError, FieldElement
 
 
 # ---------------------------------------------------------------------------
@@ -368,62 +368,50 @@ def all_horizontal_lines(field, n=1):
     return out
 
 
-def _transversal(field, dim, rep):
-    """Coordinate arrays of the points of F_q^dim where rep's leading nonzero
-    coordinate, at position lead, vanishes; row-major.
-
-    Every coset of direction rep crosses this hyperplane exactly once, so it
-    indexes the coset family.  The table is cached per (field, dim, lead):
-    H_1 and F_q^3 share one point enumeration, hence one entry.
-    """
+def _transversal_axes(q, rep):
+    """The transversal {rep's leading coordinate = 0} as a broadcast grid:
+    coordinate j indexes axis j, and the lead axis has length 1.  Every coset
+    of direction rep crosses it once; its row-major order is the row order
+    of every coset table."""
     lead = next(j for j, c in enumerate(rep) if c)
-
-    def build(f):
-        coords = np.indices((f.q,) * dim).reshape(dim, -1)
-        return coords[:, coords[lead] == 0].astype(np.int64)
-
-    return field_table(field, ("transversal", dim, lead), build)
+    d = len(rep)
+    return [np.arange(1 if j == lead else q).reshape((-1,) + (1,) * (d - 1 - j))
+            for j in range(d)]
 
 
-def _twist(field, rep, base):
-    """x.b - y.a over an array of base coordinates: the t step per base."""
-    add = field.np_add.astype(np.int64)
-    mul = field.np_mul.astype(np.int64)
-    sub = field.np_sub.astype(np.int64)
+def _twist(field, rep, xs):
+    """x.b - y.a on the broadcast grid xs of (x, y): the t step per base."""
+    mul, sub, add = field.np_mul, field.np_sub, field.np_add
     n = len(rep) // 2
-    a, b = rep[:n], rep[n:]
-    twist = None
-    for i in range(n):
-        term = sub[mul[:, b[i]][base[i]], mul[:, a[i]][base[n + i]]]
-        twist = term if twist is None else add[twist, term]
+    twist = 0
+    for x, y, a, b in zip(xs[:n], xs[n:], rep[:n], rep[n:]):
+        twist = add[twist, sub[mul[x, b], mul[y, a]]]
     return twist
 
 
-def _coset_table(field, rep, horizontal=False, out=None):
-    """Point indices of the cosets {base + s.step} of one direction.
+def _coset_table(field, rep, horizontal=False):
+    """(#rows, q) int32 point indices of the cosets {base + s.step} of rep.
 
     The one builder behind every line and incidence table.  Rows run over
     the transversal where rep's leading coordinate vanishes; column s is the
     point at parameter s.  The step is rep itself (affine lines of F_q^d,
     d = len(rep)) or, when horizontal, rep followed by the per-row t step
-    x.b - y.a (horizontal lines of H_n, 2n+1 = len(rep) + 1).  Fills out,
-    a (#rows, q) int32 array, or a new one, and returns it.
+    x.b - y.a (horizontal lines of H_n, 2n+1 = len(rep) + 1).  The table is
+    a broadcast sum of one (base coordinate, s) table per coordinate.
     """
     q = field.q
     add = field.np_add.astype(np.int64)
-    mul = field.np_mul.astype(np.int64)
-    base = _transversal(field, len(rep) + 1 if horizontal else len(rep), rep)
-    twist = _twist(field, rep, base) if horizontal else None
-    if out is None:
-        out = np.empty((base.shape[1], q), dtype=np.int32)
-    for s in range(q):
-        idx = np.zeros(base.shape[1], dtype=np.int64)
-        for j, c in enumerate(rep):
-            idx = idx * q + add[:, field.mul(s, c)][base[j]]
-        if horizontal:
-            idx = idx * q + add[base[-1], mul[:, s][twist]]
-        out[:, s] = idx
-    return out
+    dim = len(rep) + 1 if horizontal else len(rep)
+    xs = _transversal_axes(q, rep)
+    tail = (1,) * (dim - len(rep) + 1)  # the t axis when horizontal, then s
+    idx = 0
+    for j, (x, c) in enumerate(zip(xs, rep)):
+        term = add[x.reshape(x.shape + tail), field.np_mul[:, c]]
+        idx = idx + term * q ** (dim - 1 - j)
+    if horizontal:  # steps[k, t, s] = t + k.s, at each row's t step k
+        steps = add[np.arange(q)[:, None], field.np_mul[:, None, :]]
+        idx = idx + steps[_twist(field, rep, xs)]
+    return idx.reshape(-1, q).astype(np.int32)
 
 
 def line_table_for_direction(field, n, v):
@@ -437,7 +425,8 @@ def line_table_for_direction(field, n, v):
 
 def line_slope_table(field, n, v):
     """t-slope c(L) of each row of line_table_for_direction(field, n, v)."""
-    return _twist(field, v.rep, _transversal(field, 2 * n + 1, v.rep))
+    twist = _twist(field, v.rep, _transversal_axes(field.q, v.rep))
+    return np.repeat(twist.astype(np.int64).ravel(), field.q)
 
 
 # ---------------------------------------------------------------------------

@@ -300,7 +300,7 @@ def _build_affine(field, d):
     dirs = hz.enumerate_directions(field, d)
     table = np.empty((len(dirs), q ** (d - 1), q), dtype=np.int32)
     for i, v in enumerate(dirs):
-        hz._coset_table(field, v.rep, out=table[i])
+        table[i] = hz._coset_table(field, v.rep)
     return dirs, table
 
 

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from kakeyalab.field import Field
 from kakeyalab import maximal as mx
@@ -198,3 +203,23 @@ def test_dump_fourier(tmp_path):
     doc = json.loads(dump.read_text())
     assert doc["q"] == 3
     assert set(doc["u_tables"]) == {"1", "2"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--q", "3", "--trials", "1", "--suite", "census,diag"],
+    ["census", "--q", "3"],
+])
+def test_closed_stdout_keeps_the_status_of_the_rows(argv):
+    # the reader is gone before the first write, as after `| head -1`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "kakeyalab.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipe" not in proc.stderr

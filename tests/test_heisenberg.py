@@ -266,8 +266,8 @@ def test_planar_line_equation(f5):
 # -- bulk line tables --------------------------------------------------------
 
 
-@pytest.mark.parametrize("q,n", [(3, 1), (4, 1), (5, 1), (9, 1), (3, 2),
-                                 (4, 2)])
+@pytest.mark.parametrize("q,n", [(3, 1), (4, 1), (5, 1), (8, 1), (9, 1),
+                                 (3, 2), (4, 2)])
 def test_line_table_matches_objects(q, n):
     # ordered: row r is the r-th line of the object scan, column s its s-th
     # point, so any reordering of rows or columns fails
@@ -280,7 +280,7 @@ def test_line_table_matches_objects(q, n):
         assert slopes.tolist() == [L.t_slope().index for L in lines]
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 9])
+@pytest.mark.parametrize("q", [3, 4, 5, 8, 9])
 def test_incidence_tables_match_objects(q):
     f = Field(q)
     for d in (2, 3):
@@ -301,6 +301,42 @@ def test_incidence_tables_match_objects(q):
     assert hdirs == hz.enumerate_projective_directions(f, 1)
     assert htable.tolist() == [sum(want[i * q:(i + 1) * q], [])
                                for i in range(q + 1)]
+
+
+def _lead(v):
+    return next(j for j, c in enumerate(v.rep) if c)
+
+
+def _ends_of_lead_blocks(dirs):
+    """The first and the last direction of each leading-coordinate block."""
+    out = []
+    for lead in sorted({_lead(v) for v in dirs}):
+        block = [i for i, v in enumerate(dirs) if _lead(v) == lead]
+        out.extend(sorted({block[0], block[-1]}))
+    return out
+
+
+@pytest.mark.parametrize("q", [25, 27])
+def test_large_field_tables_match_objects_sampled(q):
+    # ordered, at the first and last direction of every lead block
+    f = Field(q)
+    dirs, table = mx.affine_incidence(f, 3)
+    for i in _ends_of_lead_blocks(dirs):
+        v = dirs[i]
+        bases = [p for p in hz.enumerate_affine_points(f, 3)
+                 if p[_lead(v)] == 0]
+        assert table[i].tolist() == [
+            list(hz.AffineLine(f, b, v).point_indices) for b in bases]
+    pdirs = hz.enumerate_projective_directions(f, 1)
+    for i in _ends_of_lead_blocks(pdirs):
+        v = pdirs[i]
+        lines = [hz.HorizontalLine(hz.HPoint(f, x, y, t), v)
+                 for x, y, t in hz.enumerate_affine_points(f, 3)
+                 if (x, y)[_lead(v)] == 0]
+        assert hz.line_table_for_direction(f, 1, v).tolist() == [
+            list(L.point_indices) for L in lines]
+        assert hz.line_slope_table(f, 1, v).tolist() == [
+            L.t_slope().index for L in lines]
 
 
 def test_lines_with_direction_partition(f5):

@@ -187,6 +187,64 @@ def test_identity_heis_equals_max_over_slopes_random(f7):
         assert np.allclose(h, r)
 
 
+def _integer_grid(field, n, rng):
+    # integer values: every line sum is exact, so equality is exact
+    dom = mx.Domain.heisenberg(field, n)
+    return mx.GridFunction(dom, rng.integers(-9, 10, dom.size).astype(float))
+
+
+def _pulled_back(F, fn):
+    """F o fn, with fn a map of HPoints applied through the object group law."""
+    perm = [fn(p).index for p in hz.enumerate_points(F.field, F.domain.n)]
+    return mx.GridFunction(F.domain, F.values[perm])
+
+
+def _random_point(field, n, rng):
+    c = [int(v) for v in rng.integers(0, field.q, 2 * n + 1)]
+    return hz.HPoint(field, c[:n], c[n:2 * n], c[2 * n])
+
+
+@pytest.mark.parametrize("q,n", [(5, 1), (9, 1), (3, 2)])
+def test_heis_max_op_invariant_under_translation_and_dilation(q, n):
+    # left translations and the dilations (x, y, t) -> (lx, ly, l^2 t) map
+    # the lines of each direction onto lines of the same direction
+    f = Field(q)
+    rng = mx.seeded_rng(q, n)
+    F = _integer_grid(f, n, rng)
+    want = mx.heis_max_op(F)
+    for _ in range(3):
+        g = _random_point(f, n, rng)
+        assert np.array_equal(mx.heis_max_op(_pulled_back(F, g.__mul__)),
+                              want)
+    for lam in range(2, q):
+        lam2 = f.mul(lam, lam)
+
+        def dilate(p):
+            return hz.HPoint(f, [f.mul(lam, c) for c in p.x],
+                             [f.mul(lam, c) for c in p.y], f.mul(lam2, p.t))
+
+        assert np.array_equal(mx.heis_max_op(_pulled_back(F, dilate)), want)
+
+
+@pytest.mark.parametrize("q", [5, 9])
+def test_refined_max_op_permuted_by_left_translation(q):
+    # g.L has t-slope c(L) + w(g, v), w(g, [a:b]) = g_x b - g_y a
+    f = Field(q)
+    rng = mx.seeded_rng(q, 7)
+    F = _integer_grid(f, 1, rng)
+    want = mx.refined_max_op(F)
+    dirs = hz.enumerate_refined_directions(f, 1)
+    pos = {om.rep: i for i, om in enumerate(dirs)}
+    for _ in range(3):
+        g = _random_point(f, 1, rng)
+        got = mx.refined_max_op(_pulled_back(F, g.__mul__))
+        gx, gy = g.x[0], g.y[0]
+        for om, val in zip(dirs, got):
+            a, b, c = om.rep
+            shifted = f.add(c, f.sub(f.mul(gx, b), f.mul(gy, a)))
+            assert val == want[pos[a, b, shifted]]
+
+
 def test_operator_monotone_homogeneous(f5):
     dom = h1(f5)
     rng = mx.seeded_rng(5)
