@@ -1,13 +1,13 @@
 """Brute-force verification lab for horizontal Kakeya maximal operators
 over finite Heisenberg groups H_n(F_q)."""
 
-from .field import BUILTIN_MODULI, DomainError, Field, FieldElement
+from .field import BUILTIN_MODULI, DomainError, Field
 from .heisenberg import (AffineLine, Census, HorizontalLine, HPoint,
                          ProjectiveDirection, RefinedDirection, census,
                          enumerate_points, enumerate_projective_directions,
-                         enumerate_refined_directions, horizontal_line,
-                         lines_through_point, lines_with_direction,
-                         lines_with_refined_direction, planar_line_of)
+                         enumerate_refined_directions, lines_through_point,
+                         lines_with_direction, lines_with_refined_direction,
+                         planar_line_of)
 from .maximal import (BoundSpec, Domain, ExtendedExponent, GridFunction,
                       LineFamily, VerifyReport, affine_max_op, apply_linearized,
                       exponent_A, exponent_Ard, grid_from_json, grid_to_json,

@@ -41,7 +41,6 @@ ALL_SUITES = ("census", "planar-l2", "ttstar", "diag", "offdiag", "rd-l2",
 @dataclass
 class SuiteConfig:
     qs: tuple = DEFAULT_QS
-    n: int = None
     suites: tuple = ALL_SUITES
     seed: int = 0
     trials: int = None      # None: per-suite default
@@ -115,10 +114,9 @@ def _rng(cfg, suite, q, trial):
 
 def suite_census(cfg):
     rows = []
-    ns = (1, 2) if cfg.n is None else (cfg.n,)
     for q in cfg.all_qs():
         fld = cfg.field_for(q)
-        for n in ns:
+        for n in (1, 2):
             if n >= 2 and q > 7:
                 continue  # enumeration of all lines gets large
             try:
@@ -551,29 +549,13 @@ def run_suite(cfg):
 
 
 # ---------------------------------------------------------------------------
-# grid/point-set files
+# grid files
 
 
 def load_grid(path):
     with open(path) as fh:
         doc = json.load(fh)
     return mx.grid_from_json(doc)
-
-
-def save_grid(path, F):
-    with open(path, "w") as fh:
-        json.dump(mx.grid_to_json(F), fh)
-
-
-def load_pointset(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    return cn.pointset_from_json(doc)
-
-
-def save_pointset(path, ps):
-    with open(path, "w") as fh:
-        json.dump(cn.pointset_to_json(ps), fh)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +574,6 @@ def _parse_qs(text):
 
 def _add_common(parser):
     parser.add_argument("--q", default=None, help="comma-separated field sizes")
-    parser.add_argument("--n", type=int, default=None, help="group rank")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--trials", type=int, default=None)
     parser.add_argument("--tol", type=float, default=1e-9)
@@ -618,7 +599,7 @@ def _config_from(args, default_qs=DEFAULT_QS, suites=ALL_SUITES):
         if len(qs) != 1:
             raise DomainError("--modulus needs a single q")
         Field(qs[0], modulus=modulus)  # rejects a bad modulus for every suite
-    return SuiteConfig(qs=qs, n=args.n, suites=suites, seed=args.seed,
+    return SuiteConfig(qs=qs, suites=suites, seed=args.seed,
                        trials=args.trials, tol=args.tol, out=args.out,
                        dump_fourier=args.dump_fourier, big=args.big,
                        modulus=modulus, qs_explicit=args.q is not None)

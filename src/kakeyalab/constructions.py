@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import DomainError, Field, FieldElement, field_table
+from .field import DomainError, Field, field_table
 from . import heisenberg as hz
 from .maximal import (Domain, ExtendedExponent, GridFunction, VerifyReport,
                       affine_incidence, as_exponent, exponent_Ard,
@@ -134,7 +134,7 @@ def extremal_set(kind, field, n=1, *, point=None, eta=None):
     if kind == "single-line":
         p = point or hz.HPoint.origin(field, n)
         v = hz.enumerate_projective_directions(field, n)[0]
-        return PointSet(domain, hz.horizontal_line(p, v).point_indices)
+        return PointSet(domain, hz.HorizontalLine(p, v).point_indices)
     if kind == "bush":
         p = point or hz.HPoint.origin(field, n)
         idx = set()
@@ -418,7 +418,7 @@ def mu_parameter(line):
         mu = field.sub(g, field.sub(field.mul(m, x0), y0))
     else:  # canonical [0:1:gamma]
         mu = field.sub(c, x0)
-    return FieldElement(field, mu)
+    return mu
 
 
 def straighten(obj, k, chart):
@@ -525,7 +525,7 @@ def omega_partition(ps, selection=None):
         if line is None:
             unwitnessed.append(om)
             continue
-        mu = mu_parameter(line).index
+        mu = mu_parameter(line)
         chosen[om] = line
         slices.setdefault(mu, []).append(om)
     if 0 in slices:
@@ -552,7 +552,7 @@ def _best_contained_line(affine_ps, omega):
     for r in np.flatnonzero(affine_ps.mask[rows].all(axis=1)):
         base = hz.affine_point_from_index(field, 3, int(rows[r, 0]))
         line = hz.AffineLine(field, base, vdir)
-        mu = mu_parameter(line).index
+        mu = mu_parameter(line)
         if best is None or mu < best_mu:
             best, best_mu = line, mu
     return best

@@ -29,17 +29,6 @@ BUILTIN_MODULI = {
 }
 
 
-def is_prime(n):
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
-
-
 def factor_prime_power(q):
     """Split q into (p, k) with p prime, or raise DomainError."""
     if q < 2:
@@ -111,20 +100,8 @@ def _is_irreducible(modulus, p):
 class Field:
     """The finite field F_q, q = p^k, with table-driven exact arithmetic."""
 
-    def __init__(self, q=None, *, p=None, k=None, modulus=None):
-        if q is None:
-            if p is None or k is None:
-                raise DomainError("give q, or both p and k")
-            q = p**k
-        pp, kk = factor_prime_power(q)
-        if p is not None and p != pp:
-            raise DomainError(f"q={q} has characteristic {pp}, not {p}")
-        if k is not None and k != kk:
-            raise DomainError(f"q={q} has extension degree {kk}, not {k}")
-        p, k = pp, kk
-        if not is_prime(p):
-            raise DomainError(f"characteristic {p} is not prime")
-
+    def __init__(self, q, *, modulus=None):
+        p, k = factor_prime_power(q)
         if k == 1:
             if modulus is not None:
                 raise DomainError("prime field takes no modulus")
@@ -255,49 +232,8 @@ class Field:
     def squares(self):
         return self._squares
 
-    def nonsquare(self):
-        """Smallest-index nonsquare (q odd)."""
-        for i in range(self.q):
-            if not self.is_square(i):
-                return self.element(i)
-        raise DomainError("no nonsquare exists")
-
-    # -- element interface ---------------------------------------------------
-
-    def element(self, i):
-        if isinstance(i, FieldElement):
-            if i.field is not self and i.field != self:
-                raise DomainError("element belongs to a different field")
-            return i
-        i = int(i)
-        if not 0 <= i < self.q:
-            raise DomainError(f"index {i} outside [0, {self.q})")
-        return FieldElement(self, i)
-
-    def __call__(self, i):
-        return self.element(i)
-
-    @property
-    def zero(self):
-        return FieldElement(self, 0)
-
-    @property
-    def one(self):
-        return FieldElement(self, 1)
-
-    def elements(self):
-        """All q elements in index order."""
-        return [FieldElement(self, i) for i in range(self.q)]
-
-    def __iter__(self):
-        return iter(self.elements())
-
     def coerce_index(self, x):
-        """Accept a FieldElement of this field or a plain index, return int."""
-        if isinstance(x, FieldElement):
-            if x.field != self:
-                raise DomainError("mixing elements of different fields")
-            return x.index
+        """A plain index of this field as an int; DomainError if outside."""
         i = int(x)
         if not 0 <= i < self.q:
             raise DomainError(f"index {i} outside [0, {self.q})")
@@ -341,78 +277,3 @@ def field_table(field, key, build):
             part.flags.writeable = False
     _FIELD_TABLES[field, key] = value
     return value
-
-
-class FieldElement:
-    """An element of F_q: an index plus a reference to its Field."""
-
-    __slots__ = ("field", "index")
-
-    def __init__(self, field, index):
-        self.field = field
-        self.index = index
-
-    def _other(self, x):
-        if isinstance(x, FieldElement):
-            if x.field != self.field:
-                raise DomainError("mixing elements of different fields")
-            return x.index
-        return self.field.coerce_index(x)
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.index, self._other(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.index, self._other(other)))
-
-    def __rsub__(self, other):
-        return FieldElement(self.field, self.field.sub(self._other(other), self.index))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.index, self._other(other)))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.index))
-
-    def __truediv__(self, other):
-        j = self._other(other)
-        return FieldElement(self.field, self.field.mul(self.index, self.field.inv(j)))
-
-    def __pow__(self, e):
-        return FieldElement(self.field, self.field.pow(self.index, e))
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.index))
-
-    def trace(self):
-        """Tr_{F_q/F_p}, returned as the prime-subfield element."""
-        return FieldElement(self.field, self.field.trace_int(self.index))
-
-    def chi(self):
-        return self.field.chi(self.index)
-
-    def is_square(self):
-        return self.field.is_square(self.index)
-
-    def is_zero(self):
-        return self.index == 0
-
-    def __int__(self):
-        return self.index
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.index == other.index
-        if isinstance(other, int):
-            return self.index == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.q, self.index))
-
-    def __repr__(self):
-        return f"F{self.field.q}({self.index})"

@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .field import DomainError, FieldElement
+from .field import DomainError
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +279,11 @@ class HorizontalLine:
         c = 0
         for xi, yi, ai, bi in zip(self.base.x, self.base.y, a, b):
             c = f.add(c, f.sub(f.mul(xi, bi), f.mul(yi, ai)))
-        return FieldElement(f, c)
+        return c
 
     def refined_direction(self):
         return RefinedDirection(self.field,
-                                self.direction.rep + (self.t_slope().index,))
+                                self.direction.rep + (self.t_slope(),))
 
     def tau(self):
         """Normal-form offset (n=1): t at x=0 (slope chart) or y=0 (vertical)."""
@@ -292,7 +292,7 @@ class HorizontalLine:
         kind = self.refined_direction().chart()[0]
         for p in self.points:
             if (p.x[0] if kind == "slope" else p.y[0]) == 0:
-                return FieldElement(self.field, p.t)
+                return p.t
         raise AssertionError("normal form sweep missed 0")
 
     def __contains__(self, p):
@@ -311,10 +311,6 @@ class HorizontalLine:
 
     def __repr__(self):
         return f"Line(base={self.base}, dir={self.direction})"
-
-
-def horizontal_line(p, v):
-    return HorizontalLine(p, v)
 
 
 def lines_with_refined_direction(omega):

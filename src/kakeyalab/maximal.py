@@ -176,6 +176,8 @@ class Domain:
 
     @classmethod
     def heisenberg(cls, field, n=1):
+        if n < 1:
+            raise DomainError("group rank must be >= 1")
         return cls("heisenberg", field, n)
 
     @classmethod
@@ -405,41 +407,20 @@ def project_aggregate(F, u):
 class LineFamily:
     """One chosen line per (refined) direction: the linear operator T.
 
-    The point-index table drives all computation; line objects are
-    materialized on first access only.
+    Row i of the point-index table holds the q points of the line chosen
+    for directions[i], in parameter order.
     """
 
-    __slots__ = ("kind", "field", "n", "directions", "point_idx", "domain",
-                 "_lines")
+    __slots__ = ("kind", "field", "directions", "point_idx", "domain")
 
-    def __init__(self, kind, field, directions, point_idx, domain, n=1,
-                 lines=None):
+    def __init__(self, kind, field, directions, point_idx, domain):
         self.kind = kind
         self.field = field
-        self.n = n
         self.directions = list(directions)
         self.point_idx = np.asarray(point_idx, dtype=np.int64)
         if self.point_idx.shape != (len(self.directions), field.q):
             raise DomainError("one q-point line per index is required")
         self.domain = domain
-        self._lines = list(lines) if lines is not None else None
-
-    @property
-    def lines(self):
-        if self._lines is None:
-            self._lines = [self._make_line(i)
-                           for i in range(len(self.directions))]
-        return self._lines
-
-    def _make_line(self, i):
-        base_idx = int(self.point_idx[i, 0])
-        if self.kind == "planar":
-            base = hz.affine_point_from_index(self.field, 2, base_idx)
-            return hz.AffineLine(self.field, base, self.directions[i])
-        base = hz.point_from_index(self.field, self.n, base_idx)
-        v = (self.directions[i].projective() if self.kind == "refined"
-             else self.directions[i])
-        return hz.HorizontalLine(base, v)
 
     def __len__(self):
         return len(self.directions)
@@ -466,32 +447,17 @@ def _candidate_tables(kind, field, n):
     raise DomainError(f"unknown linearization kind {kind!r}")
 
 
-def linearize(kind, field, *, n=1, for_function=None, selection=None,
-              rng=None):
+def linearize(kind, field, *, n=1, for_function=None, rng=None):
     """Fix one line per index.
 
-    Exactly one chooser applies: for_function picks the maximizing line per
-    index (ties broken by enumeration order), selection passes explicit
-    lines, rng (a numpy Generator) draws a random family.  With no chooser
-    the first line in enumeration order is taken (it passes through the
-    origin).
+    At most one chooser applies: for_function picks the maximizing line per
+    index (ties broken by enumeration order), rng (a numpy Generator) draws
+    a random family.  With no chooser the first line in enumeration order
+    is taken (it passes through the origin).
     """
-    if sum(x is not None for x in (for_function, selection, rng)) > 1:
+    if for_function is not None and rng is not None:
         raise DomainError("pick at most one chooser")
     dirs, table, domain = _candidate_tables(kind, field, n)
-    if selection is not None:
-        selection = list(selection)
-        if len(selection) != len(dirs):
-            raise DomainError("selection must supply one line per index")
-        for want, line in zip(dirs, selection):
-            got = (line.refined_direction() if kind == "refined"
-                   else line.direction)
-            if got != want:
-                raise DomainError(f"selected line has index {got}, not {want}")
-        point_idx = np.array([ln.point_indices for ln in selection],
-                             dtype=np.int64)
-        return LineFamily(kind, field, dirs, point_idx, domain, n=n,
-                          lines=selection)
     if for_function is not None:
         if for_function.domain != domain:
             raise DomainError("function domain does not match the family")
@@ -502,7 +468,7 @@ def linearize(kind, field, *, n=1, for_function=None, selection=None,
     else:
         choice = np.zeros(table.shape[0], dtype=np.int64)
     point_idx = table[np.arange(table.shape[0]), choice]
-    return LineFamily(kind, field, dirs, point_idx, domain, n=n)
+    return LineFamily(kind, field, dirs, point_idx, domain)
 
 
 def apply_linearized(family, f):

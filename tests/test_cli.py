@@ -65,6 +65,23 @@ def test_main_census_exit_zero(capsys):
     assert "census-points,3" in out.replace(" ", "")
 
 
+def test_census_covers_both_ranks():
+    rows, status = cli.run_suite(small_config(qs=(3,)))
+    assert status == 0
+    assert {r["n"] for r in rows} == {1, 2}
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--q", "3", "--n", "0"],
+    ["verify", "--q", "3", "--n", "2", "--suite", "diag"],
+])
+def test_rank_option_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "--n" in capsys.readouterr().err
+
+
 def test_main_verify_writes_csv(tmp_path):
     out = tmp_path / "report.csv"
     code = cli.main(["verify", "--suite", "ttstar", "--q", "3,5",
@@ -135,7 +152,7 @@ def test_grid_file_roundtrip(tmp_path):
     f5 = Field(5)
     F = mx.GridFunction.delta(mx.Domain.heisenberg(f5, 1))
     path = tmp_path / "delta.json"
-    cli.save_grid(path, F)
+    path.write_text(json.dumps(mx.grid_to_json(F)))
     G = cli.load_grid(path)
     assert G.domain == F.domain
     assert np.array_equal(G.values,
@@ -145,8 +162,8 @@ def test_grid_file_roundtrip(tmp_path):
 def test_pointset_file_roundtrip(tmp_path):
     ps = cn.extremal_set("bush", Field(7))
     path = tmp_path / "bush.json"
-    cli.save_pointset(path, ps)
-    assert cli.load_pointset(path) == ps
+    path.write_text(json.dumps(cn.pointset_to_json(ps)))
+    assert cn.pointset_from_json(json.loads(path.read_text())) == ps
 
 
 def test_maxop_command(tmp_path, capsys):
@@ -154,7 +171,7 @@ def test_maxop_command(tmp_path, capsys):
     F = mx.GridFunction.delta(mx.Domain.heisenberg(f5, 1))
     src = tmp_path / "f.json"
     dst = tmp_path / "out.json"
-    cli.save_grid(src, F)
+    src.write_text(json.dumps(mx.grid_to_json(F)))
     code = cli.main(["maxop", "--in", str(src), "--op", "refined",
                      "--out", str(dst)])
     assert code == 0
@@ -176,6 +193,14 @@ def test_maxop_non_integer_q_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"domain": "heisenberg", "q": "x", "values": [[1, 0]]}')
     assert cli.main(["maxop", "--in", str(bad)]) == 2
+
+
+def test_maxop_rank_zero_grid_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"domain": "heisenberg", "q": 5, "n": 0,
+                               "values": [[1, 0]] * 5}))
+    assert cli.main(["maxop", "--in", str(bad), "--op", "heis"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_maxop_one_element_value_pair_exits_2(tmp_path):

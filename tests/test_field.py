@@ -23,15 +23,14 @@ def test_prime_field_arithmetic():
     f = Field(5)
     assert f.add(3, 4) == 2
     assert f.inv(2) == 3
-    assert (f(3) + f(4)).index == 2
-    assert (f(2) * f(2).inverse()).index == 1
+    assert f.mul(2, f.inv(2)) == 1
 
 
 def test_extension_multiplication_forced_by_modulus():
     # q=9 with modulus x^2 + 1: the generator squares to -1 = 2
     f = Field(9)
-    x = f.element(3)  # coefficient vector (0, 1)
-    assert (x * x).index == 2
+    x = 3  # coefficient vector (0, 1)
+    assert f.mul(x, x) == 2
 
 
 def test_inversion_of_zero_rejected():
@@ -39,14 +38,7 @@ def test_inversion_of_zero_rejected():
     with pytest.raises(DomainError):
         f.inv(0)
     with pytest.raises(DomainError):
-        f.zero.inverse()
-
-
-def test_mixing_fields_rejected():
-    a = Field(5)(2)
-    b = Field(7)(2)
-    with pytest.raises(DomainError):
-        a + b
+        f.pow(0, -1)
 
 
 @pytest.mark.parametrize("q", ALL_Q)
@@ -88,10 +80,9 @@ def test_trace_q9_against_power_oracle():
     # oracle: Tr(x) = x + x^3 by direct power evaluation
     f = Field(9)
     for a in range(9):
-        x = f(a)
-        oracle = x + x * x * x
-        assert f.trace_int(a) == oracle.index
-        assert oracle.index < 3  # lands in the prime subfield
+        oracle = f.add(a, f.mul(a, f.mul(a, a)))
+        assert f.trace_int(a) == oracle
+        assert oracle < 3  # lands in the prime subfield
 
 
 @pytest.mark.parametrize("q", ALL_Q)
@@ -155,12 +146,6 @@ def test_is_square_rejected_for_even_q():
         Field(4).is_square(1)
 
 
-def test_enumeration():
-    assert [e.index for e in Field(3).elements()] == [0, 1, 2]
-    assert len(Field(4).elements()) == 4
-    assert len(Field(27).elements()) == 27
-
-
 def test_builtin_moduli_are_verified_not_trusted():
     for q, (p, k, modulus) in BUILTIN_MODULI.items():
         f = Field(q)
@@ -184,8 +169,8 @@ def test_non_prime_power_rejected():
 def test_explicit_modulus_accepted():
     # x^2 + x + 2 is irreducible over F_3 (no roots)
     f = Field(9, modulus=(2, 1, 1))
-    x = f(3)
-    assert (x * x).index == f.add(f.neg(2), f.neg(3))  # x^2 = -x - 2
+    x = 3
+    assert f.mul(x, x) == f.add(f.neg(2), f.neg(x))  # x^2 = -x - 2
 
 
 @settings(max_examples=60, deadline=None)

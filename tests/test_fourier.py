@@ -104,7 +104,8 @@ def test_normal_form_factorization(f7):
         ut = fr.u_tables(tab, xi)
         for i, om in enumerate(fam.directions):
             chart = om.chart()
-            tau = fam.lines[i].tau().index
+            base = hz.point_from_index(f7, 1, int(fam.point_idx[i, 0]))
+            tau = hz.HorizontalLine(base, om.projective()).tau()
             phase = f7.chi(f7.mul(xi, tau))
             if chart[0] == "slope":
                 expect = phase * ut.u[chart[1], chart[2]] / 7

@@ -148,7 +148,7 @@ def test_heis_max_op_delta(f5):
 
 def test_heis_max_op_line_indicator(f5):
     v = hz.ProjectiveDirection(f5, (1, 2))
-    L = hz.horizontal_line(hz.HPoint(f5, 0, 1, 3), v)
+    L = hz.HorizontalLine(hz.HPoint(f5, 0, 1, 3), v)
     F = mx.GridFunction.indicator(h1(f5), L.point_indices)
     vals = mx.heis_max_op(F)
     dirs = hz.enumerate_projective_directions(f5, 1)
@@ -360,19 +360,9 @@ def test_maximizing_family_matches_operator(f5):
 def test_maximizing_family_for_delta_picks_origin_lines(f5):
     F = mx.GridFunction.delta(h1(f5))
     fam = mx.linearize("refined", f5, for_function=F)
-    for om, line in zip(fam.directions, fam.lines):
+    for om, row in zip(fam.directions, fam.point_idx):
         if om.c == 0:
-            assert 0 in line.point_indices  # the line through the origin
-
-
-def test_explicit_selection_family(f3):
-    lines = [hz.horizontal_line(hz.HPoint.origin(f3), v)
-             for v in hz.enumerate_projective_directions(f3, 1)]
-    fam = mx.linearize("heis", f3, selection=lines)
-    assert len(fam) == 4
-    bad = [lines[1], lines[0], lines[2], lines[3]]
-    with pytest.raises(DomainError):
-        mx.linearize("heis", f3, selection=bad)
+            assert 0 in row  # the line through the origin
 
 
 def test_random_family_reproducible(f7):
@@ -390,12 +380,21 @@ def test_random_family_reproducible(f7):
     pytest.param("heis", 3, 2, id="heis-n2"),
 ])
 def test_lazy_lines_match_index_table(kind, q, n):
-    fam = mx.linearize(kind, Field(q), n=n, rng=mx.seeded_rng(6))
-    assert len(fam) == len(fam.lines) == (q ** (2 * n) - 1) // (q - 1) * (
+    # each row, rebuilt as a line object from its first point, must be that
+    # line in parameter order and carry the row's direction
+    f = Field(q)
+    fam = mx.linearize(kind, f, n=n, rng=mx.seeded_rng(6))
+    assert len(fam) == (q ** (2 * n) - 1) // (q - 1) * (
         q if kind == "refined" else 1)
-    for i, line in enumerate(fam.lines):
-        assert line.point_indices == tuple(fam.point_idx[i])
-        want = fam.directions[i]
+    for want, row in zip(fam.directions, fam.point_idx.tolist()):
+        if kind == "planar":
+            base = hz.affine_point_from_index(f, 2, row[0])
+            line = hz.AffineLine(f, base, want)
+        else:
+            base = hz.point_from_index(f, n, row[0])
+            v = want.projective() if kind == "refined" else want
+            line = hz.HorizontalLine(base, v)
+        assert line.point_indices == tuple(row)
         got = (line.refined_direction() if kind == "refined"
                else line.direction)
         assert got == want
@@ -617,6 +616,16 @@ def test_grid_json_value_errors_are_domain_errors(f5, edit):
     doc.update(edit)
     with pytest.raises(DomainError, match="malformed"):
         mx.grid_from_json(doc)
+
+
+@pytest.mark.parametrize("make", [
+    lambda f: mx.Domain.heisenberg(f, 0),
+    lambda f: mx.Domain.heisenberg(f, -1),
+    lambda f: mx.Domain.affine(f, 0),
+])
+def test_domain_rejects_nonpositive_rank(f3, make):
+    with pytest.raises(DomainError):
+        make(f3)
 
 
 def test_grid_function_validates_shape(f3):
