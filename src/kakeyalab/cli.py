@@ -260,9 +260,8 @@ def suite_fourier(cfg):
         dom = mx.Domain.heisenberg(fld, 1)
         for trial in range(cfg.ntrials(100)):
             f = mx.random_complex_grid(dom, _rng(cfg, "fourier", q, trial))
-            tab = fr.central_fourier(f)
             fam = mx.linearize("refined", fld, for_function=f)
-            pl = tab.plancherel_defect(f)
+            pl = fr.central_fourier(f).plancherel_defect(f)
             rows.append(make_row("fourier", "plancherel-defect", q, 1, 2, 2,
                                  pl, cfg.tol, pl <= cfg.tol, trial=trial))
             dc = fr.decomposition_defect(f, fam)
@@ -271,7 +270,7 @@ def suite_fourier(cfg):
                                  trial=trial))
             key_nv = key_v = 0.0
             for xi in range(1, q):
-                r1, r2 = fr.key_counting_check(tab, xi, tol=cfg.tol)
+                r1, r2 = fr.key_counting_check(f, xi, tol=cfg.tol)
                 key_nv = max(key_nv, r1.lhs / r1.rhs)
                 key_v = max(key_v, r2.lhs / r2.rhs)
             for name, val in (("key-nonvertical", key_nv),
@@ -282,7 +281,7 @@ def suite_fourier(cfg):
             for rep in fr.split_bound_check(f, fam, tol=cfg.tol):
                 rows.append(report_row("fourier", rep, trial=trial))
             if trial == 0 and cfg.dump_fourier:
-                _dump_fourier(cfg.dump_fourier, fld, tab)
+                _dump_fourier(cfg.dump_fourier, f)
         fiber_max = 0
         for xi in range(1, q):
             for rho in range(q):
@@ -293,15 +292,16 @@ def suite_fourier(cfg):
     return rows
 
 
-def _dump_fourier(path, fld, tab):
+def _dump_fourier(path, f):
+    q = f.field.q
     doc = {
-        "q": fld.q,
+        "q": q,
         "central": [[[z.real, z.imag] for z in row]
-                    for plane in tab.table for row in plane],
+                    for plane in fr.central_fourier(f).table for row in plane],
     }
     uts = {}
-    for xi in range(1, fld.q):
-        ut = fr.u_tables(tab, xi)
+    for xi in range(1, q):
+        ut = fr.u_tables(f, xi)
         uts[str(xi)] = {
             "u": [[[z.real, z.imag] for z in row] for row in ut.u],
             "u_inf": [[z.real, z.imag] for z in ut.u_inf],

@@ -8,6 +8,7 @@ involved in the lower-bound certificates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,10 +51,6 @@ class PointSet:
         ps.domain = domain
         ps.mask = mask
         return ps
-
-    @classmethod
-    def from_points(cls, domain, points):
-        return cls(domain, (domain.point_index(p) for p in points))
 
     @classmethod
     def full(cls, domain):
@@ -113,7 +110,7 @@ def pointset_from_json(doc):
         return PointSet(domain, (int(i) for i in doc["points"]))
     except DomainError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed point-set document: {exc}") from exc
 
 
@@ -125,31 +122,28 @@ EXTREMAL_KINDS = ("point-mass", "single-line", "bush", "two-lines-blocking",
                   "constant", "paraboloid")
 
 
-def extremal_set(kind, field, n=1, *, point=None, eta=None):
-    """The support of a named extremal test function, as a PointSet."""
+def extremal_set(kind, field, n=1, *, eta=None):
+    """The support of a named extremal test function, as a PointSet.
+
+    Every set sits at the origin and is built directly as point indices
+    (row-major, t fastest).
+    """
     domain = Domain.heisenberg(field, n)
+    q = field.q
     if kind == "point-mass":
-        p = point or hz.HPoint.origin(field, n)
-        return PointSet(domain, [p.index])
+        return PointSet(domain, [0])
     if kind == "single-line":
-        p = point or hz.HPoint.origin(field, n)
         v = hz.enumerate_projective_directions(field, n)[0]
-        return PointSet(domain, hz.HorizontalLine(p, v).point_indices)
+        return PointSet(domain, hz.line_table_for_direction(field, n, v)[0])
     if kind == "bush":
-        p = point or hz.HPoint.origin(field, n)
-        idx = set()
-        for line in hz.lines_through_point(p):
-            idx.update(line.point_indices)
-        return PointSet(domain, idx)
+        # the plane t = 0: each (z, 0) with z != 0 lies on the line through
+        # the origin in direction [z]
+        return PointSet(domain, np.arange(q ** (2 * n)) * q)
     if kind == "two-lines-blocking":
         if n != 1:
             raise DomainError("the blocking example lives in H_1")
-        q = field.q
-        idx = set()
-        for x in range(q):
-            idx.add(hz.HPoint(field, x, 0, 0).index)   # l1 = {y = 0}
-            idx.add(hz.HPoint(field, 0, x, 0).index)   # l2 = {x = 0}
-        return PointSet(domain, idx)
+        s = np.arange(q)   # the lines {y = 0} and {x = 0} through the origin
+        return PointSet(domain, np.concatenate([s * q * q, s * q]))
     if kind == "constant":
         return PointSet.full(domain)
     if kind == "paraboloid":
@@ -170,12 +164,10 @@ def extremal_set(kind, field, n=1, *, point=None, eta=None):
             raise DomainError(
                 f"eta={eta_i} makes x^2 + eta y^2 isotropic; the graph then "
                 "contains horizontal lines")
-        idx = []
-        for x in range(field.q):
-            for y in range(field.q):
-                t = field.add(field.mul(x, x), field.mul(eta_i, field.mul(y, y)))
-                idx.append(hz.HPoint(field, x, y, t).index)
-        return PointSet(domain, idx)
+        x, y = np.ogrid[:q, :q]
+        mul = field.np_mul
+        t = field.np_add[mul[x, x], mul[eta_i, mul[y, y]]]
+        return PointSet(domain, ((x * q + y) * q + t).ravel())
     raise DomainError(f"unknown extremal kind {kind!r}")
 
 
@@ -231,34 +223,19 @@ def _exact_pow_sum(vals, v):
 
 
 def _cert_inequality(A, B, q, term, u, v, two_power):
-    """Exact check of A^(1/v) >= 2^(-two) q^term B^(1/u) via bigints.
+    """Exact check of A^(1/v) 2^(two/u) >= q^term B^(1/u) via bigints.
 
-    A = sum op^v (or max for v=inf), B = sum |F|^u = support (or 1 for
-    u=inf); two_power carries the blocking example's factor 2^{1/u}.
+    A = sum op^v (or max for v=inf, taken to the power 1), B = sum |F|^u =
+    support (or 1 for u=inf, where 1/u = 0); two_power carries the blocking
+    example's factor 2^{1/u}.  Both sides are raised to the lcm of the
+    exponents' denominators, and a negative power of q moves to the left.
     """
-    if u.is_inf and v.is_inf:
-        e = term
-        if e.denominator != 1:
-            raise DomainError("non-integer exponent at (inf, inf)")
-        return A >= q ** int(e)
-    if u.is_inf:
-        e = term * int(v.value)
-        if e.denominator != 1:
-            raise DomainError("exponent does not clear at u=inf")
-        return A >= q ** int(e)
-    uu = int(u.value)
-    if u.value.denominator != 1:
-        raise DomainError("exact certificates need integer u")
-    if v.is_inf:
-        e = term * uu
-        if e.denominator != 1:
-            raise DomainError("exponent does not clear at v=inf")
-        return A**uu * 2**two_power >= q ** int(e) * B
-    vv = int(v.value)
-    e = term * uu * vv
-    if e.denominator != 1:
-        raise DomainError("exponent does not clear")
-    return A**uu * 2 ** (two_power * vv) >= q ** int(e) * B**vv
+    a = 1 if v.is_inf else v.recip
+    b = u.recip
+    L = math.lcm(a.denominator, b.denominator, term.denominator)
+    a, b, e = int(a * L), int(b * L), int(term * L)
+    lhs = A**a * 2 ** (two_power * b) * q ** max(-e, 0)
+    return lhs >= q ** max(e, 0) * B**b
 
 
 def _extremal_op_values(kind, field, n, operator):
@@ -362,11 +339,10 @@ def example_affine_not_refined(omega0):
         gx, gy = 0, field.neg(chart[2])
     else:
         gx, gy = chart[1], 0
-    domain = Domain.heisenberg(field, 1)
-    mask = np.ones(domain.size, dtype=bool)
-    for t in range(field.q):
-        mask[hz.HPoint(field, gx, gy, t).index] = False
-    return PointSet.from_mask(domain, mask)
+    q = field.q
+    mask = np.ones(q**3, dtype=bool)
+    mask.reshape(q * q, q)[gx * q + gy] = False   # the fiber over (gx, gy)
+    return PointSet.from_mask(Domain.heisenberg(field, 1), mask)
 
 
 def example_refined_not_affine(field):
@@ -493,13 +469,12 @@ class KakeyaReport:
     omega1_bound: float          # q |Omega_1| / 25, the (2,2) size bound
 
 
-def omega_partition(ps, selection=None):
+def omega_partition(ps):
     """Split D_1 into horizontal-realized directions and the rest.
 
     For each direction in Omega_2, a contained affine Kakeya line is chosen
-    (smallest mu index, then enumeration order) unless `selection` maps the
-    direction to an explicit line; its mu value is necessarily nonzero and
-    indexes the straightening slice the direction joins.
+    (smallest mu index, then enumeration order); its mu value is necessarily
+    nonzero and indexes the straightening slice the direction joins.
     """
     if ps.domain.kind != "heisenberg" or ps.domain.n != 1:
         raise DomainError("the partition is defined for H_1 sets")
@@ -514,14 +489,7 @@ def omega_partition(ps, selection=None):
     chosen = {}
     unwitnessed = []
     for om in omega2:
-        if selection is not None and om in selection:
-            line = selection[om]
-            if not affine_ps.contains_line(line):
-                raise DomainError(f"selected line for {om} is not inside E")
-            if hz.ProjectiveDirection(field, om.rep) != line.direction:
-                raise DomainError(f"selected line for {om} has wrong direction")
-        else:
-            line = _best_contained_line(affine_ps, om)
+        line = _best_contained_line(affine_ps, om)
         if line is None:
             unwitnessed.append(om)
             continue

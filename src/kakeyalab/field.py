@@ -233,7 +233,10 @@ class Field:
         return self._squares
 
     def coerce_index(self, x):
-        """A plain index of this field as an int; DomainError if outside."""
+        """A plain index of this field as an int; DomainError if x is not
+        a Python or numpy integer (bool included) or lies outside [0, q)."""
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+            raise DomainError(f"field index must be an integer, got {x!r}")
         i = int(x)
         if not 0 <= i < self.q:
             raise DomainError(f"index {i} outside [0, {self.q})")

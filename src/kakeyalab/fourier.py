@@ -14,7 +14,7 @@ import numpy as np
 
 from .field import DomainError, field_table
 from .maximal import (Domain, GridFunction, VerifyReport, affine_incidence,
-                      lp_norm, REL_TOL)
+                      apply_linearized, lp_norm, REL_TOL)
 
 
 def chi_matrix(field):
@@ -39,32 +39,13 @@ def _u_phases(field):
 
 
 class CentralFourierTable:
-    """f^(x, y; xi) as a dense (q, q, q) complex table indexed [x, y, xi].
+    """f^(x, y; xi) as a dense read-only (q, q, q) complex table [x, y, xi]."""
 
-    It keeps its frequency planes as contiguous rows and the last
-    t_components result, both built on first use, so the table must not be
-    written after construction.
-    """
-
-    __slots__ = ("field", "table", "_planes", "_components")
+    __slots__ = ("field", "table")
 
     def __init__(self, field, table):
         self.field = field
         self.table = table
-        self._planes = None
-        self._components = None   # (family, components)
-
-    def slice(self, xi):
-        """f^(., .; xi) as a (q, q) array."""
-        return self.table[:, :, xi]
-
-    def planes(self):
-        """The (q, q*q) array whose row xi is f^(., .; xi) flattened."""
-        if self._planes is None:
-            q = self.field.q
-            self._planes = np.ascontiguousarray(self.table.reshape(q * q, q).T)
-            self._planes.flags.writeable = False
-        return self._planes
 
     def plancherel_defect(self, F):
         """Relative gap in sum |f^|^2 = q |f|_2^2."""
@@ -89,16 +70,27 @@ def _transform(F):
     return CentralFourierTable(F.field, table)
 
 
-_TABLE_KEY = "central-fourier"
-
-
 def central_fourier(F):
     """Transform the central variable of an H_1 grid function.
 
-    The table is memoized on F and shared with every function here that
-    takes F in place of a table.
+    The table is memoized on F, like every quantity derived from it below.
     """
-    return F.memo(_TABLE_KEY, lambda: _transform(F))
+    return F.memo("central-fourier", lambda: _transform(F))
+
+
+def _planes(F):
+    """The (q, q*q) array whose row xi is f^(., .; xi) flattened.
+
+    A read-only C-ordered copy memoized on F: u_tables sums its gather in
+    memory order, so the bits depend on the layout.
+    """
+    def build():
+        q = F.field.q
+        planes = np.ascontiguousarray(
+            central_fourier(F).table.reshape(q * q, q).T)
+        planes.flags.writeable = False
+        return planes
+    return F.memo("fourier-planes", build)
 
 
 def inverse_central_fourier(tab):
@@ -106,13 +98,6 @@ def inverse_central_fourier(tab):
     q = tab.field.q
     vals = (tab.table @ chi_matrix(tab.field)) / q
     return GridFunction(Domain.heisenberg(tab.field, 1), vals.reshape(-1))
-
-
-def _as_table(f_or_table):
-    if isinstance(f_or_table, CentralFourierTable):
-        return f_or_table
-    # the same memo entry as central_fourier, without a second call to it
-    return f_or_table.memo(_TABLE_KEY, lambda: _transform(f_or_table))
 
 
 def _family_plane_and_t(family):
@@ -126,12 +111,11 @@ def _family_plane_and_t(family):
 
 def t_xi_component(f, xi, family):
     """(T_xi f)(omega) = (1/q) sum over L_omega of f^(x,y;xi) chi(xi t)."""
-    tab = _as_table(f)
-    field = tab.field
+    field = f.field
     q = field.q
     xi = field.coerce_index(xi)
     xy_idx, t_idx = _family_plane_and_t(family)
-    plane = tab.table[:, :, xi].reshape(-1)
+    plane = central_fourier(f).table[:, :, xi].reshape(-1)
     phases = field.np_chi[field.np_mul[xi][t_idx]]
     return (plane[xy_idx] * phases).sum(axis=1) / q
 
@@ -140,22 +124,19 @@ def t_components(f, family):
     """All frequency components at once: array of shape (q, #D_1).
 
     Row xi equals t_xi_component(f, xi, family) bit for bit.  The result is
-    read-only and kept on the table, so a second call with the same family
-    returns it.
+    read-only and memoized on f per family.
     """
-    tab = _as_table(f)
-    if tab._components is not None and tab._components[0] is family:
-        return tab._components[1]
-    q = tab.field.q
-    xy_idx, t_idx = _family_plane_and_t(family)
-    chi = chi_matrix(tab.field)
-    planes = tab.planes()
-    comps = np.empty((q, len(family)), dtype=np.complex128)
-    for xi in range(q):
-        comps[xi] = (planes[xi][xy_idx] * chi[xi][t_idx]).sum(axis=1) / q
-    comps.flags.writeable = False
-    tab._components = (family, comps)
-    return comps
+    def build():
+        q = f.field.q
+        xy_idx, t_idx = _family_plane_and_t(family)
+        chi = chi_matrix(f.field)
+        planes = _planes(f)
+        comps = np.empty((q, len(family)), dtype=np.complex128)
+        for xi in range(q):
+            comps[xi] = (planes[xi][xy_idx] * chi[xi][t_idx]).sum(axis=1) / q
+        comps.flags.writeable = False
+        return comps
+    return f.memo(("t-components", family), build)
 
 
 class UTable:
@@ -169,21 +150,17 @@ class UTable:
         self.u = u          # (q, q) indexed [m, gamma]
         self.u_inf = u_inf  # (q,) indexed [gamma]
 
-    def total_square_sum(self):
-        return float((np.abs(self.u) ** 2).sum() + (np.abs(self.u_inf) ** 2).sum())
-
 
 def u_tables(f, xi):
     """U_xi(m,g) = sum_x f^(x, mx-g; xi) chi(xi g x); xi must be nonzero."""
-    tab = _as_table(f)
-    field = tab.field
+    field = f.field
     xi = field.coerce_index(xi)
     if xi == 0:
         raise DomainError("U tables are defined for nonzero xi")
     q = field.q
     index = field_table(field, "u-plane-index", _u_plane_index)
     phase = field_table(field, "u-phases", _u_phases)[xi]       # [g, x]
-    plane = tab.planes()[xi]                                    # [x*q + y]
+    plane = _planes(f)[xi]                                      # [x*q + y]
     u = (plane[index] * phase[None, :, :]).sum(axis=2)
     # U_inf(g) = sum_y f^(g, y; xi) chi(xi g y); same phase table with y for x
     u_inf = (plane.reshape(q, q) * phase).sum(axis=1)
@@ -192,11 +169,10 @@ def u_tables(f, xi):
 
 def key_counting_check(f, xi, tol=REL_TOL):
     """The two counting inequalities behind the sharp l2 bound."""
-    tab = _as_table(f)
-    field = tab.field
+    field = f.field
     xi = field.coerce_index(xi)
-    ut = u_tables(tab, xi)
-    plane_sq = float((np.abs(tab.table[:, :, xi]) ** 2).sum())
+    ut = u_tables(f, xi)
+    plane_sq = float((np.abs(central_fourier(f).table[:, :, xi]) ** 2).sum())
     q = field.q
     lhs_u = float((np.abs(ut.u) ** 2).sum())
     lhs_inf = float((np.abs(ut.u_inf) ** 2).sum())
@@ -222,25 +198,23 @@ def quadratic_fiber_count(field, xi, rho):
     return counts
 
 
-def g_rho(tab, xi, rho):
+def g_rho(f, xi, rho):
     """G_rho(x) = sum_y f^(x,y;xi) chi(-(xi x - rho) y)."""
-    field = tab.field
+    field = f.field
     xi = field.coerce_index(xi)
     rho = field.coerce_index(rho)
     q = field.q
     xs = np.arange(q, dtype=np.int64)
     coeff = field.np_sub.astype(np.int64)[field.np_mul[xi][xs], rho]
     phases = np.conj(field.np_chi[field.np_mul.astype(np.int64)[coeff[:, None], xs[None, :]]])
-    return (tab.table[:, :, xi] * phases).sum(axis=1)
+    return (central_fourier(f).table[:, :, xi] * phases).sum(axis=1)
 
 
 def split_bound_check(f, family, tol=REL_TOL):
     """|T_0 f|_2 <= sqrt(2q) |f|_2 and |T_{/=0} f|_2 <= sqrt(5q) |f|_2."""
-    tab = _as_table(f)
-    fnorm = (f if isinstance(f, GridFunction) else
-             inverse_central_fourier(tab)).norm(2)
-    q = tab.field.q
-    comps = t_components(tab, family)
+    fnorm = f.norm(2)
+    q = f.field.q
+    comps = t_components(f, family)
     lhs0 = lp_norm(comps[0], 2)
     lhs_rest = lp_norm(comps[1:].sum(axis=0), 2)
     rhs0 = math.sqrt(2 * q) * fnorm
@@ -255,7 +229,6 @@ def split_bound_check(f, family, tol=REL_TOL):
 
 def decomposition_defect(f, family):
     """Relative gap between T f and sum_xi T_xi f on the family."""
-    from .maximal import apply_linearized
     direct = apply_linearized(family, f)
     summed = t_components(f, family).sum(axis=0)
     scale = max(float(np.abs(direct).max()), float(np.abs(summed).max()), 1e-300)

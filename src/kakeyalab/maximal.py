@@ -679,6 +679,6 @@ def grid_from_json(doc):
                           dtype=np.complex128)
     except DomainError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed grid-function document: {exc}") from exc
     return GridFunction(domain, values)

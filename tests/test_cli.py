@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,8 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from kakeyalab.field import Field
+from kakeyalab.field import DomainError, Field
 from kakeyalab import maximal as mx
 from kakeyalab import constructions as cn
 from kakeyalab import cli
@@ -210,6 +212,67 @@ def test_maxop_one_element_value_pair_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert cli.main(["maxop", "--in", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    '{"domain": "heisenberg", "q": 1e400, "values": []}',
+    '{"domain": "heisenberg", "q": 5, "n": 1e400, "values": []}',
+    '{"domain": "heisenberg", "q": 9, "modulus": [1e400, 0, 1], "values": []}',
+])
+def test_maxop_overflowing_number_exits_2(tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert cli.main(["maxop", "--in", str(bad)]) == 2
+
+
+# -- parser fuzz ------------------------------------------------------------------
+#
+# Numbers stay small (q <= 17, ranks <= 2), so no generated document names a
+# domain too large to allocate; out-of-range floats come in as inf and nan.
+
+_SPECIAL = st.sampled_from([math.inf, -math.inf, math.nan, "1e400", "7"])
+_LEAF = st.one_of(st.none(), st.booleans(), st.integers(-2, 2),
+                  st.floats(-2.5, 2.5), st.text(max_size=4), _SPECIAL)
+_JSON = st.recursive(_LEAF, lambda kids: st.lists(kids, max_size=4)
+                     | st.dictionaries(st.text(max_size=4), kids, max_size=4),
+                     max_leaves=12)
+
+
+def _num(lo, hi):
+    return st.integers(lo, hi) | st.floats(lo, hi + 0.9) | _SPECIAL
+
+
+_PAIR = st.lists(_num(-2, 2) | _LEAF, max_size=3)
+_DOCS = st.one_of(_JSON, st.fixed_dictionaries({
+    "domain": st.sampled_from(["heisenberg", "affine"]) | _JSON,
+    "q": _num(-2, 17) | _JSON,
+}, optional={
+    "n": _num(-2, 2) | _JSON,
+    "d": _num(-2, 2) | _JSON,
+    "modulus": st.lists(_num(-2, 4) | _LEAF, max_size=4) | _JSON,
+    "values": st.lists(_PAIR, max_size=12) | _JSON,
+    "points": st.lists(_num(-2, 30) | _LEAF, max_size=6) | _JSON,
+}))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_DOCS, op=st.sampled_from(["affine", "heis", "refined"]))
+def test_maxop_exits_0_or_2_on_any_document(tmp_path_factory, doc, op):
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["maxop", "--in", str(path), "--op", op,
+                     "--out", str(path.with_suffix(".out"))]) in (0, 2)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_DOCS)
+def test_pointset_from_json_raises_only_domain_errors(doc):
+    try:
+        cn.pointset_from_json(json.loads(json.dumps(doc)))
+    except DomainError:
+        pass
 
 
 def test_modulus_with_big_applies_to_the_given_q_only():

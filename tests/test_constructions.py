@@ -8,6 +8,7 @@ from kakeyalab.field import DomainError, Field
 from kakeyalab import heisenberg as hz
 from kakeyalab import maximal as mx
 from kakeyalab import constructions as cn
+from kakeyalab import cli
 
 INF = math.inf
 
@@ -40,10 +41,50 @@ def test_support_sizes(f5, f7):
 
 
 def test_bush_contains_all_lines_through_center(f5):
-    p = hz.HPoint(f5, 1, 2, 3)
-    bush = cn.extremal_set("bush", f5, point=p)
-    for L in hz.lines_through_point(p):
+    bush = cn.extremal_set("bush", f5)
+    for L in hz.lines_through_point(hz.HPoint.origin(f5)):
         assert bush.contains_line(L)
+
+
+def _object_extremal_set(kind, field, n, eta=None):
+    """The extremal supports built from point and line objects at the origin:
+    the definitional oracle for the index formulas of extremal_set."""
+    origin = hz.HPoint.origin(field, n)
+    if kind == "point-mass":
+        idx = [origin.index]
+    elif kind == "single-line":
+        v = hz.enumerate_projective_directions(field, n)[0]
+        idx = hz.HorizontalLine(origin, v).point_indices
+    elif kind == "bush":
+        idx = {i for line in hz.lines_through_point(origin)
+               for i in line.point_indices}
+    elif kind == "two-lines-blocking":
+        idx = {hz.HPoint(field, x, 0, 0).index for x in range(field.q)}
+        idx |= {hz.HPoint(field, 0, x, 0).index for x in range(field.q)}
+    elif kind == "paraboloid":
+        idx = [hz.HPoint(field, x, y, field.add(
+                   field.mul(x, x), field.mul(eta, field.mul(y, y)))).index
+               for x in range(field.q) for y in range(field.q)]
+    return cn.PointSet(mx.Domain.heisenberg(field, n), idx)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 8, 9])
+@pytest.mark.parametrize("n", [1, 2])
+def test_extremal_sets_match_object_construction(q, n):
+    fld = Field(q)
+    kinds = ["point-mass", "single-line", "bush"]
+    if n == 1:
+        kinds.append("two-lines-blocking")
+    for kind in kinds:
+        assert cn.extremal_set(kind, fld, n) == \
+            _object_extremal_set(kind, fld, n), kind
+    if n == 1 and q % 2:
+        etas = [e for e in range(1, q) if not fld.is_square(fld.neg(e))]
+        assert cn.extremal_set("paraboloid", fld) == \
+            _object_extremal_set("paraboloid", fld, 1, etas[0])
+        for eta in etas:
+            assert cn.extremal_set("paraboloid", fld, eta=eta) == \
+                _object_extremal_set("paraboloid", fld, 1, eta)
 
 
 def test_blocking_set_blocks_every_refined_direction(f7):
@@ -134,6 +175,119 @@ def test_all_terms_certified(q):
     for operator, n, kind, (u, v) in plans:
         rep = cn.lower_bound_ratio(kind, fld, u, v, n=n, operator=operator)
         assert rep.cert_holds, (operator, kind, u, v, q)
+
+
+def _ladder(A, B, q, term, u, v, two_power):
+    """The case-by-case certificate check that _cert_inequality replaced,
+    kept as the reference: it raises where an exponent does not clear, and
+    compares against a float power of q when the exponent is negative."""
+    if u.is_inf and v.is_inf:
+        e = term
+        if e.denominator != 1:
+            raise DomainError("non-integer exponent at (inf, inf)")
+        return A >= q ** int(e)
+    if u.is_inf:
+        e = term * int(v.value)
+        if e.denominator != 1:
+            raise DomainError("exponent does not clear at u=inf")
+        return A >= q ** int(e)
+    uu = int(u.value)
+    if u.value.denominator != 1:
+        raise DomainError("exact certificates need integer u")
+    if v.is_inf:
+        e = term * uu
+        if e.denominator != 1:
+            raise DomainError("exponent does not clear at v=inf")
+        return A**uu * 2**two_power >= q ** int(e) * B
+    vv = int(v.value)
+    e = term * uu * vv
+    if e.denominator != 1:
+        raise DomainError("exponent does not clear")
+    return A**uu * 2 ** (two_power * vv) >= q ** int(e) * B**vv
+
+
+def _plan_cert_inputs():
+    """(operator, n, kind, u, v) of every LOWER_BOUND_PLAN and SLOPE_PLAN pair."""
+    out = [(op, n, kind, u, v) for op, n, kind, pairs in cli.LOWER_BOUND_PLAN
+           for u, v in pairs]
+    out += [(op, n, kind, u, v) for _, op, n, kind, u, v, _ in cli.SLOPE_PLAN]
+    return [(op, n, kind, mx.as_exponent(u), mx.as_exponent(v))
+            for op, n, kind, u, v in out]
+
+
+def _ladder_threshold(B, q, term, u, v, two):
+    """The least A >= 0 that the reference ladder certifies."""
+    hi = 1
+    while not _ladder(hi, B, q, term, u, v, two):
+        hi *= 2
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _ladder(mid, B, q, term, u, v, two):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13])
+def test_cert_inequality_matches_ladder_on_every_plan_pair(q):
+    fld = Field(q)
+    for operator, n, kind, u, v in _plan_cert_inputs():
+        terms = cn._REFINED_TERMS if operator == "refined" else cn._HEIS_TERMS
+        term = terms[kind](n, u.recip, v.recip)
+        two = 1 if kind == "two-lines-blocking" and not u.is_inf else 0
+        cases = []
+        if n == 1 or q <= 5:
+            opvals, support = cn._extremal_op_values(kind, fld, n, operator)
+            A = cn._exact_pow_sum(opvals, v)
+            cases.append((A, 1 if u.is_inf else support))
+        for B in ((1,) if u.is_inf else (1, q, 2 * q - 1, q * q)):
+            A = _ladder_threshold(B, q, term, u, v, two)
+            cases += [(A, B), (A - 1, B)] if A else [(A, B)]
+        for A, B in cases:
+            want = _ladder(A, B, q, term, u, v, two)
+            assert cn._cert_inequality(A, B, q, term, u, v, two) == want, \
+                (operator, n, kind, u, v, A, B)
+
+
+E = mx.as_exponent
+
+
+@pytest.mark.parametrize("A,B,q,term,u,v,two,holds", [
+    # equality holds, then one unit below it
+    (10, 2, 5, Fraction(1, 2), E(2), E(2), 0, True),       # A = qB
+    (9, 2, 5, Fraction(1, 2), E(2), E(2), 0, False),
+    (7, 1, 7, Fraction(1), E(INF), E(INF), 0, True),        # A = q
+    (6, 1, 7, Fraction(1), E(INF), E(INF), 0, False),
+    (49, 1, 7, Fraction(2), E(INF), E(1), 0, True),         # A = q^2
+    (48, 1, 7, Fraction(2), E(INF), E(1), 0, False),
+    (5, 5, 5, Fraction(1, 2), E(2), E(INF), 0, True),       # A^2 = qB
+    (4, 5, 5, Fraction(1, 2), E(2), E(INF), 0, False),
+    (49, 14, 7, Fraction(1, 2), E(2), E(2), 1, True),       # 2A = qB
+    (48, 14, 7, Fraction(1, 2), E(2), E(2), 1, False),
+    # a negative term: A >= q^-2 B, i.e. q^2 A >= B
+    (1, 9, 3, Fraction(-2), E(1), E(INF), 0, True),
+    (1, 10, 3, Fraction(-2), E(1), E(INF), 0, False),
+    # ... at sizes where the float q^-2 B rounds down to A
+    (10**20, 9 * 10**20 + 1, 3, Fraction(-2), E(1), E(INF), 0, False),
+    # a non-integer u: A^(1/2) >= q^(1/3) B^(2/3), i.e. A^3 >= q^2 B^4
+    (4, 2, 2, Fraction(1, 3), E(Fraction(3, 2)), E(2), 0, True),
+    (3, 2, 2, Fraction(1, 3), E(Fraction(3, 2)), E(2), 0, False),
+])
+def test_cert_inequality_boundary_cases(A, B, q, term, u, v, two, holds):
+    assert cn._cert_inequality(A, B, q, term, u, v, two) is holds
+
+
+def test_ladder_float_power_errs_on_a_negative_term():
+    # the float q^-2 B of the reference rounds down to A and passes
+    args = (10**20, 9 * 10**20 + 1, 3, Fraction(-2), E(1), E(INF), 0)
+    assert _ladder(*args) and not cn._cert_inequality(*args)
+
+
+def test_negative_term_certificate_is_exact(f5):
+    rep = cn.lower_bound_ratio("constant", f5, 1, INF)
+    assert rep.term == -2 and rep.cert_holds   # max M^rd = q, support q^3
 
 
 def test_wrong_kind_for_operator(f5):
@@ -368,15 +522,6 @@ def test_omega_partition_example_11_1(f5):
     assert 0 not in rep.slices
 
 
-def test_omega_partition_explicit_selection(f5):
-    om0 = hz.RefinedDirection(f5, (1, 0, 0))
-    e = cn.example_affine_not_refined(om0)
-    auto = cn.omega_partition(e)
-    line = auto.chosen_lines[om0]
-    rep = cn.omega_partition(e, selection={om0: line})
-    assert rep.chosen_lines[om0] == line
-
-
 # -- size and moment reports ---------------------------------------------------------
 
 
@@ -447,7 +592,8 @@ def test_pointset_roundtrip(f5):
 
 
 @pytest.mark.parametrize("edit", [{"q": "x"}, {"points": ["a"]},
-                                  {"n": "one"}])
+                                  {"n": "one"}, {"q": 1e400},
+                                  {"points": [1e400]}, {"n": 1e400}])
 def test_pointset_json_value_errors_are_domain_errors(f5, edit):
     doc = cn.pointset_to_json(cn.extremal_set("bush", f5))
     doc.update(edit)

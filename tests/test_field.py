@@ -238,3 +238,21 @@ def test_other_modulus_gets_its_own_entries():
                 for ln in hz.affine_lines_with_direction(fld, 2, v))
     assert fr.chi_matrix(builtin) is not fr.chi_matrix(other)
     assert not np.array_equal(fr.chi_matrix(builtin), fr.chi_matrix(other))
+
+
+@pytest.mark.parametrize("bad", [1.9, 0.5, 4.0, True, False, np.bool_(True),
+                                 "3", None])
+def test_coerce_index_rejects_non_integers(bad):
+    with pytest.raises(DomainError):
+        Field(5).coerce_index(bad)
+
+
+def test_coerce_index_accepts_python_and_numpy_integers():
+    f5 = Field(5)
+    for good in (3, np.int64(3), np.int16(3), np.uint8(3)):
+        i = f5.coerce_index(good)
+        assert i == 3 and type(i) is int
+    with pytest.raises(DomainError):
+        f5.coerce_index(np.int64(5))
+    with pytest.raises(DomainError):   # once read as the point (1, 0, 4)
+        hz.HPoint(f5, 1.9, 0.5, 4.99)

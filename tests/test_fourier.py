@@ -98,10 +98,9 @@ def test_normal_form_factorization(f7):
     # (T_xi f)(omega) = (1/q) chi(xi tau_omega) U_xi(m, gamma)
     f = random_f(f7, 5)
     fam = mx.linearize("refined", f7, rng=mx.seeded_rng(2))
-    tab = fr.central_fourier(f)
     for xi in (1, 3, 6):
-        tx = fr.t_xi_component(tab, xi, fam)
-        ut = fr.u_tables(tab, xi)
+        tx = fr.t_xi_component(f, xi, fam)
+        ut = fr.u_tables(f, xi)
         for i, om in enumerate(fam.directions):
             chart = om.chart()
             base = hz.point_from_index(f7, 1, int(fam.point_idx[i, 0]))
@@ -136,7 +135,7 @@ def test_u_tables_match_direct_definition():
     f = random_f(f5, 6)
     tab = fr.central_fourier(f)
     xi = 2
-    ut = fr.u_tables(tab, xi)
+    ut = fr.u_tables(f, xi)
     for m in range(5):
         for g in range(5):
             direct = sum(tab.table[x, f5.sub(f5.mul(m, x), g), xi]
@@ -154,8 +153,9 @@ def test_u_tables_match_direct_definition_prime_power(q, xi):
     # the cached index and phase tables against the definition, where field
     # multiplication is not multiplication mod q
     fld = Field(q)
-    tab = fr.central_fourier(random_f(fld, 7, q))
-    ut = fr.u_tables(tab, xi)
+    f = random_f(fld, 7, q)
+    tab = fr.central_fourier(f)
+    ut = fr.u_tables(f, xi)
     for m in range(q):
         for g in range(q):
             direct = sum(tab.table[x, fld.sub(fld.mul(m, x), g), xi]
@@ -173,14 +173,19 @@ def test_u_tables_bits_match_c_ordered_gather(q):
     # bit for bit against a C-ordered gather built from the definition; the
     # layout matters because key_counting_check sums u in memory order
     fld = Field(q)
-    tab = fr.central_fourier(random_f(fld, 8, q))
+    f = random_f(fld, 8, q)
+    planes = fr._planes(f)
+    assert planes.flags.c_contiguous and not planes.flags.writeable
+    tab = fr.central_fourier(f)
+    assert np.array_equal(planes, tab.table.reshape(q * q, q).T)
     index = np.array([[[x * q + fld.sub(fld.mul(m, x), g) for x in range(q)]
                        for g in range(q)] for m in range(q)])
     for xi in range(1, q):
         phase = np.array([[fld.chi(fld.mul(fld.mul(xi, g), x))
                            for x in range(q)] for g in range(q)])
-        want = (tab.planes()[xi][index] * phase[None, :, :]).sum(axis=2)
-        got = fr.u_tables(tab, xi).u
+        plane = np.ascontiguousarray(tab.table[:, :, xi]).reshape(-1)
+        want = (plane[index] * phase[None, :, :]).sum(axis=2)
+        got = fr.u_tables(f, xi).u
         assert np.array_equal(got, want)
         assert (np.abs(got) ** 2).sum() == (np.abs(want) ** 2).sum()
 
@@ -200,9 +205,8 @@ def test_key_counting_random(q):
     trials = 200 if q <= 7 else 60
     for trial in range(trials):
         f = random_f(fld, 7, q, trial)
-        tab = fr.central_fourier(f)
         for xi in range(1, q):
-            r1, r2 = fr.key_counting_check(tab, xi)
+            r1, r2 = fr.key_counting_check(f, xi)
             assert r1.holds and r2.holds
 
 
@@ -218,7 +222,7 @@ def test_key_counting_single_fiber_support():
     tab = fr.central_fourier(f)
     for xi in range(1, 5):
         assert np.allclose(np.abs(tab.table[:, :, xi]), np.abs(plane))
-        r1, r2 = fr.key_counting_check(tab, xi)
+        r1, r2 = fr.key_counting_check(f, xi)
         assert r1.holds and r2.holds
 
 
@@ -253,7 +257,7 @@ def test_g_rho_square_sum_identity(f7):
     f = random_f(f7, 9)
     tab = fr.central_fourier(f)
     for xi in (1, 4):
-        g = np.stack([fr.g_rho(tab, xi, rho) for rho in range(7)])
+        g = np.stack([fr.g_rho(f, xi, rho) for rho in range(7)])
         lhs = (np.abs(g) ** 2).sum(axis=0)
         rhs = 7 * (np.abs(tab.table[:, :, xi]) ** 2).sum(axis=1)
         assert np.allclose(lhs, rhs, rtol=1e-9)
@@ -296,14 +300,13 @@ def test_t_components_equal_per_frequency_oracle(q):
     fld = Field(q)
     f = random_f(fld, 20, q)
     fam = mx.linearize("refined", fld, for_function=f)
-    tab = fr.central_fourier(f)
-    comps = fr.t_components(tab, fam)
-    oracle = np.stack([fr.t_xi_component(tab, xi, fam) for xi in range(q)])
+    comps = fr.t_components(f, fam)
+    oracle = np.stack([fr.t_xi_component(f, xi, fam) for xi in range(q)])
     assert np.array_equal(comps, oracle)  # bit for bit, not approximately
     other = mx.linearize("refined", fld)
     assert np.array_equal(
         fr.t_components(f, other),
-        np.stack([fr.t_xi_component(tab, xi, other) for xi in range(q)]))
+        np.stack([fr.t_xi_component(f, xi, other) for xi in range(q)]))
 
 
 def test_table_and_components_are_shared_per_input(f7):
@@ -313,8 +316,11 @@ def test_table_and_components_are_shared_per_input(f7):
     assert not tab.table.flags.writeable
     fam = mx.linearize("refined", f7, for_function=f)
     comps = fr.t_components(f, fam)
-    assert fr.t_components(tab, fam) is comps
+    assert fr.t_components(f, fam) is comps
     assert not comps.flags.writeable
+    other = mx.linearize("refined", f7)
+    assert fr.t_components(f, other) is not comps
+    assert fr.t_components(f, fam) is comps
     # a fresh copy of the input gets its own, equal, table
     copy = mx.GridFunction(f.domain, f.values)
     assert fr.central_fourier(copy) is not tab

@@ -610,10 +610,19 @@ def test_grid_json_rejects_bad_domain(f5):
     {"q": "x"},
     {"values": [[1.0]] + [[0.0, 0.0]] * 124},
     {"n": "one"},
+    {"q": 1e400},
+    {"n": 1e400},
 ])
 def test_grid_json_value_errors_are_domain_errors(f5, edit):
     doc = mx.grid_to_json(mx.GridFunction.delta(h1(f5)))
     doc.update(edit)
+    with pytest.raises(DomainError, match="malformed"):
+        mx.grid_from_json(doc)
+
+
+def test_grid_json_overflowing_modulus_is_a_domain_error():
+    doc = mx.grid_to_json(mx.GridFunction.delta(h1(Field(9))))
+    doc["modulus"] = [1e400, 0, 1]
     with pytest.raises(DomainError, match="malformed"):
         mx.grid_from_json(doc)
 
