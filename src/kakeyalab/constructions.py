@@ -14,10 +14,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import DomainError, Field, field_table
+from .field import DomainError, field_table
 from . import heisenberg as hz
 from .maximal import (Domain, ExtendedExponent, GridFunction, VerifyReport,
-                      affine_incidence, as_exponent, exponent_Ard,
+                      _json_int, affine_incidence, as_exponent,
+                      domain_from_json, domain_to_json, exponent_Ard,
                       heis_max_op, lp_norm, q_pow, rd_upper_constant,
                       refined_incidence, refined_max_op, REL_TOL)
 
@@ -84,34 +85,16 @@ class PointSet:
 
 
 def pointset_to_json(ps):
-    f = ps.domain.field
-    doc = {
-        "domain": ps.domain.kind,
-        "q": f.q,
-        "modulus": list(f.modulus) if f.modulus else None,
-        "points": ps.indices,
-    }
-    if ps.domain.kind == "heisenberg":
-        doc["n"] = ps.domain.n
-    else:
-        doc["d"] = ps.domain.n
-    return doc
+    return {**domain_to_json(ps.domain), "points": ps.indices}
 
 
 def pointset_from_json(doc):
+    domain = domain_from_json(doc)
     try:
-        fld = Field(int(doc["q"]), modulus=doc.get("modulus"))
-        if doc["domain"] == "heisenberg":
-            domain = Domain.heisenberg(fld, int(doc.get("n", 1)))
-        elif doc["domain"] == "affine":
-            domain = Domain.affine(fld, int(doc["d"]))
-        else:
-            raise DomainError(f"unknown domain kind {doc['domain']!r}")
-        return PointSet(domain, (int(i) for i in doc["points"]))
-    except DomainError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        points = [_json_int(i, "a point index") for i in doc["points"]]
+    except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed point-set document: {exc}") from exc
+    return PointSet(domain, points)
 
 
 # ---------------------------------------------------------------------------
@@ -333,16 +316,11 @@ def example_affine_not_refined(omega0):
     The result is affine Kakeya in F_q^3 but misses refined direction
     omega0 entirely.
     """
-    field = omega0.field
-    chart = omega0.chart()
-    if chart[0] == "slope":
-        gx, gy = 0, field.neg(chart[2])
-    else:
-        gx, gy = chart[1], 0
-    q = field.q
+    gx, gy = omega0.normal_base()
+    q = omega0.field.q
     mask = np.ones(q**3, dtype=bool)
     mask.reshape(q * q, q)[gx * q + gy] = False   # the fiber over (gx, gy)
-    return PointSet.from_mask(Domain.heisenberg(field, 1), mask)
+    return PointSet.from_mask(Domain.heisenberg(omega0.field, 1), mask)
 
 
 def example_refined_not_affine(field):
@@ -377,6 +355,14 @@ def vertical_fiber_sizes(ps):
 # mu parameter and straightening
 
 
+def _mu(field, rep, x0, y0):
+    """mu of the lines of direction [a:b:c] over (x0, y0): c - (x0.b - y0.a),
+    the central slope less the horizontal t-slope at the base.  That is
+    gamma - (m x0 - y0) in the slope chart and gamma - x0 in the vertical
+    one; x0 and y0 may be index arrays."""
+    return field.np_sub[rep[2], hz._twist(field, rep[:2], (x0, y0))]
+
+
 def mu_parameter(line):
     """Non-horizontality parameter of a non-vertical affine line in F_q^3.
 
@@ -384,17 +370,9 @@ def mu_parameter(line):
     """
     if not isinstance(line, hz.AffineLine) or line.d != 3:
         raise DomainError("mu is defined for affine lines in F_q^3")
-    field = line.field
-    a, b, c = line.direction.rep
-    if a == 0 and b == 0:
+    if not any(line.direction.rep[:2]):
         raise DomainError("vertical lines carry no mu parameter")
-    x0, y0, _ = line.base
-    if a == 1:
-        g, m = c, b
-        mu = field.sub(g, field.sub(field.mul(m, x0), y0))
-    else:  # canonical [0:1:gamma]
-        mu = field.sub(c, x0)
-    return mu
+    return int(_mu(line.field, line.direction.rep, *line.base[:2]))
 
 
 def straighten(obj, k, chart):
@@ -403,50 +381,36 @@ def straighten(obj, k, chart):
     Bijective on H_1; maps any line with mu = k in the matching chart to a
     horizontal line and shifts the direction's last coordinate by -k.
     """
+    if isinstance(obj, hz.HPoint):
+        field, in_3d = obj.field, obj.n == 1
+    elif isinstance(obj, hz.AffineLine):
+        field, in_3d = obj.field, obj.d == 3
+    elif isinstance(obj, PointSet):
+        field = obj.domain.field
+        in_3d = obj.domain.size == field.q**3
+    else:
+        raise DomainError(f"cannot straighten {type(obj).__name__}")
     if chart not in ("slope", "vertical"):
         raise DomainError("chart must be 'slope' or 'vertical'")
+    k = field.coerce_index(k)
+    if k == 0:
+        raise DomainError("straightening needs nonzero k")
+    if not in_3d:
+        raise DomainError("straightening acts on H_1 and F_q^3")
 
-    def move(field, x, y, t):
-        shear = field.mul(k_i, x if chart == "slope" else y)
-        return x, y, field.sub(t, shear)
+    def move(x, y, t):  # linear, so it maps directions as it maps points
+        shear = field.np_mul[k, x if chart == "slope" else y]
+        return x, y, field.np_sub[t, shear]
 
     if isinstance(obj, hz.HPoint):
-        field = obj.field
-        k_i = field.coerce_index(k)
-        if k_i == 0:
-            raise DomainError("straightening needs nonzero k")
-        if obj.n != 1:
-            raise DomainError("straightening acts on H_1")
-        return hz.HPoint(field, *move(field, obj.x[0], obj.y[0], obj.t))
+        return hz.HPoint(field, *move(obj.x[0], obj.y[0], obj.t))
     if isinstance(obj, hz.AffineLine):
-        field = obj.field
-        k_i = field.coerce_index(k)
-        if k_i == 0:
-            raise DomainError("straightening needs nonzero k")
-        if obj.d != 3:
-            raise DomainError("straightening acts on F_q^3")
-        base = move(field, *obj.base)
-        a, b, c = obj.direction.rep
-        shift = field.mul(k_i, a if chart == "slope" else b)
-        return hz.AffineLine(field, base, (a, b, field.sub(c, shift)))
-    if isinstance(obj, PointSet):
-        field = obj.domain.field
-        k_i = field.coerce_index(k)
-        if k_i == 0:
-            raise DomainError("straightening needs nonzero k")
-        q = field.q
-        if obj.domain.size != q**3:
-            raise DomainError("straightening acts on H_1 / F_q^3 sets")
-        out = []
-        for idx in np.flatnonzero(obj.mask):
-            idx = int(idx)
-            t = idx % q
-            y = (idx // q) % q
-            x = idx // (q * q)
-            x, y, t = move(field, x, y, t)
-            out.append((x * q + y) * q + t)
-        return PointSet(obj.domain, out)
-    raise DomainError(f"cannot straighten {type(obj).__name__}")
+        return hz.AffineLine(field, move(*obj.base), move(*obj.direction.rep))
+    q = field.q
+    x, y, t = move(*np.indices((q, q, q)).reshape(3, -1))
+    mask = np.empty_like(obj.mask)
+    mask[(x * q + y) * q + t] = obj.mask
+    return PointSet.from_mask(obj.domain, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -512,18 +476,16 @@ def _best_contained_line(affine_ps, omega):
     """The contained affine line of direction omega with the smallest mu,
     first in row order on ties; None when no line fits."""
     field = affine_ps.domain.field
+    q = field.q
     vdir = hz.ProjectiveDirection(field, omega.rep)
     dirs, table = affine_incidence(field, 3)
     rows = table[dirs.index(vdir)]
-    best = None
-    best_mu = None
-    for r in np.flatnonzero(affine_ps.mask[rows].all(axis=1)):
-        base = hz.affine_point_from_index(field, 3, int(rows[r, 0]))
-        line = hz.AffineLine(field, base, vdir)
-        mu = mu_parameter(line)
-        if best is None or mu < best_mu:
-            best, best_mu = line, mu
-    return best
+    bases = rows[affine_ps.mask[rows].all(axis=1), 0]
+    if not len(bases):
+        return None
+    mus = _mu(field, vdir.rep, bases // (q * q), bases // q % q)
+    base = hz.affine_point_from_index(field, 3, int(bases[mus.argmin()]))
+    return hz.AffineLine(field, base, vdir)
 
 
 def kakeya_bound_report(ps, omega, m, u, v, tol=REL_TOL):

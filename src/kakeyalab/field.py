@@ -29,10 +29,18 @@ BUILTIN_MODULI = {
 }
 
 
+# The desk scale: every per-field table is dense in q (the int16 ones wrap
+# above 32767), so a q read from a flag or a file is refused above this
+# before any trial division or allocation.
+MAX_Q = 32
+
+
 def factor_prime_power(q):
     """Split q into (p, k) with p prime, or raise DomainError."""
     if q < 2:
         raise DomainError(f"field size must be >= 2, got {q}")
+    if q > MAX_Q:
+        raise DomainError(f"field size {q} exceeds the desk scale q <= {MAX_Q}")
     p = 2
     while q % p:
         p += 1

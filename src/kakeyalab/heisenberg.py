@@ -2,10 +2,11 @@
 
 Points, directions and lines are immutable; coordinates are stored as field
 indices (plain ints).  The point enumeration is row-major with t fastest,
-then the y block, then the x block, and every line is materialized as its
-q-point sequence so set-level oracles stay cheap.  Bulk enumeration (all
-lines of a direction at once) runs through index tables instead of objects;
-one coset builder makes every such table, for H_n and F_q^d alike.
+then the y block, then the x block: the enumeration of F_q^{2n+1}.  The
+line objects are the definitional oracle: a horizontal line is its q points
+p.(sa, sb, 0) under the group law.  Bulk enumeration (all lines of a
+direction at once) runs through index tables instead of objects; one coset
+builder makes every such table, for H_n and F_q^d alike.
 """
 
 from __future__ import annotations
@@ -71,11 +72,7 @@ class HPoint:
 
     @property
     def index(self):
-        q = self.field.q
-        idx = 0
-        for c in self.x + self.y:
-            idx = idx * q + c
-        return idx * q + self.t
+        return affine_point_index(self.field, self.x + self.y + (self.t,))
 
     def __eq__(self, other):
         return (isinstance(other, HPoint) and self.field == other.field
@@ -98,23 +95,14 @@ def _as_seq(c):
 
 def enumerate_points(field, n=1):
     """All q^(2n+1) points in index order (t fastest, then y, then x)."""
-    q = field.q
-    pts = []
-    for coords in product(range(q), repeat=2 * n + 1):
-        pts.append(HPoint(field, coords[:n], coords[n:2 * n], coords[2 * n]))
-    return pts
+    return [point_from_index(field, n, idx)
+            for idx in range(field.q ** (2 * n + 1))]
 
 
 def point_from_index(field, n, idx):
-    q = field.q
-    t = idx % q
-    idx //= q
-    coords = []
-    for _ in range(2 * n):
-        coords.append(idx % q)
-        idx //= q
-    coords.reverse()
-    return HPoint(field, coords[:n], coords[n:], t)
+    """The point of H_n at idx: the point of F_q^{2n+1} at idx, as (x, y, t)."""
+    c = affine_point_from_index(field, 2 * n + 1, idx)
+    return HPoint(field, c[:n], c[n:2 * n], c[2 * n])
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +200,13 @@ class RefinedDirection:
             return ("slope", b, c)
         return ("vertical", c)
 
+    def normal_base(self):
+        """(x, y) under the normal-form lines L_{omega,tau} (n=1): (0, -gamma)
+        in the slope chart [1:m:gamma], (gamma, 0) in the vertical chart."""
+        chart = self.chart()
+        gamma = chart[-1]
+        return (0, self.field.neg(gamma)) if chart[0] == "slope" else (gamma, 0)
+
     def __eq__(self, other):
         return (isinstance(other, RefinedDirection)
                 and self.field == other.field and self.rep == other.rep)
@@ -247,21 +242,15 @@ class HorizontalLine:
         if direction.field != base.field:
             raise DomainError("direction and base use different fields")
         f = base.field
+        n = base.n
         self.field = f
-        self.n = base.n
+        self.n = n
         self.base = base
         self.direction = direction
-        a = direction.rep[:base.n]
-        b = direction.rep[base.n:]
-        twist = 0
-        for xi, yi, ai, bi in zip(base.x, base.y, a, b):
-            twist = f.add(twist, f.sub(f.mul(xi, bi), f.mul(yi, ai)))
         pts = []
         for s in range(f.q):
-            x = tuple(f.add(xi, f.mul(s, ai)) for xi, ai in zip(base.x, a))
-            y = tuple(f.add(yi, f.mul(s, bi)) for yi, bi in zip(base.y, b))
-            t = f.add(base.t, f.mul(twist, s))
-            pts.append(HPoint(f, x, y, t))
+            step = tuple(f.mul(s, c) for c in direction.rep)
+            pts.append(base * HPoint(f, step[:n], step[n:], 0))
         self.points = tuple(pts)
         self._indices = None
 
@@ -272,28 +261,19 @@ class HorizontalLine:
         return self._indices
 
     def t_slope(self):
-        """c(L) = x0.b - y0.a, independent of the chosen basepoint."""
-        f = self.field
-        a = self.direction.rep[:self.n]
-        b = self.direction.rep[self.n:]
-        c = 0
-        for xi, yi, ai, bi in zip(self.base.x, self.base.y, a, b):
-            c = f.add(c, f.sub(f.mul(xi, bi), f.mul(yi, ai)))
-        return c
+        """c(L): the t step between consecutive points, x0.b - y0.a by the
+        group law, independent of the chosen basepoint."""
+        return self.field.sub(self.points[1].t, self.points[0].t)
 
     def refined_direction(self):
         return RefinedDirection(self.field,
                                 self.direction.rep + (self.t_slope(),))
 
     def tau(self):
-        """Normal-form offset (n=1): t at x=0 (slope chart) or y=0 (vertical)."""
-        if self.n != 1:
-            raise DomainError("tau is defined for n=1 only")
-        kind = self.refined_direction().chart()[0]
-        for p in self.points:
-            if (p.x[0] if kind == "slope" else p.y[0]) == 0:
-                return p.t
-        raise AssertionError("normal form sweep missed 0")
+        """Normal-form offset (n=1): the t of the point over the normal base,
+        so that the line is L_{omega,tau} for its refined direction omega."""
+        base = self.refined_direction().normal_base()
+        return next(p.t for p in self.points if p.project() == base)
 
     def __contains__(self, p):
         return p in self.points
@@ -319,36 +299,29 @@ def lines_with_refined_direction(omega):
     Indexed by tau: L_{[1:m:g],tau} = {(x, mx-g, tau+gx)} and
     L_{[0:1:g],tau} = {(g, y, tau+gy)}.
     """
-    if omega.n != 1:
-        raise DomainError("refined line families are built for n=1 only")
-    f = omega.field
-    chart = omega.chart()
+    x, y = omega.normal_base()
+    v = omega.projective()
+    return [HorizontalLine(HPoint(omega.field, x, y, tau), v)
+            for tau in range(omega.field.q)]
+
+
+def _partition(total, line_at):
+    """The lines line_at(idx) through each point idx in range(total) that no
+    earlier line covers: the parallel class of one direction, in index order."""
+    seen = bytearray(total)
     out = []
-    for tau in range(f.q):
-        if chart[0] == "slope":
-            _, m, g = chart
-            base = HPoint(f, 0, f.neg(g), tau)
-        else:
-            g = chart[1]
-            base = HPoint(f, g, 0, tau)
-        out.append(HorizontalLine(base, omega.projective()))
+    for idx in range(total):
+        if not seen[idx]:
+            out.append(line_at(idx))
+            for j in out[-1].point_indices:
+                seen[j] = 1
     return out
 
 
 def lines_with_direction(field, n, v):
     """The q^{2n} disjoint lines of projective direction v, partitioning H_n."""
-    q = field.q
-    total = q ** (2 * n + 1)
-    seen = bytearray(total)
-    out = []
-    for idx in range(total):
-        if seen[idx]:
-            continue
-        line = HorizontalLine(point_from_index(field, n, idx), v)
-        for j in line.point_indices:
-            seen[j] = 1
-        out.append(line)
-    return out
+    return _partition(field.q ** (2 * n + 1), lambda idx: HorizontalLine(
+        point_from_index(field, n, idx), v))
 
 
 def lines_through_point(p):
@@ -577,18 +550,8 @@ class AffineLine:
 
 def affine_lines_with_direction(field, d, v):
     """The q^{d-1} parallel lines of direction v, partitioning F_q^d."""
-    q = field.q
-    total = q**d
-    seen = bytearray(total)
-    out = []
-    for idx in range(total):
-        if seen[idx]:
-            continue
-        line = AffineLine(field, affine_point_from_index(field, d, idx), v)
-        for j in line.point_indices:
-            seen[j] = 1
-        out.append(line)
-    return out
+    return _partition(field.q**d, lambda idx: AffineLine(
+        field, affine_point_from_index(field, d, idx), v))
 
 
 def all_affine_lines(field, d):
@@ -603,17 +566,7 @@ def planar_line_of(omega):
 
     The map omega -> l_omega is a bijection from D_1 onto all affine lines.
     """
-    if omega.n != 1:
-        raise DomainError("l_omega is defined for n=1")
-    f = omega.field
-    chart = omega.chart()
-    if chart[0] == "slope":
-        _, m, g = chart
-        base = (0, f.neg(g))
-    else:
-        g = chart[1]
-        base = (g, 0)
-    return AffineLine(f, base, omega.projective())
+    return AffineLine(omega.field, omega.normal_base(), omega.projective())
 
 
 def as_affine_line(line):

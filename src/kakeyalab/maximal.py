@@ -325,9 +325,10 @@ def _build_heis1(field):
 def refined_incidence(field):
     """(refined directions, (q^2+q, q, q) point-index table) for H_1.
 
-    Row (omega, tau) holds the normal-form line L_{omega,tau}.  The lines of
-    a projective direction, stably sorted by their t-slope c, fall into the
-    q blocks [a:b:c]; inside a block the transversal's t coordinate is tau.
+    Row (omega, tau) holds the normal-form line L_{omega,tau}.  A projective
+    direction's table has q blocks of q rows: (0, y, tau) for [1:m], with
+    t-slope -y, and (x, 0, tau) for [0:1], with t-slope x.  So block gamma
+    starts at the normal base (0, -gamma, tau) or (gamma, 0, tau).
     """
     return field_table(field, "refined-incidence", _build_refined)
 
@@ -337,9 +338,8 @@ def _build_refined(field):
     dirs = hz.enumerate_refined_directions(field, 1)
     table = np.empty((len(dirs), q, q), dtype=np.int32)
     for i, v in enumerate(hz.enumerate_projective_directions(field, 1)):
-        order = np.argsort(hz.line_slope_table(field, 1, v), kind="stable")
-        lines = hz.line_table_for_direction(field, 1, v)
-        table[i * q:(i + 1) * q] = lines[order].reshape(q, q, q)
+        blocks = hz.line_table_for_direction(field, 1, v).reshape(q, q, q)
+        table[i * q:(i + 1) * q] = blocks[field.np_neg] if v.rep[0] else blocks
     return dirs, table
 
 
@@ -648,37 +648,56 @@ def offdiag_catalog():
 # JSON serialization
 
 
+def domain_to_json(domain):
+    """The domain header of a document: tag, q, modulus, and n or d."""
+    f = domain.field
+    return {"domain": domain.kind, "q": f.q,
+            "modulus": list(f.modulus) if f.modulus else None,
+            "n" if domain.kind == "heisenberg" else "d": domain.n}
+
+
 def grid_to_json(F):
-    """Schema: domain tag, q, modulus, and [re, im] pairs in point order."""
-    f = F.field
-    doc = {
-        "domain": F.domain.kind,
-        "q": f.q,
-        "modulus": list(f.modulus) if f.modulus else None,
-        "values": [[float(z.real), float(z.imag)]
-                   for z in np.asarray(F.values, dtype=np.complex128)],
-    }
-    if F.domain.kind == "heisenberg":
-        doc["n"] = F.domain.n
-    else:
-        doc["d"] = F.domain.n
-    return doc
+    """The domain header, then [re, im] pairs in point order."""
+    return {**domain_to_json(F.domain),
+            "values": [[float(z.real), float(z.imag)]
+                       for z in np.asarray(F.values, dtype=np.complex128)]}
+
+
+def _json_int(value, what):
+    """value itself if it is a JSON integer; DomainError for anything else,
+    bools and integral floats such as 3.0 included."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"malformed document: {what} must be an integer, "
+                          f"got {value!r}")
+    return value
+
+
+def domain_from_json(doc):
+    """The Domain a grid-function or point-set document names.
+
+    q, n (heisenberg), d (affine) and the modulus coefficients must be
+    integers; the field checks q against MAX_Q before building anything.
+    """
+    try:
+        kind = doc["domain"]
+        modulus = doc.get("modulus")
+        if modulus is not None:
+            modulus = [_json_int(c, "a modulus coefficient") for c in modulus]
+        fld = Field(_json_int(doc["q"], "q"), modulus=modulus)
+        if kind == "heisenberg":
+            return Domain.heisenberg(fld, _json_int(doc.get("n", 1), "n"))
+        if kind == "affine":
+            return Domain.affine(fld, _json_int(doc["d"], "d"))
+    except (KeyError, TypeError) as exc:
+        raise DomainError(f"malformed document: {exc}") from exc
+    raise DomainError(f"unknown domain kind {kind!r}")
 
 
 def grid_from_json(doc):
+    domain = domain_from_json(doc)
     try:
-        kind = doc["domain"]
-        fld = Field(int(doc["q"]), modulus=doc.get("modulus"))
-        if kind == "heisenberg":
-            domain = Domain.heisenberg(fld, int(doc.get("n", 1)))
-        elif kind == "affine":
-            domain = Domain.affine(fld, int(doc["d"]))
-        else:
-            raise DomainError(f"unknown domain kind {kind!r}")
         values = np.array([complex(re, im) for re, im in doc["values"]],
                           dtype=np.complex128)
-    except DomainError:
-        raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed grid-function document: {exc}") from exc
     return GridFunction(domain, values)

@@ -225,10 +225,45 @@ def test_maxop_overflowing_number_exits_2(tmp_path, text):
     assert cli.main(["maxop", "--in", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--q", "1000003", "--suite", "census"],
+    ["maxop", "--in", "huge.json"],
+])
+def test_q_above_the_cap_exits_2_within_seconds(tmp_path, argv):
+    (tmp_path / "huge.json").write_text(json.dumps(
+        {"domain": "heisenberg", "q": 1000000000039, "values": []}))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "kakeyalab.cli", *argv],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=20)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("doc", [
+    {"domain": "heisenberg", "q": 3.9, "n": "1", "values": []},
+    {"domain": "heisenberg", "q": 3.0, "values": []},
+    {"domain": "heisenberg", "q": 3, "n": True, "values": []},
+    {"domain": "affine", "q": 3, "d": 2.0, "values": []},
+    {"domain": "heisenberg", "q": 9, "modulus": [1, 0.5, 1], "values": []},
+    {"domain": "heisenberg", "q": 5, "points": [2.7, True]},
+    {"domain": "heisenberg", "q": 5, "points": [True]},
+])
+def test_json_numbers_must_be_integers(tmp_path, doc):
+    # int() would read q = 3.9 as 3 and the points [2.7, true] as [2, 1]
+    parse = cn.pointset_from_json if "points" in doc else mx.grid_from_json
+    with pytest.raises(DomainError, match="must be an integer"):
+        parse(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["maxop", "--in", str(path)]) == 2
+
+
 # -- parser fuzz ------------------------------------------------------------------
 #
-# Numbers stay small (q <= 17, ranks <= 2), so no generated document names a
-# domain too large to allocate; out-of-range floats come in as inf and nan.
+# q may be any integer: the field refuses q > 32 before it allocates, and
+# ranks stay <= 2, so no generated document names a domain too large to
+# allocate; out-of-range floats come in as inf and nan.
 
 _SPECIAL = st.sampled_from([math.inf, -math.inf, math.nan, "1e400", "7"])
 _LEAF = st.one_of(st.none(), st.booleans(), st.integers(-2, 2),
@@ -245,7 +280,7 @@ def _num(lo, hi):
 _PAIR = st.lists(_num(-2, 2) | _LEAF, max_size=3)
 _DOCS = st.one_of(_JSON, st.fixed_dictionaries({
     "domain": st.sampled_from(["heisenberg", "affine"]) | _JSON,
-    "q": _num(-2, 17) | _JSON,
+    "q": st.integers() | _num(-2, 17) | _JSON,
 }, optional={
     "n": _num(-2, 2) | _JSON,
     "d": _num(-2, 2) | _JSON,

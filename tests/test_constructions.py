@@ -327,7 +327,7 @@ def test_example_affine_not_refined(q):
                        for L in hz.lines_with_refined_direction(om0))
 
 
-@pytest.mark.parametrize("q", [5, 7, 9])
+@pytest.mark.parametrize("q", [5, 7, 8, 9])
 def test_best_contained_line_matches_object_scan(q):
     # oracle: walk the AffineLine objects in scan order, keep the first
     # contained line of smallest mu
@@ -488,11 +488,36 @@ def test_straighten_is_bijective_on_sets(f5):
     assert cn.straighten(image, f5.neg(2), "slope") == ps
 
 
+@pytest.mark.parametrize("q", [4, 5, 9])
+def test_straighten_set_matches_the_point_map(q):
+    # oracle: the image of every point under straighten(HPoint)
+    fld = Field(q)
+    rng = mx.seeded_rng(q)
+    ps = cn.PointSet.from_mask(h1(fld), rng.random(q**3) < 0.3)
+    for chart in ("slope", "vertical"):
+        for k in range(1, q):
+            want = sorted(
+                cn.straighten(hz.point_from_index(fld, 1, i), k, chart).index
+                for i in ps.indices)
+            assert cn.straighten(ps, k, chart).indices == want
+
+
 def test_straighten_rejects_zero_k(f5):
     with pytest.raises(DomainError):
         cn.straighten(hz.HPoint(f5, 1, 1, 1), 0, "slope")
     with pytest.raises(DomainError):
         cn.straighten(hz.HPoint(f5, 1, 1, 1), 1, "diagonal")
+
+
+@pytest.mark.parametrize("obj", [
+    lambda f: hz.HPoint(f, (1, 1), (1, 1), 1),
+    lambda f: hz.AffineLine(f, (0, 0), (1, 2)),
+    lambda f: cn.PointSet.full(mx.Domain.heisenberg(f, 2)),
+    lambda f: cn.extremal_set("bush", f).indicator(),
+])
+def test_straighten_rejects_objects_outside_h1(f5, obj):
+    with pytest.raises(DomainError):
+        cn.straighten(obj(f5), 1, "slope")
 
 
 # -- omega partition ---------------------------------------------------------------

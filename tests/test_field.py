@@ -166,6 +166,14 @@ def test_non_prime_power_rejected():
         Field(12)
 
 
+@pytest.mark.parametrize("q", [37, 64, 1000003, 1000000000039])
+def test_field_above_the_desk_scale_rejected(q):
+    # refused before trial division (1000000000039 is prime) or allocation
+    assert fd.MAX_Q == 32
+    with pytest.raises(DomainError, match="desk scale"):
+        Field(q)
+
+
 def test_explicit_modulus_accepted():
     # x^2 + x + 2 is irreducible over F_3 (no roots)
     f = Field(9, modulus=(2, 1, 1))
