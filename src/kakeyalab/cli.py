@@ -626,6 +626,8 @@ def cmd_verify(args):
     suites = tuple(args.suite.split(",")) if args.suite else ALL_SUITES
     cfg = _config_from(args, suites=suites)
     rows, status = run_suite(cfg)
+    if status == 2:  # bad config: the error is on stderr, stdout stays empty
+        return status
     ok = sum(1 for r in rows if r["holds"])
     # the q values the rows cover: exponents sweeps its own q window
     qs = [q for q in dict.fromkeys(r["q"] for r in rows) if q != ""]

@@ -35,6 +35,8 @@ class PointSet:
     def __init__(self, domain, indices):
         mask = np.zeros(domain.size, dtype=bool)
         for i in indices:
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                raise DomainError(f"point index must be an integer, got {i!r}")
             if not 0 <= i < domain.size:
                 raise DomainError(f"point index {i} outside the domain")
             mask[i] = True
@@ -275,15 +277,16 @@ def lower_bound_ratio(kind, field, u, v, *, n=1, operator="refined"):
 def is_affine_kakeya(ps):
     """Does the set contain a full affine line in every ambient direction?
 
-    Returns (answer, witness) where witness is a missing direction or None.
+    Returns (answer, witness) where witness is the first missing direction
+    or None.  The table is reduced one direction block at a time, so no
+    table-sized temporary is built.
     """
     if ps.domain.kind != "affine":
         raise DomainError("affine Kakeya predicate needs an affine point set")
     dirs, table = affine_incidence(ps.domain.field, ps.domain.n)
-    contained = ps.mask[table].all(axis=2).any(axis=1)
-    for i, ok in enumerate(contained):
-        if not ok:
-            return False, dirs[i]
+    for v, block in zip(dirs, table):
+        if not ps.mask[block].all(axis=1).any():
+            return False, v
     return True, None
 
 

@@ -34,6 +34,11 @@ BUILTIN_MODULI = {
 # before any trial division or allocation.
 MAX_Q = 32
 
+# The desk scale of a domain: the H_2 point count at MAX_Q.  A rank or an
+# affine dimension read from a flag or a file is refused when q^(2n+1) or
+# q^d would exceed it, before that power is computed.
+MAX_POINTS = MAX_Q ** 5
+
 
 def factor_prime_power(q):
     """Split q into (p, k) with p prime, or raise DomainError."""

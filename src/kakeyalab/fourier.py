@@ -104,9 +104,7 @@ def _family_plane_and_t(family):
     if family.kind != "refined":
         raise DomainError("frequency components need a refined line family")
     q = family.field.q
-    xy_idx = family.point_idx // q
-    t_idx = family.point_idx % q
-    return xy_idx.astype(np.int64), t_idx.astype(np.int64)
+    return family.point_idx // q, family.point_idx % q
 
 
 def t_xi_component(f, xi, family):

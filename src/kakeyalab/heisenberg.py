@@ -359,7 +359,7 @@ def _twist(field, rep, xs):
 
 
 def _coset_table(field, rep, horizontal=False):
-    """(#rows, q) int32 point indices of the cosets {base + s.step} of rep.
+    """(#rows, q) np.intp point indices of the cosets {base + s.step} of rep.
 
     The one builder behind every line and incidence table.  Rows run over
     the transversal where rep's leading coordinate vanishes; column s is the
@@ -367,9 +367,13 @@ def _coset_table(field, rep, horizontal=False):
     d = len(rep)) or, when horizontal, rep followed by the per-row t step
     x.b - y.a (horizontal lines of H_n, 2n+1 = len(rep) + 1).  The table is
     a broadcast sum of one (base coordinate, s) table per coordinate.
+
+    The dtype is numpy's native index width, so a gather values[table]
+    indexes without first casting the table; only the F_q^3 incidence table
+    narrows its copy to int32 (see maximal.affine_incidence).
     """
     q = field.q
-    add = field.np_add.astype(np.int64)
+    add = field.np_add.astype(np.intp)
     dim = len(rep) + 1 if horizontal else len(rep)
     xs = _transversal_axes(q, rep)
     tail = (1,) * (dim - len(rep) + 1)  # the t axis when horizontal, then s
@@ -380,14 +384,16 @@ def _coset_table(field, rep, horizontal=False):
     if horizontal:  # steps[k, t, s] = t + k.s, at each row's t step k
         steps = add[np.arange(q)[:, None], field.np_mul[:, None, :]]
         idx = idx + steps[_twist(field, rep, xs)]
-    return idx.reshape(-1, q).astype(np.int32)
+    return idx.reshape(-1, q)
 
 
 def line_table_for_direction(field, n, v):
-    """(q^{2n}, q) int32 table: point indices of every line of direction v.
+    """(q^{2n}, q) np.intp table: point indices of every line of direction v.
 
     Row r holds the r-th coset in transversal order; column s is the point
-    at parameter s, matching HorizontalLine's own parametrization.
+    at parameter s, matching HorizontalLine's own parametrization.  The
+    operators gather from it once per input, so it keeps the native index
+    width of _coset_table: an int32 table would be cast on every gather.
     """
     return _coset_table(field, v.rep, horizontal=True)
 

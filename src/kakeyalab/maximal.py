@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import DomainError, Field, field_table
+from .field import MAX_POINTS, DomainError, Field, field_table
 from . import heisenberg as hz
 
 INF = math.inf
@@ -166,6 +166,14 @@ def rd_upper_constant(u, v):
 # domains and grid functions
 
 
+def _check_point_count(field, dim, name):
+    """DomainError when q^dim exceeds MAX_POINTS.  Since q >= 2, any dim of
+    MAX_POINTS.bit_length() or more is refused before the power is taken."""
+    if dim >= MAX_POINTS.bit_length() or field.q ** dim > MAX_POINTS:
+        raise DomainError(f"{name} over F_{field.q} exceeds the desk scale "
+                          f"of {MAX_POINTS} points")
+
+
 @dataclass(frozen=True)
 class Domain:
     """Where a grid function lives: H_n(F_q) or F_q^d."""
@@ -178,12 +186,14 @@ class Domain:
     def heisenberg(cls, field, n=1):
         if n < 1:
             raise DomainError("group rank must be >= 1")
+        _check_point_count(field, 2 * n + 1, f"H_{n}")
         return cls("heisenberg", field, n)
 
     @classmethod
     def affine(cls, field, d):
         if d < 1:
             raise DomainError("affine dimension must be >= 1")
+        _check_point_count(field, d, f"F_q^{d}")
         return cls("affine", field, d)
 
     @property
@@ -289,9 +299,13 @@ def seeded_rng(*key):
 
 
 def affine_incidence(field, d):
-    """(directions, int32 array (#dirs, q^{d-1}, q) of point indices).
+    """(directions, array (#dirs, q^{d-1}, q) of point indices).
 
     Each direction's block holds its parallel lines in transversal order.
+    The planar table (d = 2) is np.intp, so the operators and the U tables
+    gather from it without an index cast.  From d = 3 on it is int32: the
+    F_q^3 table has q^2 (q^2+q+1) q entries (15M at q = 27), only the set
+    predicates read it, and at native width it would double its bytes.
     """
     return field_table(field, ("affine-incidence", d),
                        lambda f: _build_affine(f, d))
@@ -300,7 +314,8 @@ def affine_incidence(field, d):
 def _build_affine(field, d):
     q = field.q
     dirs = hz.enumerate_directions(field, d)
-    table = np.empty((len(dirs), q ** (d - 1), q), dtype=np.int32)
+    dtype = np.intp if d == 2 else np.int32
+    table = np.empty((len(dirs), q ** (d - 1), q), dtype=dtype)
     for i, v in enumerate(dirs):
         table[i] = hz._coset_table(field, v.rep)
     return dirs, table
@@ -336,7 +351,7 @@ def refined_incidence(field):
 def _build_refined(field):
     q = field.q
     dirs = hz.enumerate_refined_directions(field, 1)
-    table = np.empty((len(dirs), q, q), dtype=np.int32)
+    table = np.empty((len(dirs), q, q), dtype=np.intp)
     for i, v in enumerate(hz.enumerate_projective_directions(field, 1)):
         blocks = hz.line_table_for_direction(field, 1, v).reshape(q, q, q)
         table[i * q:(i + 1) * q] = blocks[field.np_neg] if v.rep[0] else blocks
@@ -417,9 +432,10 @@ class LineFamily:
         self.kind = kind
         self.field = field
         self.directions = list(directions)
-        self.point_idx = np.asarray(point_idx, dtype=np.int64)
+        self.point_idx = np.array(point_idx, dtype=np.intp)
         if self.point_idx.shape != (len(self.directions), field.q):
             raise DomainError("one q-point line per index is required")
+        self.point_idx.flags.writeable = False  # t_components memoizes on it
         self.domain = domain
 
     def __len__(self):
@@ -479,18 +495,17 @@ def apply_linearized(family, f):
 
 
 def family_gram(family):
-    """Exact integer Gram matrix TT*: pairwise line intersection counts."""
+    """Exact integer Gram matrix TT*: pairwise line intersection counts.
+
+    It is the int64 product M M^T of the 0/1 line-point incidence matrix M.
+    Row i of M is the indicator of line i's q points, so (M M^T)[j, i] is
+    the sum of M[j] over those points: one gather of M's columns at the
+    family's index table, summed along the line.
+    """
     m = len(family)
-    gram = np.zeros((m, m), dtype=np.int64)
-    membership = {}
-    for i in range(m):
-        for p in family.point_idx[i]:
-            membership.setdefault(int(p), []).append(i)
-    for members in membership.values():
-        for i in members:
-            for j in members:
-                gram[i, j] += 1
-    return gram
+    incidence = np.zeros((m, family.domain.size), dtype=bool)
+    incidence[np.arange(m)[:, None], family.point_idx] = True
+    return incidence[:, family.point_idx].sum(axis=2, dtype=np.int64)
 
 
 def ttstar_spectrum(family):

@@ -228,16 +228,33 @@ def test_maxop_overflowing_number_exits_2(tmp_path, text):
 @pytest.mark.parametrize("argv", [
     ["verify", "--q", "1000003", "--suite", "census"],
     ["maxop", "--in", "huge.json"],
+    ["maxop", "--in", "rank.json"],
 ])
 def test_q_above_the_cap_exits_2_within_seconds(tmp_path, argv):
     (tmp_path / "huge.json").write_text(json.dumps(
         {"domain": "heisenberg", "q": 1000000000039, "values": []}))
+    (tmp_path / "rank.json").write_text(json.dumps(
+        {"domain": "heisenberg", "q": 2, "n": 100000000000, "values": []}))
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "kakeyalab.cli", *argv],
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=20)
     assert proc.returncode == 2
+    assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["--q", "1000003", "--suite", "census"],
+    ["--q", "9", "--modulus", "1,0,0", "--suite", "ttstar,census"],
+    ["--q", "3", "--suite", "census,nope"],
+])
+def test_verify_config_error_writes_nothing_to_stdout(capsys, argv):
+    # a bad config must not read like an empty passing run on stdout
+    assert cli.main(["verify", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err
 
 
 @pytest.mark.parametrize("doc", [
@@ -261,9 +278,10 @@ def test_json_numbers_must_be_integers(tmp_path, doc):
 
 # -- parser fuzz ------------------------------------------------------------------
 #
-# q may be any integer: the field refuses q > 32 before it allocates, and
-# ranks stay <= 2, so no generated document names a domain too large to
-# allocate; out-of-range floats come in as inf and nan.
+# q, n and d may be any integers: the field refuses q > 32 and the domain
+# refuses more than 32^5 points before either allocates, so no generated
+# document names a domain too large to allocate; out-of-range floats come
+# in as inf and nan.
 
 _SPECIAL = st.sampled_from([math.inf, -math.inf, math.nan, "1e400", "7"])
 _LEAF = st.one_of(st.none(), st.booleans(), st.integers(-2, 2),
@@ -282,8 +300,8 @@ _DOCS = st.one_of(_JSON, st.fixed_dictionaries({
     "domain": st.sampled_from(["heisenberg", "affine"]) | _JSON,
     "q": st.integers() | _num(-2, 17) | _JSON,
 }, optional={
-    "n": _num(-2, 2) | _JSON,
-    "d": _num(-2, 2) | _JSON,
+    "n": st.integers() | _num(-2, 2) | _JSON,
+    "d": st.integers() | _num(-2, 2) | _JSON,
     "modulus": st.lists(_num(-2, 4) | _LEAF, max_size=4) | _JSON,
     "values": st.lists(_PAIR, max_size=12) | _JSON,
     "points": st.lists(_num(-2, 30) | _LEAF, max_size=6) | _JSON,

@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kakeyalab.field import DomainError, Field
@@ -304,6 +305,41 @@ def test_full_space_is_both(f5):
     full = cn.PointSet.full(h1(f5))
     assert cn.is_full_refined_kakeya(full) == (True, None)
     assert cn.is_affine_kakeya(cn.as_affine_set(full)) == (True, None)
+
+
+def _first_missing_by_whole_table(ps):
+    # the whole-table reduction is_affine_kakeya replaced
+    dirs, table = mx.affine_incidence(ps.domain.field, ps.domain.n)
+    contained = ps.mask[table].all(axis=2).any(axis=1)
+    for i, ok in enumerate(contained):
+        if not ok:
+            return False, dirs[i]
+    return True, None
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+@pytest.mark.parametrize("d", [2, 3])
+def test_affine_kakeya_matches_whole_table_reduction(d, q):
+    f = Field(q)
+    dom = mx.Domain.affine(f, d)
+    dirs, table = mx.affine_incidence(f, d)
+    rows = np.arange(table.shape[1])
+    for target in (0, len(dirs) // 2, len(dirs) - 1):
+        # drop one point of every line of the target direction; the seeds
+        # are scanned for a set whose first missing direction is the target
+        for seed in range(200):
+            cols = mx.seeded_rng(d, q, target, seed).integers(q, size=len(rows))
+            mask = np.ones(dom.size, dtype=bool)
+            mask[table[target, rows, cols]] = False
+            ps = cn.PointSet.from_mask(dom, mask)
+            want = _first_missing_by_whole_table(ps)
+            if want == (False, dirs[target]):
+                break
+        else:
+            pytest.fail(f"no set misses direction {target} first")
+        assert cn.is_affine_kakeya(ps) == want
+    full = cn.PointSet.full(dom)
+    assert cn.is_affine_kakeya(full) == _first_missing_by_whole_table(full)
 
 
 def test_affine_kakeya_needs_affine_domain(f5):
@@ -629,6 +665,13 @@ def test_pointset_json_value_errors_are_domain_errors(f5, edit):
 def test_pointset_rejects_bad_index(f5):
     with pytest.raises(DomainError):
         cn.PointSet(h1(f5), [125])
+
+
+@pytest.mark.parametrize("index", [True, np.True_, 1.5, np.float64(2.0), "3"])
+def test_pointset_rejects_non_integer_index(f5, index):
+    # mask[True] would mark every point, and a float would raise IndexError
+    with pytest.raises(DomainError, match="must be an integer"):
+        cn.PointSet(h1(f5), [0, index])
 
 
 def test_pointset_indicator_consistent(f5):

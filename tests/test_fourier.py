@@ -309,6 +309,16 @@ def test_t_components_equal_per_frequency_oracle(q):
         np.stack([fr.t_xi_component(f, xi, other) for xi in range(q)]))
 
 
+@pytest.mark.parametrize("q", [4, 5])
+def test_fourier_gathers_use_native_width_indices(q):
+    f = Field(q)
+    index = fr.field_table(f, "u-plane-index", fr._u_plane_index)
+    assert index.dtype == np.intp and not index.flags.writeable
+    fam = mx.linearize("refined", f, rng=mx.seeded_rng(q))
+    for idx in fr._family_plane_and_t(fam):
+        assert idx.dtype == np.intp
+
+
 def test_table_and_components_are_shared_per_input(f7):
     f = random_f(f7, 21)
     tab = fr.central_fourier(f)

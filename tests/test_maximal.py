@@ -422,6 +422,29 @@ def test_linearized_below_maximal_exhaustive(f3):
                       <= mx.refined_max_op(F) + 1e-12)
 
 
+# -- index tables ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_gathered_tables_are_native_width_and_read_only(q):
+    # the operators gather from these once per input; a narrower index
+    # dtype would be cast to np.intp on every gather
+    f = Field(q)
+    cached = [mx.refined_incidence(f)[1], mx.heis1_incidence(f)[1],
+              mx.affine_incidence(f, 2)[1]]
+    for kind in ("planar", "heis", "refined"):
+        cached.append(mx.linearize(kind, f, rng=mx.seeded_rng(q)).point_idx)
+    for table in cached:
+        assert table.dtype == np.intp
+        assert not table.flags.writeable
+    for n in (1, 2):
+        v = hz.enumerate_projective_directions(f, n)[-1]
+        assert hz.line_table_for_direction(f, n, v).dtype == np.intp
+    # the F_q^3 table stays narrow: only the set predicates read it
+    f3_table = mx.affine_incidence(f, 3)[1]
+    assert f3_table.dtype == np.int32 and not f3_table.flags.writeable
+
+
 # -- TT* and operator norms ------------------------------------------------------
 
 
@@ -451,6 +474,34 @@ def test_ttstar_independent_of_family(f7):
 def test_ttstar_rejects_non_planar(f3):
     with pytest.raises(DomainError):
         mx.ttstar_spectrum(mx.linearize("refined", f3))
+
+
+def _gram_by_membership(fam):
+    # the per-point loop family_gram replaced: each pair of lines through a
+    # point adds one to their entry
+    m = len(fam)
+    gram = np.zeros((m, m), dtype=np.int64)
+    membership = {}
+    for i in range(m):
+        for p in fam.point_idx[i]:
+            membership.setdefault(int(p), []).append(i)
+    for members in membership.values():
+        for i in members:
+            for j in members:
+                gram[i, j] += 1
+    return gram
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 8, 9])
+@pytest.mark.parametrize("kind", ["planar", "refined", "heis"])
+def test_family_gram_matches_membership_loop(kind, q):
+    f = Field(q)
+    # the origin family (every line through one point) and two random ones
+    for rng in (None, mx.seeded_rng(q, 1), mx.seeded_rng(q, 2)):
+        fam = mx.linearize(kind, f, rng=rng)
+        gram = mx.family_gram(fam)
+        assert gram.dtype == np.int64
+        assert np.array_equal(gram, _gram_by_membership(fam))
 
 
 def _dense_sigma_max(fam):
@@ -635,6 +686,27 @@ def test_grid_json_overflowing_modulus_is_a_domain_error():
 def test_domain_rejects_nonpositive_rank(f3, make):
     with pytest.raises(DomainError):
         make(f3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mx.Domain.heisenberg(Field(2), 10**11),
+    lambda: mx.Domain.affine(Field(2), 10**11),
+    lambda: mx.Domain.heisenberg(Field(16), 3),
+    lambda: mx.Domain.affine(Field(31), 6),
+    lambda: mx.Domain.affine(Field(2), 26),
+])
+def test_domain_refuses_more_points_than_the_desk_scale(make):
+    with pytest.raises(DomainError, match="desk scale"):
+        make()
+
+
+def test_domain_cap_admits_h2_at_the_largest_field():
+    from kakeyalab.field import MAX_POINTS, MAX_Q
+    f32 = Field(MAX_Q, modulus=[1, 0, 1, 0, 0, 1])  # x^5 + x^2 + 1
+    assert mx.Domain.heisenberg(f32, 2).size == MAX_POINTS
+    assert mx.Domain.affine(f32, 5).size == MAX_POINTS
+    assert mx.Domain.affine(Field(2), 25).size == 2**25
+    assert mx.Domain.heisenberg(Field(9), 3).size == 9**7
 
 
 def test_grid_function_validates_shape(f3):
