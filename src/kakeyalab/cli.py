@@ -16,6 +16,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -40,32 +41,17 @@ ALL_SUITES = ("census", "planar-l2", "ttstar", "diag", "offdiag", "rd-l2",
 
 @dataclass
 class SuiteConfig:
-    qs: tuple = DEFAULT_QS
+    fields: tuple = ()      # the run's fields, each built once (_config_from)
+    window: dict = None     # rank -> the built-in fields exponents fits over
     suites: tuple = ALL_SUITES
     seed: int = 0
     trials: int = None      # None: per-suite default
     tol: float = 1e-9
     out: str = None
     dump_fourier: str = None
-    big: bool = False
-    modulus: tuple = None
-    qs_explicit: bool = False
-
-    def field_for(self, q):
-        # the modulus belongs to the single q it was given for, not to the
-        # q values --big adds
-        if self.modulus is not None and list(self.qs) == [q]:
-            return Field(q, modulus=self.modulus)
-        return Field(q)
 
     def ntrials(self, default):
         return default if self.trials is None else self.trials
-
-    def all_qs(self):
-        qs = list(self.qs)
-        if self.big:
-            qs += [q for q in BIG_QS if q not in qs]
-        return qs
 
 
 def _fmt(x):
@@ -83,7 +69,7 @@ def make_row(suite, bound, q, n, u, v, lhs, rhs, holds, trial=""):
         ratio = math.inf if lhs else 1.0
     return {
         "suite": suite, "bound": bound, "q": q, "n": n,
-        "u": str(u) if u != "" else "", "v": str(v) if v != "" else "",
+        "u": str(u), "v": str(v),
         "lhs": lhs, "rhs": rhs, "ratio": ratio, "holds": holds,
         "seed": "", "trial": trial,
     }
@@ -114,8 +100,8 @@ def _rng(cfg, suite, q, trial):
 
 def suite_census(cfg):
     rows = []
-    for q in cfg.all_qs():
-        fld = cfg.field_for(q)
+    for fld in cfg.fields:
+        q = fld.q
         for n in (1, 2):
             if n >= 2 and q > 7:
                 continue  # enumeration of all lines gets large
@@ -141,8 +127,8 @@ def suite_census(cfg):
 def suite_planar_l2(cfg):
     """Every planar linearization has operator norm exactly sqrt(2q)."""
     rows = []
-    for q in cfg.all_qs():
-        fld = cfg.field_for(q)
+    for fld in cfg.fields:
+        q = fld.q
         target = math.sqrt(2 * q)
         fams = [("default", mx.linearize("planar", fld))]
         trials = cfg.ntrials(20)
@@ -164,8 +150,8 @@ def suite_planar_l2(cfg):
 def suite_ttstar(cfg):
     """TT* eigenvalues are {2q} + {q-1} x q for every planar family."""
     rows = []
-    for q in cfg.all_qs():
-        fld = cfg.field_for(q)
+    for fld in cfg.fields:
+        q = fld.q
         expected = np.array([2 * q] + [q - 1] * q, dtype=np.float64)
         for trial in range(cfg.ntrials(20)):
             fam = mx.linearize("planar", fld,
@@ -187,8 +173,7 @@ def _structured_h1(fld):
     return out
 
 
-def _bound_rows(cfg, suite, q, specs, trials):
-    fld = cfg.field_for(q)
+def _bound_rows(cfg, suite, fld, specs, trials):
     dom_h = mx.Domain.heisenberg(fld, 1)
     dom_a = mx.Domain.affine(fld, 2)
     inputs = {"heis": [], "refined": [], "affine": []}
@@ -198,7 +183,7 @@ def _bound_rows(cfg, suite, q, specs, trials):
     inputs["affine"].append(("plane-ones", mx.GridFunction.constant(dom_a)))
     inputs["affine"].append(("plane-delta", mx.GridFunction.delta(dom_a)))
     for trial in range(trials):
-        rng = _rng(cfg, suite, q, trial)
+        rng = _rng(cfg, suite, fld.q, trial)
         inputs["heis"].append((trial, mx.random_complex_grid(dom_h, rng)))
         inputs["refined"].append((trial, mx.random_complex_grid(dom_h, rng)))
         inputs["affine"].append((trial, mx.random_complex_grid(dom_a, rng)))
@@ -212,18 +197,17 @@ def _bound_rows(cfg, suite, q, specs, trials):
 
 def suite_diag(cfg):
     rows = []
-    for q in cfg.all_qs():
-        specs = [s for s in mx.bound_catalog(q) if "diag" in s.name
-                 or s.name.startswith("planar-l") or s.name.startswith("rd-1")
-                 or s.name.startswith("rd-inf")]
-        rows.extend(_bound_rows(cfg, "diag", q, specs, cfg.ntrials(25)))
+    for fld in cfg.fields:
+        specs = [s for s in mx.bound_catalog(fld.q)
+                 if s.name != "rd-l2-sharp"]
+        rows.extend(_bound_rows(cfg, "diag", fld, specs, cfg.ntrials(25)))
     return rows
 
 
 def suite_offdiag(cfg):
     rows = []
-    for q in cfg.all_qs():
-        rows.extend(_bound_rows(cfg, "offdiag", q, mx.offdiag_catalog(),
+    for fld in cfg.fields:
+        rows.extend(_bound_rows(cfg, "offdiag", fld, mx.offdiag_catalog(),
                                 cfg.ntrials(10)))
     return rows
 
@@ -231,11 +215,11 @@ def suite_offdiag(cfg):
 def suite_rd_l2(cfg):
     """Theorem-grade l2 bound: 5 sqrt(q), plus the delta sharpness witness."""
     rows = []
-    for q in cfg.all_qs():
-        fld = cfg.field_for(q)
+    for fld in cfg.fields:
+        q = fld.q
         dom = mx.Domain.heisenberg(fld, 1)
-        spec = mx.BoundSpec("rd-l2-sharp", "refined", mx.ExtendedExponent(2),
-                            mx.ExtendedExponent(2), 5.0, Fraction(1, 2))
+        spec = next(s for s in mx.bound_catalog(q)
+                    if s.name == "rd-l2-sharp")
         worst = 0.0
         for trial in range(cfg.ntrials(200)):
             F = mx.random_complex_grid(dom, _rng(cfg, "rd-l2", q, trial))
@@ -255,8 +239,8 @@ def suite_rd_l2(cfg):
 def suite_fourier(cfg):
     """Per random input: defect sizes, worst-over-xi counting ratios, splits."""
     rows = []
-    for q in cfg.all_qs():
-        fld = cfg.field_for(q)
+    for fld in cfg.fields:
+        q = fld.q
         dom = mx.Domain.heisenberg(fld, 1)
         for trial in range(cfg.ntrials(100)):
             f = mx.random_complex_grid(dom, _rng(cfg, "fourier", q, trial))
@@ -329,8 +313,8 @@ LOWER_BOUND_PLAN = (
 def suite_lowerbounds(cfg):
     """Exact integer certificates for every exponent-formula term."""
     rows = []
-    for q in cfg.all_qs():
-        fld = cfg.field_for(q)
+    for fld in cfg.fields:
+        q = fld.q
         for operator, n, kind, pairs in LOWER_BOUND_PLAN:
             if n == 2 and q > 7:
                 continue
@@ -346,18 +330,18 @@ def suite_lowerbounds(cfg):
 
 
 SLOPE_PLAN = (
-    # label, operator, n, kind, u, v, q list override (None: config qs)
-    ("heis1-point-mass", "heis", 1, "point-mass", 2, 1, None),
-    ("heis1-single-line", "heis", 1, "single-line", 4, 4, None),
-    ("heis1-bush", "heis", 1, "bush", 2, 2, None),
-    ("heis1-bush-l1", "heis", 1, "bush", "inf", 1, None),
-    ("heis2-point-mass", "heis", 2, "point-mass", 4, 4, N2_SWEEP_QS),
-    ("heis2-single-line", "heis", 2, "single-line", 4, 4, N2_SWEEP_QS),
-    ("heis2-bush", "heis", 2, "bush", 4, 4, N2_SWEEP_QS),
-    ("rd-point-mass", "refined", 1, "point-mass", 2, 2, None),
-    ("rd-single-line", "refined", 1, "single-line", 2, 2, None),
-    ("rd-blocking", "refined", 1, "two-lines-blocking", 2, 2, None),
-    ("rd-constant", "refined", 1, "constant", 3, 3, None),
+    # label, operator, n, kind, u, v; each fits over the rank-n window
+    ("heis1-point-mass", "heis", 1, "point-mass", 2, 1),
+    ("heis1-single-line", "heis", 1, "single-line", 4, 4),
+    ("heis1-bush", "heis", 1, "bush", 2, 2),
+    ("heis1-bush-l1", "heis", 1, "bush", "inf", 1),
+    ("heis2-point-mass", "heis", 2, "point-mass", 4, 4),
+    ("heis2-single-line", "heis", 2, "single-line", 4, 4),
+    ("heis2-bush", "heis", 2, "bush", 4, 4),
+    ("rd-point-mass", "refined", 1, "point-mass", 2, 2),
+    ("rd-single-line", "refined", 1, "single-line", 2, 2),
+    ("rd-blocking", "refined", 1, "two-lines-blocking", 2, 2),
+    ("rd-constant", "refined", 1, "constant", 3, 3),
 )
 
 
@@ -368,24 +352,24 @@ def _fit_slope(qs, ratios):
     return float((lq * (lr - lr.mean())).sum() / (lq * lq).sum())
 
 
-def sweep_rows(cfg, suite_name="exponents"):
-    """Ratio-by-q rows plus a log-log slope row per test-function family."""
+def sweep_rows(window, suite_name="exponents"):
+    """Ratio-by-q rows plus a log-log slope row per test-function family.
+
+    window maps the rank n to its fields, at least three of them.
+    """
     rows = []
-    for label, operator, n, kind, u, v, qs in SLOPE_PLAN:
-        qs = list(cfg.qs) if qs is None else list(qs)
-        if len(qs) < 3:
-            raise DomainError("slope fitting needs at least 3 q values")
+    for label, operator, n, kind, u, v in SLOPE_PLAN:
+        fields = window[n]
         ratios = []
         term = None
-        for q in qs:
-            fld = cfg.field_for(q)
+        for fld in fields:
             rep = cn.lower_bound_ratio(kind, fld, u, v, n=n, operator=operator)
             term = rep.term
             ratios.append(rep.ratio)
-            rows.append(make_row(suite_name, f"{label}-ratio", q, n,
+            rows.append(make_row(suite_name, f"{label}-ratio", fld.q, n,
                                  rep.u, rep.v, rep.ratio,
-                                 mx.q_pow(q, term), rep.cert_holds))
-        slope = _fit_slope(qs, ratios)
+                                 mx.q_pow(fld.q, term), rep.cert_holds))
+        slope = _fit_slope([fld.q for fld in fields], ratios)
         rows.append(make_row(suite_name, f"{label}-slope", "", n, u, v,
                              slope, float(term),
                              abs(slope - float(term)) <= 0.1))
@@ -393,18 +377,13 @@ def sweep_rows(cfg, suite_name="exponents"):
 
 
 def suite_exponents(cfg):
-    # slope fits need q large enough that lower-order terms decay; the
-    # default window runs 5..25 regardless of the verify q-list, always over
-    # the built-in fields (--modulus names a single q, the window has >= 3)
-    qs = cfg.qs if cfg.qs_explicit and len(cfg.qs) >= 3 else SWEEP_QS
-    sub = SuiteConfig(qs=tuple(qs), seed=cfg.seed)
-    return sweep_rows(sub, "exponents")
+    return sweep_rows(cfg.window, "exponents")
 
 
 def suite_examples(cfg):
     rows = []
-    for q in cfg.all_qs():
-        fld = cfg.field_for(q)
+    for fld in cfg.fields:
+        q = fld.q
         dirs = hz.enumerate_refined_directions(fld, 1)
         om0 = dirs[len(dirs) // 2]
         e1 = cn.example_affine_not_refined(om0)
@@ -455,8 +434,8 @@ def suite_examples(cfg):
 
 def suite_kakeya_bounds(cfg):
     rows = []
-    for q in cfg.all_qs():
-        fld = cfg.field_for(q)
+    for fld in cfg.fields:
+        q = fld.q
         dom = mx.Domain.heisenberg(fld, 1)
         dirs, lines = mx.refined_incidence(fld)
         cases = [("full-space", cn.PointSet.full(dom), dirs, q)]
@@ -490,8 +469,8 @@ def suite_kakeya_bounds(cfg):
 
 def suite_moments(cfg):
     rows = []
-    for q in cfg.all_qs():
-        fld = cfg.field_for(q)
+    for fld in cfg.fields:
+        q = fld.q
         dom = mx.Domain.heisenberg(fld, 1)
         sets = [("line", cn.extremal_set("single-line", fld)),
                 ("bush", cn.extremal_set("bush", fld)),
@@ -587,10 +566,19 @@ def _add_common(parser):
 
 
 def _config_from(args, default_qs=DEFAULT_QS, suites=ALL_SUITES):
+    """The run's configuration, every field built once before any suite
+    runs, so that a bad q or modulus raises DomainError whatever the suite.
+
+    fields: the --q list, --modulus applied to its single q, then the q
+    values --big adds.  window (exponents only): the --q list if it has at
+    least three values, else SWEEP_QS, and N2_SWEEP_QS at rank 2, always
+    over the built-in fields; slope fits need q where lower-order terms
+    have decayed.
+    """
     qs = _parse_qs(args.q) if args.q else tuple(default_qs)
     if args.trials is not None and args.trials < 1:
         raise DomainError("--trials must be at least 1")
-    modulus = None
+    field = cache(Field)  # one built-in field per q for the whole run
     if args.modulus:
         try:
             modulus = tuple(int(c) for c in args.modulus.split(","))
@@ -598,11 +586,18 @@ def _config_from(args, default_qs=DEFAULT_QS, suites=ALL_SUITES):
             raise DomainError(f"bad modulus {args.modulus!r}") from exc
         if len(qs) != 1:
             raise DomainError("--modulus needs a single q")
-        Field(qs[0], modulus=modulus)  # rejects a bad modulus for every suite
-    return SuiteConfig(qs=qs, suites=suites, seed=args.seed,
-                       trials=args.trials, tol=args.tol, out=args.out,
-                       dump_fourier=args.dump_fourier, big=args.big,
-                       modulus=modulus, qs_explicit=args.q is not None)
+        fields = (Field(qs[0], modulus=modulus),)
+    else:
+        fields = tuple(field(q) for q in qs)
+    if args.big:
+        fields += tuple(field(q) for q in BIG_QS if q not in qs)
+    window = None
+    if "exponents" in suites:
+        n1 = qs if args.q and len(qs) >= 3 else SWEEP_QS
+        window = {1: tuple(map(field, n1)), 2: tuple(map(field, N2_SWEEP_QS))}
+    return SuiteConfig(fields=fields, window=window, suites=suites,
+                       seed=args.seed, trials=args.trials, tol=args.tol,
+                       out=args.out, dump_fourier=args.dump_fourier)
 
 
 def _emit(text):
@@ -638,15 +633,13 @@ def cmd_verify(args):
 
 
 def cmd_sweep(args):
-    cfg = _config_from(args, default_qs=SWEEP_QS, suites=())
-    if len(cfg.qs) < 3:
+    args.big = False  # the sweep fits over the --q list alone
+    cfg = _config_from(args, default_qs=SWEEP_QS, suites=("exponents",))
+    if len(cfg.fields) < 3:
         print("sweep needs at least 3 q values", file=sys.stderr)
         return 2
-    try:
-        rows = sweep_rows(cfg, "sweep")
-    except DomainError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    # three or more q values: the rank-1 window is the fields themselves
+    rows = sweep_rows(cfg.window, "sweep")
     csv_text = rows_to_csv(rows)
     if cfg.out:
         with open(cfg.out, "w") as fh:

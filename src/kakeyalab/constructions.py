@@ -34,12 +34,22 @@ class PointSet:
 
     def __init__(self, domain, indices):
         mask = np.zeros(domain.size, dtype=bool)
-        for i in indices:
-            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-                raise DomainError(f"point index must be an integer, got {i!r}")
-            if not 0 <= i < domain.size:
-                raise DomainError(f"point index {i} outside the domain")
-            mask[i] = True
+        if isinstance(indices, np.ndarray) and indices.ndim == 1 \
+                and indices.dtype.kind in "iu":
+            # an integer index array is checked and marked as a whole
+            outside = indices[(indices < 0) | (indices >= domain.size)]
+            if outside.size:
+                raise DomainError(
+                    f"point index {outside[0]} outside the domain")
+            mask[indices] = True
+        else:
+            for i in indices:
+                if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                    raise DomainError(
+                        f"point index must be an integer, got {i!r}")
+                if not 0 <= i < domain.size:
+                    raise DomainError(f"point index {i} outside the domain")
+                mask[i] = True
         mask.flags.writeable = False
         self.domain = domain
         self.mask = mask

@@ -254,13 +254,6 @@ class GridFunction:
         vals[idx] = 1
         return cls(domain, vals)
 
-    @classmethod
-    def indicator(cls, domain, indices):
-        vals = np.zeros(domain.size, dtype=np.int64)
-        for i in indices:
-            vals[i] = 1
-        return cls(domain, vals)
-
     def memo(self, key, compute):
         """compute(), evaluated once per key for this function."""
         if key not in self._memo:
@@ -442,28 +435,18 @@ class LineFamily:
         return len(self.directions)
 
 
-def _candidate_tables(kind, field, n):
+def _candidate_tables(kind, field):
     """(directions, (m, lines, q) index table, domain) per family kind."""
     if kind == "planar":
         dirs, table = affine_incidence(field, 2)
         return dirs, table, Domain.affine(field, 2)
-    if kind == "heis":
-        if n == 1:
-            dirs, table = heis1_incidence(field)
-            return dirs, table, Domain.heisenberg(field, 1)
-        dirs = hz.enumerate_projective_directions(field, n)
-        table = np.stack([hz.line_table_for_direction(field, n, v)
-                          for v in dirs])
-        return dirs, table, Domain.heisenberg(field, n)
     if kind == "refined":
-        if n != 1:
-            raise DomainError("refined families exist for n=1 only")
         dirs, table = refined_incidence(field)
         return dirs, table, Domain.heisenberg(field, 1)
     raise DomainError(f"unknown linearization kind {kind!r}")
 
 
-def linearize(kind, field, *, n=1, for_function=None, rng=None):
+def linearize(kind, field, *, for_function=None, rng=None):
     """Fix one line per index.
 
     At most one chooser applies: for_function picks the maximizing line per
@@ -473,7 +456,7 @@ def linearize(kind, field, *, n=1, for_function=None, rng=None):
     """
     if for_function is not None and rng is not None:
         raise DomainError("pick at most one chooser")
-    dirs, table, domain = _candidate_tables(kind, field, n)
+    dirs, table, domain = _candidate_tables(kind, field)
     if for_function is not None:
         if for_function.domain != domain:
             raise DomainError("function domain does not match the family")
@@ -591,7 +574,7 @@ def verify_bound(spec, F, tol=REL_TOL):
                         lhs, rhs, holds, constant_used=spec.constant)
 
 
-def bound_catalog(q, n=1, us=(1, Fraction(3, 2), 2, 3, 4, INF)):
+def bound_catalog(q):
     """The named upper bounds checked by the verification suites.
 
     Endpoint and diagonal bounds always apply; the off-diagonal region
@@ -614,7 +597,7 @@ def bound_catalog(q, n=1, us=(1, Fraction(3, 2), 2, 3, 4, INF)):
         BoundSpec("rd-l2-sharp", "refined", ExtendedExponent(2),
                   ExtendedExponent(2), 5.0, Fraction(1, 2)),
     ]
-    for u in us:
+    for u in (1, Fraction(3, 2), 2, 3, 4, INF):
         ue = ExtendedExponent(u)
         tau = diag_exponent(ue, d=2)
         specs.append(BoundSpec(f"planar-diag-u={ue}", "affine", ue, ue,

@@ -132,15 +132,17 @@ def test_criterion_5_exponent_formulas():
     ok &= mx.exponent_A(2, 4, 4) == Fraction(3, 4)
     ok &= mx.exponent_Ard(3, 3) == Fraction(2, 3)
     # slope fits across the sweep windows, within 0.1 each
-    cfg = cli.SuiteConfig(qs=cli.SWEEP_QS, seed=0)
-    for row in cli.sweep_rows(cfg):
+    window = {1: tuple(map(field, cli.SWEEP_QS)),
+              2: tuple(map(field, cli.N2_SWEEP_QS))}
+    for row in cli.sweep_rows(window):
         if not row["holds"]:
             ok = False
     outcome(5, "exponent-term-certificates-and-slopes", ok)
 
 
 def test_criterion_6_upper_bound_suite():
-    cfg = cli.SuiteConfig(qs=QS, suites=("diag", "offdiag"), seed=0, trials=8)
+    cfg = cli.SuiteConfig(fields=tuple(map(field, QS)),
+                          suites=("diag", "offdiag"), seed=0, trials=8)
     rows = cli.suite_diag(cfg) + cli.suite_offdiag(cfg)
     ok = bool(rows) and all(r["holds"] for r in rows)
     # the paper's explicit constants appear in the catalog
@@ -185,8 +187,8 @@ def test_criterion_7_section_11_separations():
 
 def test_criterion_8_size_and_moment_reports():
     ok = True
-    cfg = cli.SuiteConfig(qs=(5, 7), suites=("kakeya-bounds",), seed=0,
-                          trials=5)
+    cfg = cli.SuiteConfig(fields=(field(5), field(7)),
+                          suites=("kakeya-bounds",), seed=0, trials=5)
     rows = cli.suite_kakeya_bounds(cfg)
     ok &= bool(rows) and all(r["holds"] for r in rows)
     # the (2,2) report uses exactly |E| >= m^2 |Omega| / (25 q)

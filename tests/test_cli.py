@@ -15,10 +15,20 @@ from kakeyalab import constructions as cn
 from kakeyalab import cli
 
 
-def small_config(**kw):
-    defaults = dict(qs=(3, 5), suites=("census",), seed=1, trials=2)
+def small_config(qs=(3, 5), **kw):
+    defaults = dict(fields=tuple(Field(q) for q in qs), suites=("census",),
+                    seed=1, trials=2)
     defaults.update(kw)
     return cli.SuiteConfig(**defaults)
+
+
+def resolved_config(monkeypatch, argv, suite="census"):
+    """The SuiteConfig a verify command line hands to its suites."""
+    seen = []
+    monkeypatch.setitem(cli.SUITES, suite, lambda cfg: seen.append(cfg) or [])
+    assert cli.main(["verify", *argv, "--suite", suite]) == 0
+    (cfg,) = seen
+    return cfg
 
 
 def test_run_suite_census_ok():
@@ -123,6 +133,8 @@ def test_main_bad_q_exit_2():
 
 def test_sweep_needs_three_qs():
     assert cli.main(["sweep", "--q", "3,5"]) == 2
+    # --big does not count towards the sweep's q values
+    assert cli.main(["sweep", "--q", "3,5", "--big"]) == 2
 
 
 def test_sweep_default_passes(tmp_path, capsys):
@@ -245,13 +257,19 @@ def test_q_above_the_cap_exits_2_within_seconds(tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--q", "1000003", "--suite", "census"],
-    ["--q", "9", "--modulus", "1,0,0", "--suite", "ttstar,census"],
-    ["--q", "3", "--suite", "census,nope"],
+    ["verify", "--q", "1000003", "--suite", "census"],
+    ["verify", "--q", "9", "--modulus", "1,0,0", "--suite", "ttstar,census"],
+    ["verify", "--q", "3", "--suite", "census,nope"],
+    ["verify", "--q", "6", "--suite", "exponents"],
+    ["verify", "--q", "1000003", "--suite", "exponents"],
+    ["verify", "--q", "3,5,6", "--suite", "census,exponents"],
+    ["census", "--q", "6"],
+    ["examples", "--q", "6"],
 ])
 def test_verify_config_error_writes_nothing_to_stdout(capsys, argv):
-    # a bad config must not read like an empty passing run on stdout
-    assert cli.main(["verify", *argv]) == 2
+    # a bad config must not read like an empty passing run on stdout, under
+    # census and examples as under verify
+    assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err
@@ -328,12 +346,49 @@ def test_pointset_from_json_raises_only_domain_errors(doc):
         pass
 
 
-def test_modulus_with_big_applies_to_the_given_q_only():
-    assert cli.main(["verify", "--q", "9", "--modulus", "2,1,1", "--big",
-                     "--suite", "census"]) == 0
-    cfg = cli.SuiteConfig(qs=(9,), modulus=(2, 1, 1), big=True)
-    assert cfg.field_for(9).modulus == (2, 1, 1)
-    assert cfg.field_for(16).modulus == Field(16).modulus
+def test_modulus_with_big_applies_to_the_given_q_only(monkeypatch):
+    argv = ["--q", "9", "--modulus", "2,1,1", "--big"]
+    assert cli.main(["verify", *argv, "--suite", "census"]) == 0
+    cfg = resolved_config(monkeypatch, argv)
+    assert [f.q for f in cfg.fields] == [9, 16, 25, 27]
+    assert cfg.fields[0].modulus == (2, 1, 1)
+    assert cfg.fields[1].modulus == Field(16).modulus
+
+
+@pytest.mark.parametrize("argv,n1", [
+    ([], cli.SWEEP_QS),
+    (["--q", "3,5"], cli.SWEEP_QS),
+    (["--q", "9", "--modulus", "2,1,1"], cli.SWEEP_QS),
+    (["--q", "3,5,7", "--big"], (3, 5, 7)),
+])
+def test_exponents_window_is_resolved_with_the_fields(monkeypatch, argv, n1):
+    cfg = resolved_config(monkeypatch, argv, suite="exponents")
+    assert [f.q for f in cfg.window[1]] == list(n1)
+    assert [f.q for f in cfg.window[2]] == list(cli.N2_SWEEP_QS)
+    # the window always uses the built-in fields, shared with the run's
+    builtin = [f for f in cfg.fields if f.modulus == Field(f.q).modulus]
+    for f in cfg.window[1] + cfg.window[2]:
+        assert f.modulus == Field(f.q).modulus
+        assert all(g is f for g in builtin if g.q == f.q)
+
+
+@pytest.mark.parametrize("suites,qs", [
+    ("census,diag", [3, 5, 7]),
+    ("census,exponents", [3, 5, 7, 9]),  # the rank-2 window adds q = 9
+])
+def test_each_field_is_built_once_per_run(monkeypatch, suites, qs):
+    built = []
+    init = Field.__init__
+
+    def counting_init(self, q, *args, **kw):
+        built.append(q)
+        init(self, q, *args, **kw)
+
+    monkeypatch.setattr(Field, "__init__", counting_init)
+    # a three-q window may miss a slope by more than 0.1: exit 1, not 2
+    assert cli.main(["verify", "--q", "3,5,7", "--trials", "1",
+                     "--suite", suites]) in (0, 1)
+    assert sorted(built) == qs
 
 
 def test_dump_fourier(tmp_path):

@@ -211,7 +211,7 @@ def _plan_cert_inputs():
     """(operator, n, kind, u, v) of every LOWER_BOUND_PLAN and SLOPE_PLAN pair."""
     out = [(op, n, kind, u, v) for op, n, kind, pairs in cli.LOWER_BOUND_PLAN
            for u, v in pairs]
-    out += [(op, n, kind, u, v) for _, op, n, kind, u, v, _ in cli.SLOPE_PLAN]
+    out += [(op, n, kind, u, v) for _, op, n, kind, u, v in cli.SLOPE_PLAN]
     return [(op, n, kind, mx.as_exponent(u), mx.as_exponent(v))
             for op, n, kind, u, v in out]
 
@@ -672,6 +672,30 @@ def test_pointset_rejects_non_integer_index(f5, index):
     # mask[True] would mark every point, and a float would raise IndexError
     with pytest.raises(DomainError, match="must be an integer"):
         cn.PointSet(h1(f5), [0, index])
+
+
+@pytest.mark.parametrize("dtype", [np.intp, np.int32, np.uint8, np.uint64])
+def test_pointset_from_index_array_matches_per_element(f5, dtype):
+    idx = np.array([124, 0, 7, 7, 63], dtype=dtype)
+    ps = cn.PointSet(h1(f5), idx)
+    assert ps == cn.PointSet(h1(f5), idx.tolist())
+    assert ps.indices == [0, 7, 63, 124]
+    assert len(cn.PointSet(h1(f5), np.array([], dtype=dtype))) == 0
+
+
+@pytest.mark.parametrize("idx", [np.array([0, 125]), np.array([3, -1]),
+                                 np.array([-1], dtype=np.int8), [-1]])
+def test_pointset_rejects_an_index_outside_the_domain(f5, idx):
+    # mask[-1] would mark the last point
+    with pytest.raises(DomainError, match="outside the domain"):
+        cn.PointSet(h1(f5), idx)
+
+
+@pytest.mark.parametrize("idx", [np.array([0.0, 2.0]), np.array([True]),
+                                 np.array([[0, 1]])])
+def test_pointset_rejects_a_non_integer_index_array(f5, idx):
+    with pytest.raises(DomainError, match="must be an integer"):
+        cn.PointSet(h1(f5), idx)
 
 
 def test_pointset_indicator_consistent(f5):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kakeyalab.field import DomainError, Field
+from kakeyalab import constructions as cn
 from kakeyalab import heisenberg as hz
 from kakeyalab import maximal as mx
 
@@ -149,7 +150,7 @@ def test_heis_max_op_delta(f5):
 def test_heis_max_op_line_indicator(f5):
     v = hz.ProjectiveDirection(f5, (1, 2))
     L = hz.HorizontalLine(hz.HPoint(f5, 0, 1, 3), v)
-    F = mx.GridFunction.indicator(h1(f5), L.point_indices)
+    F = cn.PointSet(h1(f5), L.point_indices).indicator()
     vals = mx.heis_max_op(F)
     dirs = hz.enumerate_projective_directions(f5, 1)
     assert vals[dirs.index(v)] == 5
@@ -170,7 +171,7 @@ def test_refined_max_op_constant(f5):
 def test_identity_heis_equals_max_over_slopes_exhaustive(f3):
     dom = h1(f3)
     singletons = [mx.GridFunction.delta(dom, i) for i in range(27)]
-    pairs = [mx.GridFunction.indicator(dom, c)
+    pairs = [cn.PointSet(dom, c).indicator()
              for c in combinations(range(27), 2)]
     for F in singletons + pairs:
         h = mx.heis_max_op(F)
@@ -373,30 +374,30 @@ def test_random_family_reproducible(f7):
     assert not np.array_equal(a.point_idx, c.point_idx)
 
 
-@pytest.mark.parametrize("kind,q,n", [
-    pytest.param("planar", 5, 1, id="planar"),
-    pytest.param("heis", 5, 1, id="heis"),
-    pytest.param("refined", 5, 1, id="refined"),
-    pytest.param("heis", 3, 2, id="heis-n2"),
-])
-def test_lazy_lines_match_index_table(kind, q, n):
+def test_linearize_kinds_are_planar_and_refined(f3):
+    for kind in ("heis", "affine"):
+        with pytest.raises(DomainError, match="unknown linearization kind"):
+            mx.linearize(kind, f3)
+
+
+@pytest.mark.parametrize("kind", ["planar", "refined"])
+def test_lazy_lines_match_index_table(kind):
     # each row, rebuilt as a line object from its first point, must be that
     # line in parameter order and carry the row's direction
+    q = 5
     f = Field(q)
-    fam = mx.linearize(kind, f, n=n, rng=mx.seeded_rng(6))
-    assert len(fam) == (q ** (2 * n) - 1) // (q - 1) * (
-        q if kind == "refined" else 1)
+    fam = mx.linearize(kind, f, rng=mx.seeded_rng(6))
+    assert len(fam) == (q + 1) * (q if kind == "refined" else 1)
     for want, row in zip(fam.directions, fam.point_idx.tolist()):
         if kind == "planar":
             base = hz.affine_point_from_index(f, 2, row[0])
             line = hz.AffineLine(f, base, want)
+            got = line.direction
         else:
-            base = hz.point_from_index(f, n, row[0])
-            v = want.projective() if kind == "refined" else want
-            line = hz.HorizontalLine(base, v)
+            base = hz.point_from_index(f, 1, row[0])
+            line = hz.HorizontalLine(base, want.projective())
+            got = line.refined_direction()
         assert line.point_indices == tuple(row)
-        got = (line.refined_direction() if kind == "refined"
-               else line.direction)
         assert got == want
 
 
@@ -404,7 +405,7 @@ def test_apply_linearized_line_sum_and_linearity(f5):
     fam = mx.linearize("refined", f5)
     dom = h1(f5)
     for i in (0, 7, 19):
-        F = mx.GridFunction.indicator(dom, fam.point_idx[i])
+        F = cn.PointSet(dom, fam.point_idx[i]).indicator()
         assert mx.apply_linearized(fam, F)[i] == 5
     f = mx.random_complex_grid(dom, mx.seeded_rng(8))
     g = mx.random_complex_grid(dom, mx.seeded_rng(9))
@@ -432,7 +433,7 @@ def test_gathered_tables_are_native_width_and_read_only(q):
     f = Field(q)
     cached = [mx.refined_incidence(f)[1], mx.heis1_incidence(f)[1],
               mx.affine_incidence(f, 2)[1]]
-    for kind in ("planar", "heis", "refined"):
+    for kind in ("planar", "refined"):
         cached.append(mx.linearize(kind, f, rng=mx.seeded_rng(q)).point_idx)
     for table in cached:
         assert table.dtype == np.intp
@@ -493,7 +494,7 @@ def _gram_by_membership(fam):
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 8, 9])
-@pytest.mark.parametrize("kind", ["planar", "refined", "heis"])
+@pytest.mark.parametrize("kind", ["planar", "refined"])
 def test_family_gram_matches_membership_loop(kind, q):
     f = Field(q)
     # the origin family (every line through one point) and two random ones
@@ -519,8 +520,7 @@ def test_l2_norm_planar_sqrt_2q(f5):
     assert mx.l2_operator_norm(fam) == pytest.approx(math.sqrt(10), rel=1e-9)
 
 
-@pytest.mark.parametrize("kind,seed", [("planar", 0), ("refined", 1),
-                                       ("heis", 2)])
+@pytest.mark.parametrize("kind,seed", [("planar", 0), ("refined", 1)])
 def test_l2_norm_against_dense_svd_oracle(f5, kind, seed):
     fam = mx.linearize(kind, f5, rng=mx.seeded_rng(seed))
     assert mx.l2_operator_norm(fam) == pytest.approx(_dense_sigma_max(fam),
