@@ -18,9 +18,10 @@ from .field import DomainError, field_table
 from . import heisenberg as hz
 from .maximal import (Domain, ExtendedExponent, GridFunction, VerifyReport,
                       _json_int, affine_incidence, as_exponent,
-                      domain_from_json, domain_to_json, exponent_Ard,
-                      heis_max_op, lp_norm, q_pow, rd_upper_constant,
-                      refined_incidence, refined_max_op, REL_TOL)
+                      check_point_index, domain_from_json, domain_to_json,
+                      exponent_Ard, heis_max_op, lp_norm, q_pow,
+                      rd_upper_constant, refined_incidence, refined_max_op,
+                      REL_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -44,12 +45,7 @@ class PointSet:
             mask[indices] = True
         else:
             for i in indices:
-                if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-                    raise DomainError(
-                        f"point index must be an integer, got {i!r}")
-                if not 0 <= i < domain.size:
-                    raise DomainError(f"point index {i} outside the domain")
-                mask[i] = True
+                mask[check_point_index(domain, i)] = True
         mask.flags.writeable = False
         self.domain = domain
         self.mask = mask
@@ -81,9 +77,6 @@ class PointSet:
 
     def contains_line(self, line):
         return bool(self.mask[list(line.point_indices)].all())
-
-    def __contains__(self, point):
-        return bool(self.mask[self.domain.point_index(point)])
 
     def __len__(self):
         return int(self.mask.sum())
@@ -368,62 +361,48 @@ def vertical_fiber_sizes(ps):
 # mu parameter and straightening
 
 
-def _mu(field, rep, x0, y0):
-    """mu of the lines of direction [a:b:c] over (x0, y0): c - (x0.b - y0.a),
-    the central slope less the horizontal t-slope at the base.  That is
-    gamma - (m x0 - y0) in the slope chart and gamma - x0 in the vertical
-    one; x0 and y0 may be index arrays."""
-    return field.np_sub[rep[2], hz._twist(field, rep[:2], (x0, y0))]
-
-
-def mu_parameter(line):
-    """Non-horizontality parameter of a non-vertical affine line in F_q^3.
-
-    Zero exactly when the line is horizontal; independent of the basepoint.
-    """
-    if not isinstance(line, hz.AffineLine) or line.d != 3:
-        raise DomainError("mu is defined for affine lines in F_q^3")
-    if not any(line.direction.rep[:2]):
+def mu_parameter(field, rep, x0, y0):
+    """mu of the F_q^3 lines in direction rep = [a:b:c] over (x0, y0):
+    c - (x0.b - y0.a), the central slope less the horizontal t-slope at the
+    base; gamma - (m x0 - y0) in the slope chart, gamma - x0 in the vertical
+    one.  Zero exactly on horizontal lines, and constant along each line.
+    Every argument is a field index or an index array (they broadcast); an
+    int comes back when all are scalars."""
+    if len(rep) != 3:
+        raise DomainError("mu is defined for lines of F_q^3")
+    a, b, c, x0, y0 = coords = [np.asarray(v) for v in (*rep, x0, y0)]
+    if any(v.dtype.kind not in "iu" or ((v < 0) | (v >= field.q)).any()
+           for v in coords):
+        raise DomainError("mu takes field indices")
+    if ((a == 0) & (b == 0)).any():
         raise DomainError("vertical lines carry no mu parameter")
-    return int(_mu(line.field, line.direction.rep, *line.base[:2]))
+    mu = field.np_sub[c, hz._twist(field, (a, b), (x0, y0))]
+    return int(mu) if mu.ndim == 0 else mu
 
 
-def straighten(obj, k, chart):
-    """Shear (x,y,t) -> (x,y,t-kx) ('slope') or (x,y,t-ky) ('vertical').
+def straighten(ps, k, chart):
+    """Shear a point set of H_1 or F_q^3 by (x,y,t) -> (x,y,t-kx) ('slope')
+    or (x,y,t-ky) ('vertical').
 
-    Bijective on H_1; maps any line with mu = k in the matching chart to a
+    Bijective; maps any line with mu = k in the matching chart to a
     horizontal line and shifts the direction's last coordinate by -k.
     """
-    if isinstance(obj, hz.HPoint):
-        field, in_3d = obj.field, obj.n == 1
-    elif isinstance(obj, hz.AffineLine):
-        field, in_3d = obj.field, obj.d == 3
-    elif isinstance(obj, PointSet):
-        field = obj.domain.field
-        in_3d = obj.domain.size == field.q**3
-    else:
-        raise DomainError(f"cannot straighten {type(obj).__name__}")
+    if not isinstance(ps, PointSet):
+        raise DomainError(f"cannot straighten {type(ps).__name__}")
+    field = ps.domain.field
+    q = field.q
+    if ps.domain.size != q**3:
+        raise DomainError("straightening acts on H_1 and F_q^3")
     if chart not in ("slope", "vertical"):
         raise DomainError("chart must be 'slope' or 'vertical'")
     k = field.coerce_index(k)
     if k == 0:
         raise DomainError("straightening needs nonzero k")
-    if not in_3d:
-        raise DomainError("straightening acts on H_1 and F_q^3")
-
-    def move(x, y, t):  # linear, so it maps directions as it maps points
-        shear = field.np_mul[k, x if chart == "slope" else y]
-        return x, y, field.np_sub[t, shear]
-
-    if isinstance(obj, hz.HPoint):
-        return hz.HPoint(field, *move(obj.x[0], obj.y[0], obj.t))
-    if isinstance(obj, hz.AffineLine):
-        return hz.AffineLine(field, move(*obj.base), move(*obj.direction.rep))
-    q = field.q
-    x, y, t = move(*np.indices((q, q, q)).reshape(3, -1))
-    mask = np.empty_like(obj.mask)
-    mask[(x * q + y) * q + t] = obj.mask
-    return PointSet.from_mask(obj.domain, mask)
+    x, y, t = np.indices((q, q, q)).reshape(3, -1)
+    t = field.np_sub[t, field.np_mul[k, x if chart == "slope" else y]]
+    mask = np.empty_like(ps.mask)
+    mask[(x * q + y) * q + t] = ps.mask
+    return PointSet.from_mask(ps.domain, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +418,7 @@ class KakeyaReport:
     omega1: list                 # refined directions realized by lines in E
     omega2: list                 # the rest of D_1
     slices: dict                 # k (index in F_q^*) -> list of omega in Omega_2
-    chosen_lines: dict           # omega -> chosen contained affine line
+    chosen_lines: dict           # omega -> point indices of its chosen line
     unwitnessed: list            # omega in Omega_2 with no contained line
     max_values: np.ndarray       # M_E over D_1, enumeration order
     m: int                       # min of max_values
@@ -449,56 +428,52 @@ class KakeyaReport:
 def omega_partition(ps):
     """Split D_1 into horizontal-realized directions and the rest.
 
-    For each direction in Omega_2, a contained affine Kakeya line is chosen
-    (smallest mu index, then enumeration order); its mu value is necessarily
+    Refined direction i is direction i of F_q^3, so the affine lines of a
+    direction in Omega_2 are block i of affine_incidence(field, 3).  Of those
+    contained in the set, the one of smallest mu (first in row order on ties)
+    is chosen and kept as its row of q point indices; its mu is necessarily
     nonzero and indexes the straightening slice the direction joins.
     """
     if ps.domain.kind != "heisenberg" or ps.domain.n != 1:
         raise DomainError("the partition is defined for H_1 sets")
     field = ps.domain.field
+    q = field.q
     dirs, table = refined_incidence(field)
     contained = ps.mask[table].all(axis=2).any(axis=1)
     omega1 = [om for om, ok in zip(dirs, contained) if ok]
     omega2 = [om for om, ok in zip(dirs, contained) if not ok]
 
-    affine_ps = as_affine_set(ps)
+    pos = np.flatnonzero(~contained)
+    _, atable = affine_incidence(field, 3)
+    # one direction block at a time, so no table-sized temporary is built
+    inside = np.array([ps.mask[atable[i]].all(axis=1) for i in pos],
+                      dtype=bool).reshape(len(pos), q * q)
+    bases = atable[pos, :, 0]
+    reps = np.array([om.rep for om in omega2], dtype=np.intp).reshape(-1, 3)
+    mus = mu_parameter(field, reps.T[:, :, None],
+                       bases // (q * q), bases // q % q)
+    best = np.where(inside, mus, q).argmin(axis=1)
     slices = {}
     chosen = {}
     unwitnessed = []
-    for om in omega2:
-        line = _best_contained_line(affine_ps, om)
-        if line is None:
+    for om, row, mu, ok in zip(omega2, atable[pos, best],
+                               mus[np.arange(len(pos)), best],
+                               inside.any(axis=1)):
+        if not ok:
             unwitnessed.append(om)
             continue
-        mu = mu_parameter(line)
-        chosen[om] = line
-        slices.setdefault(mu, []).append(om)
+        chosen[om] = row
+        slices.setdefault(int(mu), []).append(om)
     if 0 in slices:
         raise AssertionError("a non-horizontal direction produced mu = 0")
 
     mvals = refined_max_op(ps.indicator())
     return KakeyaReport(
-        q=field.q, size=len(ps), omega1=omega1, omega2=omega2,
+        q=q, size=len(ps), omega1=omega1, omega2=omega2,
         slices=slices, chosen_lines=chosen, unwitnessed=unwitnessed,
         max_values=mvals, m=int(mvals.min()),
-        omega1_bound=field.q * len(omega1) / 25.0,
+        omega1_bound=q * len(omega1) / 25.0,
     )
-
-
-def _best_contained_line(affine_ps, omega):
-    """The contained affine line of direction omega with the smallest mu,
-    first in row order on ties; None when no line fits."""
-    field = affine_ps.domain.field
-    q = field.q
-    vdir = hz.ProjectiveDirection(field, omega.rep)
-    dirs, table = affine_incidence(field, 3)
-    rows = table[dirs.index(vdir)]
-    bases = rows[affine_ps.mask[rows].all(axis=1), 0]
-    if not len(bases):
-        return None
-    mus = _mu(field, vdir.rep, bases // (q * q), bases // q % q)
-    base = hz.affine_point_from_index(field, 3, int(bases[mus.argmin()]))
-    return hz.AffineLine(field, base, vdir)
 
 
 def kakeya_bound_report(ps, omega, m, u, v, tol=REL_TOL):

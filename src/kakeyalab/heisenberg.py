@@ -444,7 +444,6 @@ def census(field, n=1):
         lines_per_point=num_proj,
     )
 
-    whole = np.arange(q ** (2 * n + 1))
     points = None
     total_lines = 0
     per_dir_counts = set()
@@ -452,10 +451,10 @@ def census(field, n=1):
     realized_refined = 0
     for v in proj:
         table = line_table_for_direction(field, n, v)
-        covered = np.sort(table, axis=None)
+        hits = np.bincount(table.ravel(), minlength=q ** (2 * n + 1))
         if points is None:
-            points = len(np.unique(covered))
-        if not np.array_equal(covered, whole):
+            points = int(np.count_nonzero(hits))
+        if not (hits == 1).all():
             raise AssertionError(f"lines of direction {v} do not partition")
         total_lines += table.shape[0]
         per_dir_counts.add(table.shape[0])
@@ -535,9 +534,6 @@ class AffineLine:
             self._indices = tuple(affine_point_index(self.field, p)
                                   for p in self.points)
         return self._indices
-
-    def __contains__(self, pt):
-        return tuple(pt) in self.points
 
     def __len__(self):
         return len(self.points)

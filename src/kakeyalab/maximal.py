@@ -202,12 +202,14 @@ class Domain:
             return self.field.q ** (2 * self.n + 1)
         return self.field.q**self.n
 
-    def point_index(self, pt):
-        if self.kind == "heisenberg":
-            if not isinstance(pt, hz.HPoint):
-                pt = hz.HPoint(self.field, *pt)
-            return pt.index
-        return hz.affine_point_index(self.field, pt)
+
+def check_point_index(domain, i):
+    """i, when it is a non-bool integer inside the domain; else DomainError."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+        raise DomainError(f"point index must be an integer, got {i!r}")
+    if not 0 <= i < domain.size:
+        raise DomainError(f"point index {i} outside the domain")
+    return i
 
 
 class GridFunction:
@@ -245,13 +247,9 @@ class GridFunction:
         return cls(domain, np.full(domain.size, value, dtype=dtype))
 
     @classmethod
-    def delta(cls, domain, point=None):
+    def delta(cls, domain, index=0):
         vals = np.zeros(domain.size, dtype=np.int64)
-        if point is None:
-            idx = 0
-        else:
-            idx = point if isinstance(point, int) else domain.point_index(point)
-        vals[idx] = 1
+        vals[check_point_index(domain, index)] = 1
         return cls(domain, vals)
 
     def memo(self, key, compute):

@@ -147,6 +147,22 @@ def test_refined_direction_counts_and_fibers(f3):
     assert len(hz.enumerate_refined_directions(f3, 2)) == 120
 
 
+@pytest.mark.parametrize("q,modulus", [
+    *(pytest.param(q, None, id=str(q)) for q in (3, 4, 5, 9)),
+    pytest.param(9, (2, 1, 1), id="9-other-modulus"),
+])
+def test_refined_directions_lead_the_directions_of_f_q3(q, modulus):
+    # omega_partition reads refined direction i from block i of the F_q^3
+    # incidence table; only the vertical class [0:0:1] comes after them
+    fld = Field(q, modulus=modulus)
+    refined = hz.enumerate_refined_directions(fld, 1)
+    affine = hz.enumerate_directions(fld, 3)
+    assert len(refined) == q * q + q == len(affine) - 1
+    for i in range(q * q + q):
+        assert refined[i].rep == affine[i].rep
+    assert affine[-1].rep == (0, 0, 1)
+
+
 def test_vertical_class_unrepresentable(f3):
     with pytest.raises(DomainError):
         hz.RefinedDirection(f3, (0, 0, 1))

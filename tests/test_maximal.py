@@ -161,6 +161,12 @@ def test_refined_max_op_delta(f3):
     vals = mx.refined_max_op(F)
     for om, val in zip(hz.enumerate_refined_directions(f3, 1), vals):
         assert val == (1 if om.c == 0 else 0)
+    # vals[True] would mark all 27 points, vals[-1] the last one, and 27
+    # would raise a bare IndexError
+    for index, match in ((True, "must be an integer"), (-1, "outside"),
+                         (27, "outside")):
+        with pytest.raises(DomainError, match=match):
+            mx.GridFunction.delta(h1(f3), index)
 
 
 def test_refined_max_op_constant(f5):
