@@ -2,12 +2,10 @@
 over finite Heisenberg groups H_n(F_q)."""
 
 from .field import BUILTIN_MODULI, DomainError, Field
-from .heisenberg import (AffineLine, Census, HorizontalLine, HPoint,
-                         ProjectiveDirection, RefinedDirection, census,
-                         enumerate_points, enumerate_projective_directions,
+from .heisenberg import (Census, ProjectiveDirection, RefinedDirection,
+                         census, enumerate_projective_directions,
                          enumerate_refined_directions, lines_through_point,
-                         lines_with_direction, lines_with_refined_direction,
-                         planar_line_of)
+                         lines_with_refined_direction)
 from .maximal import (BoundSpec, Domain, ExtendedExponent, GridFunction,
                       LineFamily, VerifyReport, affine_max_op, apply_linearized,
                       exponent_A, exponent_Ard, grid_from_json, grid_to_json,

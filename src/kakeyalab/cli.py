@@ -2,7 +2,8 @@
 
 Commands: census, verify, sweep, maxop, examples.  Identical config and
 seed produce byte-identical CSV output; exit status is 0 when every
-checked bound holds, 1 when at least one fails, 2 on bad configuration.
+checked bound holds, 1 when at least one fails, 2 on bad configuration or
+input and on a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -389,8 +390,8 @@ def suite_examples(cfg):
         e1 = cn.example_affine_not_refined(om0)
         aff1, _ = cn.is_affine_kakeya(cn.as_affine_set(e1))
         ref1, wit1 = cn.is_full_refined_kakeya(e1)
-        om0_missing = not any(e1.contains_line(L)
-                              for L in hz.lines_with_refined_direction(om0))
+        om0_lines = hz.lines_with_refined_direction(om0)
+        om0_missing = not e1.mask[om0_lines].all(axis=1).any()
         rows.append(make_row("examples", "ex-affine-not-refined", q, 1, "", "",
                              float(aff1 and not ref1 and om0_missing), 1.0,
                              aff1 and not ref1 and om0_missing,
@@ -532,8 +533,13 @@ def run_suite(cfg):
 
 
 def load_grid(path):
-    with open(path) as fh:
-        doc = json.load(fh)
+    """The grid in the file at path; DomainError unless it is UTF-8 JSON."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad bytes, deep nesting
+            raise DomainError(f"{path} is not a JSON document: {exc}") \
+                from exc
     return mx.grid_from_json(doc)
 
 
@@ -578,6 +584,10 @@ def _config_from(args, default_qs=DEFAULT_QS, suites=ALL_SUITES):
     qs = _parse_qs(args.q) if args.q else tuple(default_qs)
     if args.trials is not None and args.trials < 1:
         raise DomainError("--trials must be at least 1")
+    if args.seed < 0:
+        raise DomainError("--seed must be at least 0")
+    if not 0 <= args.tol < math.inf:  # nan fails both comparisons
+        raise DomainError("--tol must be finite and at least 0")
     field = cache(Field)  # one built-in field per q for the whole run
     if args.modulus:
         try:
@@ -649,23 +659,16 @@ def cmd_sweep(args):
 
 
 def cmd_maxop(args):
-    try:
-        F = load_grid(args.infile)
-        if args.op == "affine":
-            vals = mx.affine_max_op(F)
-            dirs = hz.enumerate_directions(F.field, F.domain.n)
-        elif args.op == "heis":
-            vals = mx.heis_max_op(F)
-            dirs = hz.enumerate_projective_directions(F.field, F.domain.n)
-        elif args.op == "refined":
-            vals = mx.refined_max_op(F)
-            dirs = hz.enumerate_refined_directions(F.field, F.domain.n)
-        else:
-            print(f"unknown operator {args.op!r}", file=sys.stderr)
-            return 2
-    except (DomainError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    F = load_grid(args.infile)
+    if args.op == "affine":
+        vals = mx.affine_max_op(F)
+        dirs = hz.enumerate_directions(F.field, F.domain.n)
+    elif args.op == "heis":
+        vals = mx.heis_max_op(F)
+        dirs = hz.enumerate_projective_directions(F.field, F.domain.n)
+    else:  # argparse admits only the three operators
+        vals = mx.refined_max_op(F)
+        dirs = hz.enumerate_refined_directions(F.field, F.domain.n)
     doc = {"operator": args.op, "q": F.field.q,
            "directions": [list(d.rep) for d in dirs],
            "values": [float(x) for x in vals]}
@@ -723,6 +726,9 @@ def main(argv=None):
         return args.fn(args)
     except DomainError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an --in file unread, an --out file unwritten
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -18,10 +18,9 @@ from .field import DomainError, field_table
 from . import heisenberg as hz
 from .maximal import (Domain, ExtendedExponent, GridFunction, VerifyReport,
                       _json_int, affine_incidence, as_exponent,
-                      check_point_index, domain_from_json, domain_to_json,
-                      exponent_Ard, heis_max_op, lp_norm, q_pow,
-                      rd_upper_constant, refined_incidence, refined_max_op,
-                      REL_TOL)
+                      domain_from_json, domain_to_json, exponent_Ard,
+                      heis_max_op, lp_norm, q_pow, rd_upper_constant,
+                      refined_incidence, refined_max_op, REL_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +44,7 @@ class PointSet:
             mask[indices] = True
         else:
             for i in indices:
-                mask[check_point_index(domain, i)] = True
+                mask[hz.check_point_index(domain.size, i)] = True
         mask.flags.writeable = False
         self.domain = domain
         self.mask = mask
@@ -74,9 +73,6 @@ class PointSet:
 
     def complement(self):
         return PointSet.from_mask(self.domain, ~self.mask)
-
-    def contains_line(self, line):
-        return bool(self.mask[list(line.point_indices)].all())
 
     def __len__(self):
         return int(self.mask.sum())
@@ -122,7 +118,7 @@ def extremal_set(kind, field, n=1, *, eta=None):
         return PointSet(domain, [0])
     if kind == "single-line":
         v = hz.enumerate_projective_directions(field, n)[0]
-        return PointSet(domain, hz.line_table_for_direction(field, n, v)[0])
+        return PointSet(domain, hz.line_table_for_direction(field, v)[0])
     if kind == "bush":
         # the plane t = 0: each (z, 0) with z != 0 lies on the line through
         # the origin in direction [z]

@@ -1,12 +1,10 @@
-"""The group H_n(F_q), horizontal lines, refined directions, and counting.
+"""The group H_n(F_q): directions, horizontal lines as index rows, counting.
 
-Points, directions and lines are immutable; coordinates are stored as field
-indices (plain ints).  The point enumeration is row-major with t fastest,
-then the y block, then the x block: the enumeration of F_q^{2n+1}.  The
-line objects are the definitional oracle: a horizontal line is its q points
-p.(sa, sb, 0) under the group law.  Bulk enumeration (all lines of a
-direction at once) runs through index tables instead of objects; one coset
-builder makes every such table, for H_n and F_q^d alike.
+A point is stored as its index in the enumeration of F_q^{2n+1}: row-major,
+t fastest, then the y block, then the x block.  A horizontal line is the
+coset p.(sa, sb, 0) of its q points, held as a row of q point indices with
+column s the point at parameter s.  One coset builder makes every line and
+incidence table, for H_n and F_q^d alike.
 """
 
 from __future__ import annotations
@@ -23,86 +21,13 @@ from .field import DomainError
 # points
 
 
-class HPoint:
-    """A point (x, y, t) of H_n(F_q), coordinates as field indices."""
-
-    __slots__ = ("field", "n", "x", "y", "t")
-
-    def __init__(self, field, x, y, t):
-        x = tuple(field.coerce_index(c) for c in _as_seq(x))
-        y = tuple(field.coerce_index(c) for c in _as_seq(y))
-        if len(x) != len(y):
-            raise DomainError("x and y blocks differ in length")
-        self.field = field
-        self.n = len(x)
-        self.x = x
-        self.y = y
-        self.t = field.coerce_index(t)
-
-    @classmethod
-    def origin(cls, field, n=1):
-        return cls(field, (0,) * n, (0,) * n, 0)
-
-    def _check_compatible(self, other):
-        if not isinstance(other, HPoint):
-            raise DomainError("expected an HPoint")
-        if other.field != self.field or other.n != self.n:
-            raise DomainError("points live in different ambient groups")
-
-    def __mul__(self, other):
-        """Group law (x,y,t)(x',y',t') = (x+x', y+y', t+t'+(x.y'-y.x'))."""
-        self._check_compatible(other)
-        f = self.field
-        x = tuple(f.add(a, b) for a, b in zip(self.x, other.x))
-        y = tuple(f.add(a, b) for a, b in zip(self.y, other.y))
-        twist = 0
-        for xi, yi, xpi, ypi in zip(self.x, self.y, other.x, other.y):
-            twist = f.add(twist, f.sub(f.mul(xi, ypi), f.mul(yi, xpi)))
-        t = f.add(f.add(self.t, other.t), twist)
-        return HPoint(self.field, x, y, t)
-
-    def inverse(self):
-        f = self.field
-        return HPoint(f, tuple(f.neg(c) for c in self.x),
-                      tuple(f.neg(c) for c in self.y), f.neg(self.t))
-
-    def project(self):
-        """Drop t: the point (x, y) of F_q^{2n}."""
-        return self.x + self.y
-
-    @property
-    def index(self):
-        return affine_point_index(self.field, self.x + self.y + (self.t,))
-
-    def __eq__(self, other):
-        return (isinstance(other, HPoint) and self.field == other.field
-                and self.x == other.x and self.y == other.y and self.t == other.t)
-
-    def __hash__(self):
-        return hash((self.field.q, self.x, self.y, self.t))
-
-    def __repr__(self):
-        if self.n == 1:
-            return f"H({self.x[0]},{self.y[0]},{self.t})"
-        return f"H({self.x},{self.y},{self.t})"
-
-
-def _as_seq(c):
-    if isinstance(c, (tuple, list)):
-        return c
-    return (c,)
-
-
-def enumerate_points(field, n=1):
-    """All q^(2n+1) points in index order (t fastest, then y, then x)."""
-    return [point_from_index(field, n, idx)
-            for idx in range(field.q ** (2 * n + 1))]
-
-
-def point_from_index(field, n, idx):
-    """The point of H_n at idx: the point of F_q^{2n+1} at idx, as (x, y, t)."""
-    c = affine_point_from_index(field, 2 * n + 1, idx)
-    return HPoint(field, c[:n], c[n:2 * n], c[2 * n])
+def check_point_index(size, i):
+    """i, when it is a non-bool integer in [0, size); else DomainError."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+        raise DomainError(f"point index must be an integer, got {i!r}")
+    if not 0 <= i < size:
+        raise DomainError(f"point index {i} outside the domain")
+    return i
 
 
 # ---------------------------------------------------------------------------
@@ -228,113 +153,7 @@ def enumerate_refined_directions(field, n=1):
 
 
 # ---------------------------------------------------------------------------
-# horizontal lines
-
-
-class HorizontalLine:
-    """A right coset {p.(sa, sb, 0)}: always exactly q points."""
-
-    __slots__ = ("field", "n", "base", "direction", "points", "_indices")
-
-    def __init__(self, base, direction):
-        if direction.dim != 2 * base.n:
-            raise DomainError("direction dimension does not match ambient n")
-        if direction.field != base.field:
-            raise DomainError("direction and base use different fields")
-        f = base.field
-        n = base.n
-        self.field = f
-        self.n = n
-        self.base = base
-        self.direction = direction
-        pts = []
-        for s in range(f.q):
-            step = tuple(f.mul(s, c) for c in direction.rep)
-            pts.append(base * HPoint(f, step[:n], step[n:], 0))
-        self.points = tuple(pts)
-        self._indices = None
-
-    @property
-    def point_indices(self):
-        if self._indices is None:
-            self._indices = tuple(p.index for p in self.points)
-        return self._indices
-
-    def t_slope(self):
-        """c(L): the t step between consecutive points, x0.b - y0.a by the
-        group law, independent of the chosen basepoint."""
-        return self.field.sub(self.points[1].t, self.points[0].t)
-
-    def refined_direction(self):
-        return RefinedDirection(self.field,
-                                self.direction.rep + (self.t_slope(),))
-
-    def tau(self):
-        """Normal-form offset (n=1): the t of the point over the normal base,
-        so that the line is L_{omega,tau} for its refined direction omega."""
-        base = self.refined_direction().normal_base()
-        return next(p.t for p in self.points if p.project() == base)
-
-    def __contains__(self, p):
-        return p in self.points
-
-    def __len__(self):
-        return len(self.points)
-
-    def __eq__(self, other):
-        return (isinstance(other, HorizontalLine)
-                and self.field == other.field
-                and set(self.point_indices) == set(other.point_indices))
-
-    def __hash__(self):
-        return hash((self.field.q, frozenset(self.point_indices)))
-
-    def __repr__(self):
-        return f"Line(base={self.base}, dir={self.direction})"
-
-
-def lines_with_refined_direction(omega):
-    """The q pairwise-disjoint lines of refined direction omega (n=1).
-
-    Indexed by tau: L_{[1:m:g],tau} = {(x, mx-g, tau+gx)} and
-    L_{[0:1:g],tau} = {(g, y, tau+gy)}.
-    """
-    x, y = omega.normal_base()
-    v = omega.projective()
-    return [HorizontalLine(HPoint(omega.field, x, y, tau), v)
-            for tau in range(omega.field.q)]
-
-
-def _partition(total, line_at):
-    """The lines line_at(idx) through each point idx in range(total) that no
-    earlier line covers: the parallel class of one direction, in index order."""
-    seen = bytearray(total)
-    out = []
-    for idx in range(total):
-        if not seen[idx]:
-            out.append(line_at(idx))
-            for j in out[-1].point_indices:
-                seen[j] = 1
-    return out
-
-
-def lines_with_direction(field, n, v):
-    """The q^{2n} disjoint lines of projective direction v, partitioning H_n."""
-    return _partition(field.q ** (2 * n + 1), lambda idx: HorizontalLine(
-        point_from_index(field, n, idx), v))
-
-
-def lines_through_point(p):
-    """One line per projective direction: q+1 lines for n=1."""
-    return [HorizontalLine(p, v)
-            for v in enumerate_projective_directions(p.field, p.n)]
-
-
-def all_horizontal_lines(field, n=1):
-    out = []
-    for v in enumerate_projective_directions(field, n):
-        out.extend(lines_with_direction(field, n, v))
-    return out
+# horizontal lines as index rows
 
 
 def _transversal_axes(q, rep):
@@ -387,21 +206,66 @@ def _coset_table(field, rep, horizontal=False):
     return idx.reshape(-1, q)
 
 
-def line_table_for_direction(field, n, v):
-    """(q^{2n}, q) np.intp table: point indices of every line of direction v.
+def line_table_for_direction(field, v):
+    """(q^{2n}, q) np.intp table: point indices of every line of direction v,
+    with n = len(v.rep) // 2.
 
     Row r holds the r-th coset in transversal order; column s is the point
-    at parameter s, matching HorizontalLine's own parametrization.  The
-    operators gather from it once per input, so it keeps the native index
-    width of _coset_table: an int32 table would be cast on every gather.
+    p.(s v, 0) of the row's base p.  The operators gather from it once per
+    input, so it keeps the native index width of _coset_table: an int32
+    table would be cast on every gather.
     """
     return _coset_table(field, v.rep, horizontal=True)
 
 
-def line_slope_table(field, n, v):
-    """t-slope c(L) of each row of line_table_for_direction(field, n, v)."""
+def line_slope_table(field, v):
+    """t-slope c(L) of each row of line_table_for_direction(field, v)."""
     twist = _twist(field, v.rep, _transversal_axes(field.q, v.rep))
     return np.repeat(twist.astype(np.int64).ravel(), field.q)
+
+
+def _refined_blocks(field, rep):
+    """(q, q, q) np.intp: the lines of projective direction rep of H_1 as
+    normal-form blocks, block c holding L_{[rep:c],tau} in row tau.
+
+    In transversal order the rows run over the bases (0, y, tau) for [1:m],
+    with t-slope -y, and (x, 0, tau) for [0:1], with t-slope x.  So block c
+    starts at the normal base (0, -c, tau) or (c, 0, tau).
+    """
+    q = field.q
+    blocks = _coset_table(field, rep, horizontal=True).reshape(q, q, q)
+    return blocks[field.np_neg] if rep[0] else blocks
+
+
+def lines_with_refined_direction(omega):
+    """(q, q) np.intp: the q pairwise-disjoint lines of refined direction
+    omega (n=1), row tau the line L_{omega,tau}.
+
+    L_{[1:m:g],tau} = {(x, mx-g, tau+gx)} and L_{[0:1:g],tau} =
+    {(g, y, tau+gy)}; row omega of maximal.refined_incidence.
+    """
+    if omega.n != 1:
+        raise DomainError("normal-form lines are defined for n=1 only")
+    return _refined_blocks(omega.field, omega.rep[:-1])[omega.c]
+
+
+def lines_through_point(field, n, index=0):
+    """(P, q) np.intp: the line through the point at index in each of the P
+    projective directions of H_n, in enumeration order.
+
+    For p = (z, t) and v = (a, b), column s is p.(s v, 0) =
+    (z + s v, t + s (x.b - y.a)).
+    """
+    q = field.q
+    dims = (q,) * (2 * n + 1)
+    *z, t = np.unravel_index(check_point_index(q ** (2 * n + 1), index), dims)
+    dirs = enumerate_projective_directions(field, n)
+    reps = np.array([v.rep for v in dirs]).T       # (2n, P)
+    s_v = field.np_mul[reps[:, :, None], np.arange(q)]  # (2n, P, q)
+    zs = [field.np_add[c, step] for c, step in zip(z, s_v)]
+    ts = field.np_add[t, field.np_mul[_twist(field, reps, z)[:, None],
+                                      np.arange(q)]]
+    return np.ravel_multi_index((*zs, ts), dims)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +291,8 @@ def census(field, n=1):
     Lines are enumerated direction by direction through the index tables;
     each direction's lines must partition H_n, every (direction, slope)
     class must be realized, and all counts must match the formulas.  The
-    points counted are the distinct ones the first direction's lines cover.
+    points counted are the distinct ones the first direction's lines cover;
+    the lines per point, the distinct point sets through the origin.
     """
     q = field.q
     proj = enumerate_projective_directions(field, n)
@@ -450,7 +315,7 @@ def census(field, n=1):
     per_refined_counts = set()
     realized_refined = 0
     for v in proj:
-        table = line_table_for_direction(field, n, v)
+        table = line_table_for_direction(field, v)
         hits = np.bincount(table.ravel(), minlength=q ** (2 * n + 1))
         if points is None:
             points = int(np.count_nonzero(hits))
@@ -458,10 +323,9 @@ def census(field, n=1):
             raise AssertionError(f"lines of direction {v} do not partition")
         total_lines += table.shape[0]
         per_dir_counts.add(table.shape[0])
-        slope_hist = np.bincount(line_slope_table(field, n, v), minlength=q)
+        slope_hist = np.bincount(line_slope_table(field, v), minlength=q)
         realized_refined += int((slope_hist > 0).sum())
         per_refined_counts.update(int(c) for c in slope_hist)
-    origin = HPoint.origin(field, n)
     by_enum = Census(
         q=q, n=n,
         points=points,
@@ -472,115 +336,11 @@ def census(field, n=1):
                              if len(per_dir_counts) == 1 else -1),
         lines_per_refined_direction=(per_refined_counts.pop()
                                      if len(per_refined_counts) == 1 else -1),
-        lines_per_point=len(lines_through_point(origin)),
+        lines_per_point=len({frozenset(row) for row in
+                             lines_through_point(field, n).tolist()}),
     )
     if realized_refined != len(refined):
         raise AssertionError("some refined direction is not realized")
     if by_enum != by_formula:
         raise AssertionError(f"census mismatch: {by_enum} != {by_formula}")
     return by_formula
-
-
-# ---------------------------------------------------------------------------
-# affine lines in F_q^d
-
-
-def enumerate_affine_points(field, d):
-    """All q^d points of F_q^d, row-major with the last coordinate fastest."""
-    return list(product(range(field.q), repeat=d))
-
-
-def affine_point_index(field, pt):
-    idx = 0
-    for c in pt:
-        idx = idx * field.q + c
-    return idx
-
-
-def affine_point_from_index(field, d, idx):
-    q = field.q
-    coords = []
-    for _ in range(d):
-        coords.append(idx % q)
-        idx //= q
-    return tuple(reversed(coords))
-
-
-class AffineLine:
-    """An affine line {base + s v} of F_q^d as an explicit q-point set."""
-
-    __slots__ = ("field", "d", "base", "direction", "points", "_indices")
-
-    def __init__(self, field, base, direction):
-        base = tuple(field.coerce_index(c) for c in base)
-        if not isinstance(direction, ProjectiveDirection):
-            direction = ProjectiveDirection(field, direction)
-        if direction.dim != len(base):
-            raise DomainError("direction dimension does not match the point")
-        self.field = field
-        self.d = len(base)
-        self.base = base
-        self.direction = direction
-        pts = []
-        for s in range(field.q):
-            pts.append(tuple(field.add(c, field.mul(s, v))
-                             for c, v in zip(base, direction.rep)))
-        self.points = tuple(pts)
-        self._indices = None
-
-    @property
-    def point_indices(self):
-        if self._indices is None:
-            self._indices = tuple(affine_point_index(self.field, p)
-                                  for p in self.points)
-        return self._indices
-
-    def __len__(self):
-        return len(self.points)
-
-    def __eq__(self, other):
-        return (isinstance(other, AffineLine) and self.field == other.field
-                and self.d == other.d
-                and set(self.points) == set(other.points))
-
-    def __hash__(self):
-        return hash((self.field.q, self.d, frozenset(self.points)))
-
-    def __repr__(self):
-        return f"AffineLine(base={self.base}, dir={self.direction})"
-
-
-def affine_lines_with_direction(field, d, v):
-    """The q^{d-1} parallel lines of direction v, partitioning F_q^d."""
-    return _partition(field.q**d, lambda idx: AffineLine(
-        field, affine_point_from_index(field, d, idx), v))
-
-
-def all_affine_lines(field, d):
-    out = []
-    for v in enumerate_directions(field, d):
-        out.extend(affine_lines_with_direction(field, d, v))
-    return out
-
-
-def planar_line_of(omega):
-    """The affine line l_omega = {bx - ay = c} in F_q^2 (n=1).
-
-    The map omega -> l_omega is a bijection from D_1 onto all affine lines.
-    """
-    return AffineLine(omega.field, omega.normal_base(), omega.projective())
-
-
-def as_affine_line(line):
-    """View a horizontal line of H_1 as an affine line of F_q^3."""
-    if line.n != 1:
-        raise DomainError("ambient affine view implemented for n=1")
-    rd = line.refined_direction()
-    base = (line.base.x[0], line.base.y[0], line.base.t)
-    return AffineLine(line.field, base, ProjectiveDirection(line.field, rd.rep))
-
-
-def project_line(line):
-    """pi(L): the affine line of F_q^{2n} below a horizontal line."""
-    f = line.field
-    return AffineLine(f, line.base.project(), line.direction)

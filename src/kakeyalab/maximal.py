@@ -203,15 +203,6 @@ class Domain:
         return self.field.q**self.n
 
 
-def check_point_index(domain, i):
-    """i, when it is a non-bool integer inside the domain; else DomainError."""
-    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-        raise DomainError(f"point index must be an integer, got {i!r}")
-    if not 0 <= i < domain.size:
-        raise DomainError(f"point index {i} outside the domain")
-    return i
-
-
 class GridFunction:
     """A dense complex (or integer) table over a Domain's point enumeration.
 
@@ -249,7 +240,7 @@ class GridFunction:
     @classmethod
     def delta(cls, domain, index=0):
         vals = np.zeros(domain.size, dtype=np.int64)
-        vals[check_point_index(domain, index)] = 1
+        vals[hz.check_point_index(domain.size, index)] = 1
         return cls(domain, vals)
 
     def memo(self, key, compute):
@@ -331,10 +322,8 @@ def _build_heis1(field):
 def refined_incidence(field):
     """(refined directions, (q^2+q, q, q) point-index table) for H_1.
 
-    Row (omega, tau) holds the normal-form line L_{omega,tau}.  A projective
-    direction's table has q blocks of q rows: (0, y, tau) for [1:m], with
-    t-slope -y, and (x, 0, tau) for [0:1], with t-slope x.  So block gamma
-    starts at the normal base (0, -gamma, tau) or (gamma, 0, tau).
+    Row (omega, tau) holds the normal-form line L_{omega,tau}; block omega
+    is heisenberg.lines_with_refined_direction(omega).
     """
     return field_table(field, "refined-incidence", _build_refined)
 
@@ -344,8 +333,7 @@ def _build_refined(field):
     dirs = hz.enumerate_refined_directions(field, 1)
     table = np.empty((len(dirs), q, q), dtype=np.intp)
     for i, v in enumerate(hz.enumerate_projective_directions(field, 1)):
-        blocks = hz.line_table_for_direction(field, 1, v).reshape(q, q, q)
-        table[i * q:(i + 1) * q] = blocks[field.np_neg] if v.rep[0] else blocks
+        table[i * q:(i + 1) * q] = hz._refined_blocks(field, v.rep)
     return dirs, table
 
 
@@ -385,7 +373,7 @@ def heis_max_op_many(field, n, absrows):
     dirs = hz.enumerate_projective_directions(field, n)
     out = np.empty((absrows.shape[0], len(dirs)))
     for di, v in enumerate(dirs):
-        table = hz.line_table_for_direction(field, n, v)
+        table = hz.line_table_for_direction(field, v)
         out[:, di] = absrows[:, table].sum(axis=2).max(axis=1)
     return out
 

@@ -241,12 +241,24 @@ def test_maxop_overflowing_number_exits_2(tmp_path, text):
     ["verify", "--q", "1000003", "--suite", "census"],
     ["maxop", "--in", "huge.json"],
     ["maxop", "--in", "rank.json"],
+    # a file that cannot be read or written: exit 2 and one line on stderr
+    ["verify", "--q", "3", "--suite", "census", "--out", "no-dir/x.csv"],
+    ["sweep", "--q", "3,5,7", "--out", "no-dir/x.csv"],
+    ["maxop", "--in", "grid.json", "--out", "no-dir/x.json"],
+    ["verify", "--q", "3", "--suite", "fourier", "--trials", "1",
+     "--dump-fourier", "no-dir/f.json"],
+    ["maxop", "--in", "latin1.json"],
+    ["maxop", "--in", "deep.json"],
 ])
 def test_q_above_the_cap_exits_2_within_seconds(tmp_path, argv):
     (tmp_path / "huge.json").write_text(json.dumps(
         {"domain": "heisenberg", "q": 1000000000039, "values": []}))
     (tmp_path / "rank.json").write_text(json.dumps(
         {"domain": "heisenberg", "q": 2, "n": 100000000000, "values": []}))
+    (tmp_path / "grid.json").write_text(json.dumps(mx.grid_to_json(
+        mx.GridFunction.delta(mx.Domain.heisenberg(Field(3), 1)))))
+    (tmp_path / "latin1.json").write_bytes(b"\xff\xfe{}")
+    (tmp_path / "deep.json").write_text("[" * 100000)
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "kakeyalab.cli", *argv],
                           cwd=tmp_path, env=env, capture_output=True,
@@ -254,6 +266,7 @@ def test_q_above_the_cap_exits_2_within_seconds(tmp_path, argv):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -265,6 +278,12 @@ def test_q_above_the_cap_exits_2_within_seconds(tmp_path, argv):
     ["verify", "--q", "3,5,6", "--suite", "census,exponents"],
     ["census", "--q", "6"],
     ["examples", "--q", "6"],
+    # a negative seed, and a tolerance that fails true bounds (-1), passes
+    # any bound (inf) or makes every comparison false (nan)
+    ["verify", "--q", "3", "--seed", "-1"],
+    ["verify", "--q", "3", "--suite", "diag", "--trials", "1", "--tol", "nan"],
+    ["verify", "--q", "3", "--suite", "diag", "--tol", "-1"],
+    ["verify", "--q", "3", "--suite", "diag", "--tol", "inf"],
 ])
 def test_verify_config_error_writes_nothing_to_stdout(capsys, argv):
     # a bad config must not read like an empty passing run on stdout, under
@@ -419,3 +438,33 @@ def test_closed_stdout_keeps_the_status_of_the_rows(argv):
     assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
     assert "BrokenPipe" not in proc.stderr
+
+
+_PROBE = """
+import json, sys
+from kakeyalab import cli
+status = cli.main(sys.argv[1:])
+defined = sorted(f"{name}.{cls}" for name, mod in sys.modules.items()
+                 if name.split(".")[0] == "kakeyalab"
+                 for cls in ("HPoint", "HorizontalLine", "AffineLine")
+                 if cls in vars(mod))
+with open("probe.json", "w") as fh:
+    json.dump({"oracle": "oracle" in sys.modules, "defined": defined}, fh)
+sys.exit(status)
+"""
+
+
+def test_production_builds_no_line_objects(tmp_path):
+    # the line objects are the tests' oracle: a run of every suite, census
+    # and examples included, neither loads it nor finds them in the package
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _PROBE, "verify", "--q", "3",
+                           "--trials", "1", "--out", "run.csv"],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads((tmp_path / "probe.json").read_text())
+    assert probe == {"oracle": False, "defined": []}
+    suites = {row.split(",")[0] for row in
+              (tmp_path / "run.csv").read_text().splitlines()[1:]}
+    assert suites == set(cli.ALL_SUITES)

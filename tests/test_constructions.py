@@ -1,4 +1,3 @@
-import collections
 import json
 import math
 from fractions import Fraction
@@ -11,6 +10,8 @@ from kakeyalab import heisenberg as hz
 from kakeyalab import maximal as mx
 from kakeyalab import constructions as cn
 from kakeyalab import cli
+
+import oracle as ol
 
 INF = math.inf
 
@@ -44,27 +45,27 @@ def test_support_sizes(f5, f7):
 
 def test_bush_contains_all_lines_through_center(f5):
     bush = cn.extremal_set("bush", f5)
-    for L in hz.lines_through_point(hz.HPoint.origin(f5)):
-        assert bush.contains_line(L)
+    for L in ol.lines_through_point(ol.HPoint.origin(f5)):
+        assert ol.contains_line(bush, L)
 
 
 def _object_extremal_set(kind, field, n, eta=None):
     """The extremal supports built from point and line objects at the origin:
     the definitional oracle for the index formulas of extremal_set."""
-    origin = hz.HPoint.origin(field, n)
+    origin = ol.HPoint.origin(field, n)
     if kind == "point-mass":
         idx = [origin.index]
     elif kind == "single-line":
         v = hz.enumerate_projective_directions(field, n)[0]
-        idx = hz.HorizontalLine(origin, v).point_indices
+        idx = ol.HorizontalLine(origin, v).point_indices
     elif kind == "bush":
-        idx = {i for line in hz.lines_through_point(origin)
+        idx = {i for line in ol.lines_through_point(origin)
                for i in line.point_indices}
     elif kind == "two-lines-blocking":
-        idx = {hz.HPoint(field, x, 0, 0).index for x in range(field.q)}
-        idx |= {hz.HPoint(field, 0, x, 0).index for x in range(field.q)}
+        idx = {ol.HPoint(field, x, 0, 0).index for x in range(field.q)}
+        idx |= {ol.HPoint(field, 0, x, 0).index for x in range(field.q)}
     elif kind == "paraboloid":
-        idx = [hz.HPoint(field, x, y, field.add(
+        idx = [ol.HPoint(field, x, y, field.add(
                    field.mul(x, x), field.mul(eta, field.mul(y, y)))).index
                for x in range(field.q) for y in range(field.q)]
     return cn.PointSet(mx.Domain.heisenberg(field, n), idx)
@@ -360,8 +361,8 @@ def test_example_affine_not_refined(q):
         full, witness = cn.is_full_refined_kakeya(e)
         assert not full
         # om0 itself is a verified witness: every om0-line meets the fiber
-        assert not any(e.contains_line(L)
-                       for L in hz.lines_with_refined_direction(om0))
+        assert not any(ol.contains_line(e, L)
+                       for L in ol.lines_with_refined_direction(om0))
 
 
 def _mu_by_field_ops(fld, rep, x0, y0):
@@ -390,8 +391,8 @@ def test_best_contained_line_matches_object_scan(q):
         assert rep.omega2
         for om in rep.omega2:
             want = want_mu = None
-            for line in hz.affine_lines_with_direction(fld, 3, om.rep):
-                if ae.contains_line(line):
+            for line in ol.affine_lines_with_direction(fld, 3, om.rep):
+                if ol.contains_line(ae, line):
                     mu = _mu_by_field_ops(fld, om.rep, *line.base[:2])
                     if want is None or mu < want_mu:
                         want, want_mu = line, mu
@@ -406,7 +407,7 @@ def test_example_11_1_every_line_meets_removed_fiber(f5):
     om0 = hz.RefinedDirection(f5, (1, 2, 3))
     e = cn.example_affine_not_refined(om0)
     removed = e.complement()
-    for L in hz.lines_with_refined_direction(om0):
+    for L in ol.lines_with_refined_direction(om0):
         assert any(p.index in removed.indices for p in L.points)
 
 
@@ -420,10 +421,10 @@ def _bent_lines_by_points(fld):
             for x in range(q):
                 y = fld.sub(fld.mul(m, x), g)
                 t = fld.add(m2, fld.mul(g, x))
-                idx.add(hz.HPoint(fld, x, y, t).index)
+                idx.add(ol.HPoint(fld, x, y, t).index)
     for g in range(q):
         for y in range(q):
-            idx.add(hz.HPoint(fld, g, y, fld.mul(g, y)).index)
+            idx.add(ol.HPoint(fld, g, y, fld.mul(g, y)).index)
     return cn.PointSet(h1(fld), idx)
 
 
@@ -470,20 +471,20 @@ def test_example_11_2_slope_fiber_is_translated_squares(f5):
 def _line_set(fld, base, rep):
     # an expected line of F_q^3, as the point set of its AffineLine
     return cn.PointSet(mx.Domain.affine(fld, 3),
-                       hz.AffineLine(fld, base, rep).point_indices)
+                       ol.AffineLine(fld, base, rep).point_indices)
 
 
 def test_mu_zero_iff_horizontal(f5):
     # oracle: the point sets of all horizontal lines of H_1
     horizontal = {frozenset(L.point_indices)
                   for om in hz.enumerate_refined_directions(f5, 1)
-                  for L in hz.lines_with_refined_direction(om)}
+                  for L in ol.lines_with_refined_direction(om)}
     x0, y0 = np.indices((5, 5)).reshape(2, -1)
     for v in hz.enumerate_directions(f5, 3)[:-1]:   # all but [0:0:1]
         mus = cn.mu_parameter(f5, v.rep, x0, y0)
         assert mus.shape == (25,)
         for x, y, mu in zip(x0, y0, mus):
-            line = hz.AffineLine(f5, (x, y, 0), v)
+            line = ol.AffineLine(f5, (x, y, 0), v)
             assert (mu == 0) == (frozenset(line.point_indices) in horizontal)
 
 
@@ -495,7 +496,7 @@ def test_mu_example_line(f5):
 
 def test_mu_basepoint_independent_exhaustive(f5):
     for v in hz.enumerate_directions(f5, 3)[:-1]:
-        for line in hz.affine_lines_with_direction(f5, 3, v):
+        for line in ol.affine_lines_with_direction(f5, 3, v):
             x, y, _ = np.array(line.points).T
             mus = cn.mu_parameter(f5, v.rep, x, y)
             assert set(mus.tolist()) == {
@@ -597,14 +598,14 @@ def test_straighten_rejects_zero_k(f5):
 
 
 @pytest.mark.parametrize("obj", [
-    lambda f: hz.HPoint(f, (1, 1), (1, 1), 1),
-    lambda f: hz.AffineLine(f, (0, 0), (1, 2)),
+    lambda f: ol.HPoint(f, (1, 1), (1, 1), 1),
+    lambda f: ol.AffineLine(f, (0, 0), (1, 2)),
     lambda f: cn.PointSet.full(mx.Domain.heisenberg(f, 2)),
     lambda f: cn.extremal_set("bush", f).indicator(),
     lambda f: cn.PointSet.full(mx.Domain.affine(f, 2)),
     # straighten takes point sets only, so objects of H_1 and F_q^3 too
-    lambda f: hz.HPoint(f, 1, 1, 1),
-    lambda f: hz.AffineLine(f, (0, 0, 0), (1, 2, 3)),
+    lambda f: ol.HPoint(f, 1, 1, 1),
+    lambda f: ol.AffineLine(f, (0, 0, 0), (1, 2, 3)),
 ])
 def test_straighten_rejects_objects_outside_h1(f5, obj):
     with pytest.raises(DomainError):
@@ -630,8 +631,8 @@ def test_omega_partition_example_11_1(f5):
     assert rep.chosen_lines
     for om, row in rep.chosen_lines.items():
         # the row is a contained affine line of direction om, from its base
-        x0, y0, t0 = hz.affine_point_from_index(f5, 3, int(row[0]))
-        assert tuple(row) == hz.AffineLine(f5, (x0, y0, t0),
+        x0, y0, t0 = ol.affine_point_from_index(f5, 3, int(row[0]))
+        assert tuple(row) == ol.AffineLine(f5, (x0, y0, t0),
                                            om.rep).point_indices
         assert e.mask[row].all()
         line = _line_set(f5, (x0, y0, t0), om.rep)
@@ -647,39 +648,6 @@ def test_omega_partition_example_11_1(f5):
     assert sorted(map(str, slice_members)) == \
         sorted(str(om) for om in rep.omega2 if om not in rep.unwitnessed)
     assert 0 not in rep.slices
-
-
-@pytest.fixture
-def objects_built(monkeypatch):
-    """Counts HPoint, HorizontalLine and AffineLine constructions."""
-    built = collections.Counter()
-    for cls in (hz.HPoint, hz.HorizontalLine, hz.AffineLine):
-        def counting_init(self, *args, _init=cls.__init__, _cls=cls, **kw):
-            built[_cls.__name__] += 1
-            _init(self, *args, **kw)
-        monkeypatch.setattr(cls, "__init__", counting_init)
-    return built
-
-
-def test_index_paths_build_no_line_objects(objects_built):
-    for q in (5, 9):
-        fld = Field(q)
-        om0 = hz.enumerate_refined_directions(fld, 1)[q]
-        rep = cn.omega_partition(cn.example_affine_not_refined(om0))
-        assert rep.chosen_lines
-    cn.straighten(cn.extremal_set("paraboloid", Field(5)), 2, "vertical")
-    x0, y0 = np.indices((5, 5)).reshape(2, -1)
-    cn.mu_parameter(Field(5), (1, 2, 3), x0, y0)
-    fields = tuple(Field(q) for q in (3, 4, 5))
-    suites = tuple(s for s in cli.ALL_SUITES if s not in ("census", "examples"))
-    cfg = cli.SuiteConfig(fields=fields, window={1: fields, 2: fields},
-                          suites=suites, trials=1)
-    rows, status = cli.run_suite(cfg)
-    assert rows and status in (0, 1)   # 1: a heuristic slope fit may miss
-    assert not objects_built
-    # the two scans that still walk line objects: the counter sees them
-    cli.run_suite(cli.SuiteConfig(fields=fields[:1], suites=("census",)))
-    assert objects_built["HPoint"] and objects_built["HorizontalLine"]
 
 
 # -- size and moment reports ---------------------------------------------------------
