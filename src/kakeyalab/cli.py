@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -502,29 +503,61 @@ SUITES = {
 }
 
 
+@contextmanager
+def _out_writer(path):
+    """write(text) into the file at path, or nothing without a path.
+
+    The file is opened on entry, before the run computes anything, so an
+    unwritable path exits 2 at once.  A run that leaves without writing
+    (status 2, or an error) removes the file it opened, so no empty CSV is
+    left where a report is expected.
+    """
+    if not path:
+        yield lambda text: None
+        return
+    fh = open(path, "w")
+    written = False
+
+    def write(text):
+        nonlocal written
+        fh.write(text)
+        written = True
+
+    try:
+        with fh:
+            yield write
+    finally:
+        if not written and os.path.isfile(path):
+            os.remove(path)
+
+
 def run_suite(cfg):
-    """Run the configured suites; returns (rows, exit_status)."""
+    """Run the configured suites; returns (rows, exit_status).
+
+    The rows' CSV goes to cfg.out, which is opened before the first suite
+    runs (_out_writer); a status-2 run leaves no file there.
+    """
     rows = []
     for name in cfg.suites:
         if name not in SUITES:
             print(f"unknown suite: {name}", file=sys.stderr)
             return rows, 2
-    try:
-        for name in cfg.suites:
-            rows.extend(SUITES[name](cfg))
-    except DomainError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return rows, 2
-    status = 0
-    for r in rows:
-        r["seed"] = cfg.seed
-        if not r["holds"]:
-            print("VIOLATED: " + ",".join(_fmt(r[k]) for k in CSV_HEADER),
-                  file=sys.stderr)
-            status = 1
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(rows_to_csv(rows))
+    with _out_writer(cfg.out) as write:
+        try:
+            for name in cfg.suites:
+                rows.extend(SUITES[name](cfg))
+        except DomainError as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return rows, 2
+        status = 0
+        for r in rows:
+            r["seed"] = cfg.seed
+            if not r["holds"]:
+                print("VIOLATED: " + ",".join(_fmt(r[k]) for k in CSV_HEADER),
+                      file=sys.stderr)
+                status = 1
+        if cfg.out:
+            write(rows_to_csv(rows))
     return rows, status
 
 
@@ -649,11 +682,10 @@ def cmd_sweep(args):
         print("sweep needs at least 3 q values", file=sys.stderr)
         return 2
     # three or more q values: the rank-1 window is the fields themselves
-    rows = sweep_rows(cfg.window, "sweep")
-    csv_text = rows_to_csv(rows)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(csv_text)
+    with _out_writer(cfg.out) as write:
+        rows = sweep_rows(cfg.window, "sweep")
+        csv_text = rows_to_csv(rows)
+        write(csv_text)
     _emit(csv_text)
     return 0 if all(r["holds"] for r in rows) else 1
 

@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from .field import DomainError
+from .field import MAX_POINTS, DomainError
 
 
 # ---------------------------------------------------------------------------
@@ -28,6 +28,25 @@ def check_point_index(size, i):
     if not 0 <= i < size:
         raise DomainError(f"point index {i} outside the domain")
     return i
+
+
+def check_point_count(field, dim, name):
+    """DomainError when q^dim exceeds MAX_POINTS.  Since q >= 2, any dim of
+    MAX_POINTS.bit_length() or more is refused before the power is taken."""
+    if dim >= MAX_POINTS.bit_length() or field.q ** dim > MAX_POINTS:
+        raise DomainError(f"{name} over F_{field.q} exceeds the desk scale "
+                          f"of {MAX_POINTS} points")
+
+
+def check_rank(field, n):
+    """n as an int, when it is a non-bool integer >= 1 and H_n(F_q) has at
+    most MAX_POINTS points; else DomainError."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise DomainError(f"group rank must be an integer, got {n!r}")
+    if n < 1:
+        raise DomainError("group rank must be >= 1")
+    check_point_count(field, 2 * n + 1, f"H_{n}")
+    return int(n)
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +101,9 @@ def enumerate_directions(field, d):
 
 
 def enumerate_projective_directions(field, n=1):
-    """Horizontal directions of H_n: P^{2n-1}(F_q)."""
-    return enumerate_directions(field, 2 * n)
+    """Horizontal directions of H_n: P^{2n-1}(F_q), n checked by
+    check_rank."""
+    return enumerate_directions(field, 2 * check_rank(field, n))
 
 
 class RefinedDirection:
@@ -144,7 +164,8 @@ class RefinedDirection:
 
 
 def enumerate_refined_directions(field, n=1):
-    """All of D_n, fibered: for each projective direction, the q slopes c."""
+    """All of D_n, fibered: for each projective direction, the q slopes c.
+    enumerate_projective_directions checks the rank."""
     out = []
     for v in enumerate_projective_directions(field, n):
         for c in range(field.q):
@@ -188,8 +209,8 @@ def _coset_table(field, rep, horizontal=False):
     a broadcast sum of one (base coordinate, s) table per coordinate.
 
     The dtype is numpy's native index width, so a gather values[table]
-    indexes without first casting the table; only the F_q^3 incidence table
-    narrows its copy to int32 (see maximal.affine_incidence).
+    indexes without first casting the table; only the incidence tables of
+    F_q^d, d >= 3, narrow their copy (see maximal.affine_incidence).
     """
     q = field.q
     add = field.np_add.astype(np.intp)
@@ -256,6 +277,7 @@ def lines_through_point(field, n, index=0):
     For p = (z, t) and v = (a, b), column s is p.(s v, 0) =
     (z + s v, t + s (x.b - y.a)).
     """
+    n = check_rank(field, n)
     q = field.q
     dims = (q,) * (2 * n + 1)
     *z, t = np.unravel_index(check_point_index(q ** (2 * n + 1), index), dims)
@@ -294,6 +316,7 @@ def census(field, n=1):
     points counted are the distinct ones the first direction's lines cover;
     the lines per point, the distinct point sets through the origin.
     """
+    n = check_rank(field, n)
     q = field.q
     proj = enumerate_projective_directions(field, n)
     refined = enumerate_refined_directions(field, n)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import MAX_POINTS, DomainError, Field, field_table
+from .field import DomainError, Field, field_table
 from . import heisenberg as hz
 
 INF = math.inf
@@ -166,14 +166,6 @@ def rd_upper_constant(u, v):
 # domains and grid functions
 
 
-def _check_point_count(field, dim, name):
-    """DomainError when q^dim exceeds MAX_POINTS.  Since q >= 2, any dim of
-    MAX_POINTS.bit_length() or more is refused before the power is taken."""
-    if dim >= MAX_POINTS.bit_length() or field.q ** dim > MAX_POINTS:
-        raise DomainError(f"{name} over F_{field.q} exceeds the desk scale "
-                          f"of {MAX_POINTS} points")
-
-
 @dataclass(frozen=True)
 class Domain:
     """Where a grid function lives: H_n(F_q) or F_q^d."""
@@ -184,16 +176,13 @@ class Domain:
 
     @classmethod
     def heisenberg(cls, field, n=1):
-        if n < 1:
-            raise DomainError("group rank must be >= 1")
-        _check_point_count(field, 2 * n + 1, f"H_{n}")
-        return cls("heisenberg", field, n)
+        return cls("heisenberg", field, hz.check_rank(field, n))
 
     @classmethod
     def affine(cls, field, d):
         if d < 1:
             raise DomainError("affine dimension must be >= 1")
-        _check_point_count(field, d, f"F_q^{d}")
+        hz.check_point_count(field, d, f"F_q^{d}")
         return cls("affine", field, d)
 
     @property
@@ -285,9 +274,10 @@ def affine_incidence(field, d):
 
     Each direction's block holds its parallel lines in transversal order.
     The planar table (d = 2) is np.intp, so the operators and the U tables
-    gather from it without an index cast.  From d = 3 on it is int32: the
-    F_q^3 table has q^2 (q^2+q+1) q entries (15M at q = 27), only the set
-    predicates read it, and at native width it would double its bytes.
+    gather from it without an index cast.  From d = 3 on it has the
+    narrowest dtype that holds q^d - 1: the F_q^3 table has q^2 (q^2+q+1) q
+    entries (15M at q = 27), only the set predicates read it, and as uint16
+    (7 <= q <= MAX_Q) it takes a quarter of its native-width bytes.
     """
     return field_table(field, ("affine-incidence", d),
                        lambda f: _build_affine(f, d))
@@ -296,7 +286,7 @@ def affine_incidence(field, d):
 def _build_affine(field, d):
     q = field.q
     dirs = hz.enumerate_directions(field, d)
-    dtype = np.intp if d == 2 else np.int32
+    dtype = np.intp if d == 2 else np.min_scalar_type(q ** d - 1)
     table = np.empty((len(dirs), q ** (d - 1), q), dtype=dtype)
     for i, v in enumerate(dirs):
         table[i] = hz._coset_table(field, v.rep)

@@ -269,6 +269,47 @@ def test_q_above_the_cap_exits_2_within_seconds(tmp_path, argv):
     assert len(proc.stderr.splitlines()) == 1
 
 
+def _refuse(*args, **kw):
+    raise AssertionError("computed before the output file was opened")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--q", "3,5,7"],
+    ["verify", "--q", "3", "--suite", "census,examples"],
+    ["census", "--q", "3"],
+    ["examples", "--q", "5"],
+    ["sweep", "--q", "3,5,7"],
+])
+def test_unwritable_out_exits_2_before_any_suite_runs(monkeypatch, capsys,
+                                                      tmp_path, argv):
+    for name in cli.SUITES:
+        monkeypatch.setitem(cli.SUITES, name, _refuse)
+    monkeypatch.setattr(cli, "sweep_rows", _refuse)
+    out = tmp_path / "no-dir" / "x.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_status_2_run_leaves_no_file_at_out(monkeypatch, capsys, tmp_path):
+    def late_error(cfg):
+        raise DomainError("raised after the output file was opened")
+    monkeypatch.setitem(cli.SUITES, "examples", late_error)
+    out = tmp_path / "x.csv"
+    assert cli.main(["verify", "--q", "3", "--suite", "census,examples",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+    # a violated bound (status 1) still writes every row
+    monkeypatch.setitem(cli.SUITES, "examples", lambda cfg: [cli.make_row(
+        "examples", "always-false", 3, 1, "", "", 2.0, 1.0, False)])
+    assert cli.main(["verify", "--q", "3", "--suite", "census,examples",
+                     "--out", str(out)]) == 1
+    assert out.read_text().splitlines()[-1].startswith(
+        "examples,always-false")
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--q", "1000003", "--suite", "census"],
     ["verify", "--q", "9", "--modulus", "1,0,0", "--suite", "ttstar,census"],

@@ -1,9 +1,11 @@
 import cmath
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kakeyalab import cli
 from kakeyalab import constructions as cn
 from kakeyalab import field as fd
 from kakeyalab import fourier as fr
@@ -247,6 +249,119 @@ def test_other_modulus_gets_its_own_entries():
                 for ln in ol.affine_lines_with_direction(fld, 2, v))
     assert fr.chi_matrix(builtin) is not fr.chi_matrix(other)
     assert not np.array_equal(fr.chi_matrix(builtin), fr.chi_matrix(other))
+
+
+@pytest.fixture
+def cache(monkeypatch):
+    """An empty table cache for one test; the module's own comes back after."""
+    monkeypatch.setattr(fd, "_FIELD_TABLES", OrderedDict())
+    return fd._FIELD_TABLES
+
+
+def _entries_of(fld):
+    return {key: value for (f, key), value in fd._FIELD_TABLES.items()
+            if f == fld}
+
+
+def _snapshot(entries):
+    """Per key, the value with every array read as (dtype, shape, bytes)."""
+    return {key: [(a.dtype, a.shape, a.tobytes())
+                  if isinstance(a, np.ndarray) else a
+                  for a in (value if isinstance(value, tuple) else (value,))]
+            for key, value in entries.items()}
+
+
+def _zeros(nbytes):
+    return lambda f: np.zeros(nbytes, dtype=np.uint8)
+
+
+def test_evicted_entries_are_rebuilt_with_identical_bytes(cache, monkeypatch):
+    f3 = Field(3)
+    _fill_every_table(f3)
+    before = _snapshot(_entries_of(f3))
+    assert {k if isinstance(k, str) else k[0] for k in before} == {
+        "affine-incidence", "heis1-incidence", "refined-incidence", "chi",
+        "u-plane-index", "u-phases", "extremal-op-values"}
+    monkeypatch.setattr(fd, "TABLE_BUDGET", 0)
+    fr.chi_matrix(Field(5))  # a build for another field drops every entry
+    assert not _entries_of(f3)
+    _fill_every_table(f3)
+    assert _snapshot(_entries_of(f3)) == before
+
+
+def test_a_build_never_evicts_its_own_fields_entries(cache, monkeypatch):
+    monkeypatch.setattr(fd, "TABLE_BUDGET", 0)
+    fr.chi_matrix(Field(7))
+    f5 = Field(5)
+    _fill_every_table(f5)  # nested builds (heis1 reads refined) included
+    assert list(_entries_of(f5)) == [key for _, key in cache]
+    # as in the examples suite: the e1 and e2 checks and the build between
+    # them share one F_q^3 table
+    table = mx.affine_incidence(f5, 3)[1]
+    cn.lower_bound_ratio("constant", f5, 3, 3, operator="refined")
+    assert mx.affine_incidence(f5, 3)[1] is table
+
+
+def test_a_build_leaves_at_most_the_budget_besides_its_field(cache,
+                                                             monkeypatch):
+    budget = 10_000
+    monkeypatch.setattr(fd, "TABLE_BUDGET", budget)
+
+    def build_of(nbytes, view):
+        def build(f):
+            # other fields' entries were dropped before the build began
+            assert fd.table_bytes(value for (g, _), value in cache.items()
+                                  if g != f) <= budget
+            if view:  # a view of another entry, built by a nested build
+                return fd.field_table(f, 0, build_of(nbytes, False))[:10]
+            return np.zeros(nbytes, dtype=np.uint8)
+        return build
+
+    fields = [Field(q) for q in (2, 3, 4, 5, 7)]
+    rng = np.random.Generator(np.random.PCG64(13))
+    for _ in range(400):
+        fld = fields[rng.integers(len(fields))]
+        key = int(rng.integers(8))
+        build = build_of(int(rng.integers(1, 6000)), key == 7)
+        missing = (fld, key) not in cache
+        fd.field_table(fld, key, build)
+        if missing:
+            own = fd.table_bytes(_entries_of(fld).values())
+            assert fd.table_bytes(cache.values()) <= budget + own
+
+
+def test_hits_refresh_entries_and_views_count_their_root_once(cache,
+                                                             monkeypatch):
+    f3, f5, f7 = Field(3), Field(5), Field(7)
+    base = fd.field_table(f3, "base", _zeros(1000))
+    view = fd.field_table(f3, "view", lambda f: base.reshape(10, 100))
+    assert fd.table_bytes(cache.values()) == 1000
+    fd.field_table(f5, "t", _zeros(1000))
+    assert fd.field_table(f3, "base", None) is base  # a hit: now most recent
+    monkeypatch.setattr(fd, "TABLE_BUDGET", 1999)
+    fd.field_table(f7, "t", _zeros(1000))
+    # the view goes first but frees nothing, then f5's entry
+    assert list(cache) == [(f3, "base"), (f7, "t")]
+    assert fd.table_bytes([view]) == 1000  # a view keeps its root counted
+
+
+def test_h1_tables_of_every_default_and_big_field_fit_the_budget(
+        cache, monkeypatch, tmp_path):
+    evict = fd._evict_for
+    dropped = []
+
+    def counting_evict(field):
+        before = len(cache)
+        evict(field)
+        dropped.append(before - len(cache))
+
+    monkeypatch.setattr(fd, "_evict_for", counting_evict)
+    assert cli.main(["verify", "--big", "--trials", "1", "--suite",
+                     "planar-l2,ttstar,diag,offdiag,rd-l2,fourier",
+                     "--out", str(tmp_path / "h1.csv")]) == 0
+    assert dropped and not any(dropped)
+    assert {f.q for f, _ in cache} == set(cli.DEFAULT_QS + cli.BIG_QS)
+    assert fd.table_bytes(cache.values()) <= fd.TABLE_BUDGET
 
 
 @pytest.mark.parametrize("bad", [1.9, 0.5, 4.0, True, False, np.bool_(True),

@@ -278,6 +278,36 @@ def test_lines_through_point_rejects_a_bad_index(f3, index, match):
         hz.lines_through_point(f3, 1, index)
 
 
+_RANKED = {
+    "census": hz.census,
+    "lines_through_point": hz.lines_through_point,
+    "enumerate_projective_directions": hz.enumerate_projective_directions,
+    "enumerate_refined_directions": hz.enumerate_refined_directions,
+    "Domain.heisenberg": mx.Domain.heisenberg,
+}
+
+
+@pytest.mark.parametrize("fn", _RANKED.values(), ids=_RANKED.keys())
+@pytest.mark.parametrize("n,match", [
+    (0, ">= 1"), (-1, ">= 1"), (True, "must be an integer"),
+    (1.5, "must be an integer"), ("1", "must be an integer"),
+    (100000000000, "desk scale"),   # refused before q^(2n+1) is taken
+])
+def test_bad_rank_is_refused_by_one_check(f3, fn, n, match):
+    with pytest.raises(DomainError, match=match):
+        fn(f3, n)
+
+
+def test_rank_cap_is_the_point_count():
+    f31 = Field(31)  # 31^5 points fit, 31^7 do not
+    assert len(hz.enumerate_projective_directions(f31, 2)) \
+        == (31**4 - 1) // 30
+    with pytest.raises(DomainError, match="desk scale"):
+        hz.enumerate_projective_directions(f31, 3)
+    with pytest.raises(DomainError, match="desk scale"):
+        hz.enumerate_projective_directions(Field(3), 8)  # 3^17 points
+
+
 @pytest.mark.parametrize("q,modulus", [
     *(pytest.param(q, None, id=str(q)) for q in (3, 4, 5, 9, 16, 27)),
     pytest.param(9, (2, 1, 1), id="9-other-modulus"),

@@ -449,9 +449,22 @@ def test_gathered_tables_are_native_width_and_read_only(q):
     for n in (1, 2):
         v = hz.enumerate_projective_directions(f, n)[-1]
         assert hz.line_table_for_direction(f, v).dtype == np.intp
-    # the F_q^3 table stays narrow: only the set predicates read it
+    # the F_q^3 table is as narrow as its largest index: only the set
+    # predicates read it
     f3_table = mx.affine_incidence(f, 3)[1]
-    assert f3_table.dtype == np.int32 and not f3_table.flags.writeable
+    assert f3_table.dtype == np.min_scalar_type(q**3 - 1)
+    assert not f3_table.flags.writeable
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_narrow_f3_table_equals_the_native_width_build(q):
+    f = Field(q)
+    dirs, table = mx.affine_incidence(f, 3)
+    assert table.dtype == np.min_scalar_type(q**3 - 1)
+    assert table.dtype == (np.uint8 if q < 7 else np.uint16)
+    assert len(dirs) == len(table) == q * q + q + 1
+    for v, block in zip(dirs, table):
+        assert np.array_equal(block, hz._coset_table(f, v.rep))
 
 
 # -- TT* and operator norms ------------------------------------------------------
