@@ -2,8 +2,7 @@
 over finite Heisenberg groups H_n(F_q)."""
 
 from .field import BUILTIN_MODULI, DomainError, Field
-from .heisenberg import (Census, ProjectiveDirection, RefinedDirection,
-                         census, enumerate_projective_directions,
+from .heisenberg import (Census, census, enumerate_projective_directions,
                          enumerate_refined_directions, lines_through_point,
                          lines_with_refined_direction)
 from .maximal import (BoundSpec, Domain, ExtendedExponent, GridFunction,
@@ -18,9 +17,9 @@ from .fourier import (CentralFourierTable, UTable, central_fourier,
                       t_xi_component, u_tables)
 from .constructions import (KakeyaReport, LowerBoundReport, PointSet,
                             example_affine_not_refined,
-                            example_refined_not_affine, extremal_function,
-                            extremal_set, is_affine_kakeya,
-                            is_full_refined_kakeya, kakeya_bound_report,
+                            example_refined_not_affine, extremal_set,
+                            is_affine_kakeya, is_full_refined_kakeya,
+                            kakeya_bound_report,
                             lower_bound_ratio, moment_report, mu_parameter,
                             omega_partition, pointset_from_json,
                             pointset_to_json, straighten)

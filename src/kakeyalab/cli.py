@@ -166,13 +166,12 @@ def suite_ttstar(cfg):
 
 
 def _structured_h1(fld):
-    out = [("delta", cn.extremal_function("point-mass", fld)),
-           ("line", cn.extremal_function("single-line", fld)),
-           ("bush", cn.extremal_function("bush", fld)),
-           ("constant", cn.extremal_function("constant", fld))]
+    kinds = [("delta", "point-mass"), ("line", "single-line"),
+             ("bush", "bush"), ("constant", "constant")]
     if fld.q % 2:
-        out.append(("paraboloid", cn.extremal_function("paraboloid", fld)))
-    return out
+        kinds.append(("paraboloid", "paraboloid"))
+    return [(label, cn.extremal_set(kind, fld).indicator())
+            for label, kind in kinds]
 
 
 def _bound_rows(cfg, suite, fld, specs, trials):
@@ -388,15 +387,15 @@ def suite_examples(cfg):
         q = fld.q
         dirs = hz.enumerate_refined_directions(fld, 1)
         om0 = dirs[len(dirs) // 2]
-        e1 = cn.example_affine_not_refined(om0)
+        e1 = cn.example_affine_not_refined(fld, om0)
         aff1, _ = cn.is_affine_kakeya(cn.as_affine_set(e1))
         ref1, wit1 = cn.is_full_refined_kakeya(e1)
-        om0_lines = hz.lines_with_refined_direction(om0)
+        om0_lines = hz.lines_with_refined_direction(fld, om0)
         om0_missing = not e1.mask[om0_lines].all(axis=1).any()
         rows.append(make_row("examples", "ex-affine-not-refined", q, 1, "", "",
                              float(aff1 and not ref1 and om0_missing), 1.0,
                              aff1 and not ref1 and om0_missing,
-                             trial=str(om0)))
+                             trial=hz.direction_label(om0)))
         rows.append(make_row("examples", "ex-affine-not-refined-size", q, 1,
                              "", "", len(e1), q**3 - q, len(e1) == q**3 - q))
 
@@ -409,19 +408,18 @@ def suite_examples(cfg):
             e2 = cn.example_refined_not_affine(fld)
             aff2, wit2 = cn.is_affine_kakeya(cn.as_affine_set(e2))
             ref2, _ = cn.is_full_refined_kakeya(e2)
-            vertical = hz.ProjectiveDirection(fld, (0, 0, 1))
+            ok = ref2 and not aff2 and wit2 == (0, 0, 1)
             rows.append(make_row("examples", "ex-refined-not-affine", q, 1,
-                                 "", "",
-                                 float(ref2 and not aff2 and wit2 == vertical),
-                                 1.0, ref2 and not aff2 and wit2 == vertical,
-                                 trial=str(wit2)))
+                                 "", "", float(ok), 1.0, ok,
+                                 trial="None" if wit2 is None
+                                 else hz.direction_label(wit2)))
             fiber = int(cn.vertical_fiber_sizes(e2).max())
             rows.append(make_row("examples", "ex-refined-fiber-bound", q, 1,
                                  "", "", fiber, (q + 3) // 2,
                                  fiber <= (q + 3) // 2))
 
         if q % 2:
-            para = cn.extremal_function("paraboloid", fld)
+            para = cn.extremal_set("paraboloid", fld).indicator()
             g = mx.project_aggregate(para, 1)
             m2g = mx.affine_max_op(g)
             mh = mx.heis_max_op(para)
@@ -439,15 +437,16 @@ def suite_kakeya_bounds(cfg):
     for fld in cfg.fields:
         q = fld.q
         dom = mx.Domain.heisenberg(fld, 1)
-        dirs, lines = mx.refined_incidence(fld)
-        cases = [("full-space", cn.PointSet.full(dom), dirs, q)]
+        _, lines = mx.refined_incidence(fld)
+        every = np.arange(len(lines))
+        cases = [("full-space", cn.PointSet.full(dom), every, q)]
         if q % 2 and q > 3:
             e2 = cn.example_refined_not_affine(fld)
-            cases.append(("refined-kakeya-set", e2, dirs, q))
+            cases.append(("refined-kakeya-set", e2, every, q))
         for trial in range(cfg.ntrials(5)):
             rng = _rng(cfg, "kakeya-bounds", q, trial)
             chosen = [int(i) for i in
-                      rng.choice(len(dirs), size=q + 1, replace=False)]
+                      rng.choice(len(lines), size=q + 1, replace=False)]
             m_target = q // 2 + 1
             idx = set()
             for i in chosen:
@@ -458,8 +457,7 @@ def suite_kakeya_bounds(cfg):
             ps = cn.PointSet(dom, idx)
             mvals = mx.refined_max_op(ps.indicator())
             m = int(min(mvals[i] for i in chosen))
-            cases.append((f"planted-{trial}", ps, [dirs[i] for i in chosen],
-                          m))
+            cases.append((f"planted-{trial}", ps, chosen, m))
         for tag, ps, omega, m in cases:
             for u, v in ((2, 2), (2, 4), (3, 3)):
                 rep = cn.kakeya_bound_report(ps, omega, m, u, v, tol=cfg.tol)
@@ -702,7 +700,7 @@ def cmd_maxop(args):
         vals = mx.refined_max_op(F)
         dirs = hz.enumerate_refined_directions(F.field, F.domain.n)
     doc = {"operator": args.op, "q": F.field.q,
-           "directions": [list(d.rep) for d in dirs],
+           "directions": dirs.tolist(),
            "values": [float(x) for x in vals]}
     text = json.dumps(doc)
     if args.out:

@@ -17,7 +17,7 @@ import numpy as np
 from .field import DomainError, field_table
 from . import heisenberg as hz
 from .maximal import (Domain, ExtendedExponent, GridFunction, VerifyReport,
-                      _json_int, affine_incidence, as_exponent,
+                      _json_int, affine_incidence,
                       domain_from_json, domain_to_json, exponent_Ard,
                       heis_max_op, lp_norm, q_pow, rd_upper_constant,
                       refined_incidence, refined_max_op, REL_TOL)
@@ -155,11 +155,6 @@ def extremal_set(kind, field, n=1, *, eta=None):
     raise DomainError(f"unknown extremal kind {kind!r}")
 
 
-def extremal_function(kind, field, n=1, **kw):
-    """Indicator grid function of the named extremal set (integer-valued)."""
-    return extremal_set(kind, field, n, **kw).indicator()
-
-
 # ---------------------------------------------------------------------------
 # exponent-term lower bounds
 
@@ -225,7 +220,7 @@ def _cert_inequality(A, B, q, term, u, v, two_power):
 def _extremal_op_values(kind, field, n, operator):
     """Exact integer operator values of a named indicator, cached per field."""
     def build(f):
-        F = extremal_function(kind, f, n)
+        F = extremal_set(kind, f, n).indicator()
         vals = refined_max_op(F) if operator == "refined" else heis_max_op(F)
         return np.rint(np.real(vals)).astype(np.int64), int(F.values.sum())
 
@@ -240,7 +235,7 @@ def lower_bound_ratio(kind, field, u, v, *, n=1, operator="refined"):
     integers, and the comparison is done with bigints.  Only the blocking
     example carries a constant below 1 (its support is 2q-1, bounded by 2q).
     """
-    u, v = as_exponent(u), as_exponent(v)
+    u, v = ExtendedExponent(u), ExtendedExponent(v)
     terms = _REFINED_TERMS if operator == "refined" else _HEIS_TERMS
     if kind not in terms:
         raise DomainError(f"{kind!r} does not certify a term of the "
@@ -276,28 +271,30 @@ def lower_bound_ratio(kind, field, u, v, *, n=1, operator="refined"):
 def is_affine_kakeya(ps):
     """Does the set contain a full affine line in every ambient direction?
 
-    Returns (answer, witness) where witness is the first missing direction
-    or None.  The table is reduced one direction block at a time, so no
-    table-sized temporary is built.
+    Returns (answer, witness) where witness is the rep tuple of the first
+    missing direction or None.  The table is reduced one direction block at
+    a time, so no table-sized temporary is built.
     """
     if ps.domain.kind != "affine":
         raise DomainError("affine Kakeya predicate needs an affine point set")
     dirs, table = affine_incidence(ps.domain.field, ps.domain.n)
     for v, block in zip(dirs, table):
         if not ps.mask[block].all(axis=1).any():
-            return False, v
+            return False, tuple(v.tolist())
     return True, None
 
 
 def is_full_refined_kakeya(ps):
-    """Does the set contain a horizontal line of every refined direction?"""
+    """Does the set contain a horizontal line of every refined direction?
+
+    Returns (answer, witness) as is_affine_kakeya does.
+    """
     if ps.domain.kind != "heisenberg" or ps.domain.n != 1:
         raise DomainError("refined Kakeya predicate lives on H_1")
     dirs, table = refined_incidence(ps.domain.field)
-    contained = ps.mask[table].all(axis=2).any(axis=1)
-    for i, ok in enumerate(contained):
-        if not ok:
-            return False, dirs[i]
+    missing = np.flatnonzero(~ps.mask[table].all(axis=2).any(axis=1))
+    if missing.size:
+        return False, tuple(dirs[missing[0]].tolist())
     return True, None
 
 
@@ -312,17 +309,20 @@ def as_affine_set(ps):
 # the two separating examples
 
 
-def example_affine_not_refined(omega0):
-    """Remove the vertical fiber every omega0-line must cross.
+def example_affine_not_refined(field, rep):
+    """Remove the vertical fiber every line of refined direction rep must
+    cross: the one over its normal base, (0, -c) for [1:m:c] and (c, 0) for
+    [0:1:c].
 
-    The result is affine Kakeya in F_q^3 but misses refined direction
-    omega0 entirely.
+    The result is affine Kakeya in F_q^3 but misses refined direction rep
+    entirely.
     """
-    gx, gy = omega0.normal_base()
-    q = omega0.field.q
+    a, _, c = hz.check_refined_rep(field, rep)
+    gx, gy = (0, field.neg(c)) if a == 1 else (c, 0)
+    q = field.q
     mask = np.ones(q**3, dtype=bool)
     mask.reshape(q * q, q)[gx * q + gy] = False   # the fiber over (gx, gy)
-    return PointSet.from_mask(Domain.heisenberg(omega0.field, 1), mask)
+    return PointSet.from_mask(Domain.heisenberg(field, 1), mask)
 
 
 def example_refined_not_affine(field):
@@ -407,15 +407,18 @@ def straighten(ps, k, chart):
 
 @dataclass
 class KakeyaReport:
-    """Decomposition of the direction set by horizontality inside E."""
+    """Decomposition of the direction set by horizontality inside E.
+
+    Directions are indices into enumerate_refined_directions(field, 1).
+    """
 
     q: int
     size: int                    # |E|
-    omega1: list                 # refined directions realized by lines in E
-    omega2: list                 # the rest of D_1
-    slices: dict                 # k (index in F_q^*) -> list of omega in Omega_2
-    chosen_lines: dict           # omega -> point indices of its chosen line
-    unwitnessed: list            # omega in Omega_2 with no contained line
+    omega1: np.ndarray           # refined directions realized by lines in E
+    omega2: np.ndarray           # the rest of D_1
+    slices: dict                 # k (index in F_q^*) -> Omega_2 indices
+    chosen_lines: dict           # index -> point indices of its chosen line
+    unwitnessed: np.ndarray      # Omega_2 indices with no contained line
     max_values: np.ndarray       # M_E over D_1, enumeration order
     m: int                       # min of max_values
     omega1_bound: float          # q |Omega_1| / 25, the (2,2) size bound
@@ -436,37 +439,30 @@ def omega_partition(ps):
     q = field.q
     dirs, table = refined_incidence(field)
     contained = ps.mask[table].all(axis=2).any(axis=1)
-    omega1 = [om for om, ok in zip(dirs, contained) if ok]
-    omega2 = [om for om, ok in zip(dirs, contained) if not ok]
+    omega1 = np.flatnonzero(contained)
+    omega2 = np.flatnonzero(~contained)
 
-    pos = np.flatnonzero(~contained)
     _, atable = affine_incidence(field, 3)
     # one direction block at a time, so no table-sized temporary is built
-    inside = np.array([ps.mask[atable[i]].all(axis=1) for i in pos],
-                      dtype=bool).reshape(len(pos), q * q)
-    bases = atable[pos, :, 0]
-    reps = np.array([om.rep for om in omega2], dtype=np.intp).reshape(-1, 3)
-    mus = mu_parameter(field, reps.T[:, :, None],
+    inside = np.array([ps.mask[atable[i]].all(axis=1) for i in omega2],
+                      dtype=bool).reshape(len(omega2), q * q)
+    bases = atable[omega2, :, 0]
+    mus = mu_parameter(field, dirs[omega2].T[:, :, None],
                        bases // (q * q), bases // q % q)
     best = np.where(inside, mus, q).argmin(axis=1)
-    slices = {}
-    chosen = {}
-    unwitnessed = []
-    for om, row, mu, ok in zip(omega2, atable[pos, best],
-                               mus[np.arange(len(pos)), best],
-                               inside.any(axis=1)):
-        if not ok:
-            unwitnessed.append(om)
-            continue
-        chosen[om] = row
-        slices.setdefault(int(mu), []).append(om)
-    if 0 in slices:
+    witnessed = inside.any(axis=1)
+    mu = mus[np.arange(len(omega2)), best][witnessed]
+    if (mu == 0).any():
         raise AssertionError("a non-horizontal direction produced mu = 0")
+    chosen = omega2[witnessed]
 
     mvals = refined_max_op(ps.indicator())
     return KakeyaReport(
         q=q, size=len(ps), omega1=omega1, omega2=omega2,
-        slices=slices, chosen_lines=chosen, unwitnessed=unwitnessed,
+        slices={int(k): chosen[mu == k] for k in np.unique(mu)},
+        chosen_lines=dict(zip(chosen.tolist(),
+                              atable[chosen, best[witnessed]])),
+        unwitnessed=omega2[~witnessed],
         max_values=mvals, m=int(mvals.min()),
         omega1_bound=q * len(omega1) / 25.0,
     )
@@ -475,24 +471,30 @@ def omega_partition(ps):
 def kakeya_bound_report(ps, omega, m, u, v, tol=REL_TOL):
     """|E| >= C^{-u} m^u |Omega|^{u/v} q^{-u A^rd(u,v)}, C from the upper bound.
 
+    omega holds distinct indices into enumerate_refined_directions(field, 1).
     Precondition (checked): every direction in omega is witnessed by a
     horizontal line meeting E in at least m points.
     """
-    u, v = as_exponent(u), as_exponent(v)
+    u, v = ExtendedExponent(u), ExtendedExponent(v)
     if u.is_inf:
         raise DomainError("the size bound needs finite u")
     field = ps.domain.field
     dirs, _ = refined_incidence(field)
-    pos = {om: i for i, om in enumerate(dirs)}
+    omega = np.asarray(omega)
+    if omega.ndim != 1 or (omega.size and omega.dtype.kind not in "iu") \
+            or ((omega < 0) | (omega >= len(dirs))).any():
+        raise DomainError("omega must list indices into D_1")
+    omega = omega.astype(np.intp)
+    if len(np.unique(omega)) != len(omega):  # |Omega| counts each once
+        raise DomainError("omega lists a direction twice")
     mvals = refined_max_op(ps.indicator())
-    for om in omega:
-        if mvals[pos[om]] < m:
-            raise DomainError(
-                f"direction {om} has no witnessing line with >= {m} points")
+    weak = omega[mvals[omega] < m]
+    if weak.size:
+        raise DomainError(f"direction {hz.direction_label(dirs[weak[0]])} "
+                          f"has no witnessing line with >= {m} points")
     C = rd_upper_constant(u, v)
     uu = float(u.value)
-    count = len(list(omega))
-    omega_pow = 1.0 if v.is_inf else count ** (uu / float(v.value))
+    omega_pow = 1.0 if v.is_inf else len(omega) ** (uu / float(v.value))
     rhs = (C ** -uu) * (m ** uu) * omega_pow \
         * q_pow(field.q, -u.value * exponent_Ard(u, v))
     lhs = float(len(ps))
@@ -502,7 +504,7 @@ def kakeya_bound_report(ps, omega, m, u, v, tol=REL_TOL):
 
 def moment_report(ps, s, tol=REL_TOL):
     """sum_omega M_E(omega)^s <= C_s q |E|^{s-1} with C_s from the (s', s) bound."""
-    s = as_exponent(s)
+    s = ExtendedExponent(s)
     if s.is_inf or s.value < 2:
         raise DomainError("moment bound needs 2 <= s < infinity")
     field = ps.domain.field

@@ -3,14 +3,15 @@
 A point is stored as its index in the enumeration of F_q^{2n+1}: row-major,
 t fastest, then the y block, then the x block.  A horizontal line is the
 coset p.(sa, sb, 0) of its q points, held as a row of q point indices with
-column s the point at parameter s.  One coset builder makes every line and
-incidence table, for H_n and F_q^d alike.
+column s the point at parameter s.  A direction is a row of field indices,
+its canonical representative; the enumerations are (P, d) arrays of them.
+One coset builder makes every line table and incidence table, for H_n and
+F_q^d alike; the lines through one point are a closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -38,66 +39,47 @@ def check_point_count(field, dim, name):
                           f"of {MAX_POINTS} points")
 
 
+def check_dimension(field, d, what):
+    """d as an int, when it is a non-bool integer >= 1 and q^d is at most
+    MAX_POINTS; else DomainError.  The one check of a rank or a dimension."""
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+        raise DomainError(f"{what} must be an integer, got {d!r}")
+    if d < 1:
+        raise DomainError(f"{what} must be >= 1")
+    check_point_count(field, d, f"{what} {d}")
+    return int(d)
+
+
 def check_rank(field, n):
-    """n as an int, when it is a non-bool integer >= 1 and H_n(F_q) has at
-    most MAX_POINTS points; else DomainError."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise DomainError(f"group rank must be an integer, got {n!r}")
-    if n < 1:
-        raise DomainError("group rank must be >= 1")
+    """n as an int, when check_dimension accepts it and H_n(F_q) has at most
+    MAX_POINTS points; else DomainError."""
+    n = check_dimension(field, n, "group rank")
     check_point_count(field, 2 * n + 1, f"H_{n}")
-    return int(n)
+    return n
 
 
 # ---------------------------------------------------------------------------
 # directions
 
 
-def canonical_direction(field, vec):
-    """Scale so the first nonzero coordinate equals 1; DomainError on zero."""
-    vec = tuple(field.coerce_index(c) for c in vec)
-    for c in vec:
-        if c:
-            s = field.inv(c)
-            return tuple(field.mul(s, v) for v in vec)
-    raise DomainError("zero vector has no projective class")
-
-
-class ProjectiveDirection:
-    """A projective class [v], stored as its canonical representative."""
-
-    __slots__ = ("field", "rep")
-
-    def __init__(self, field, vec):
-        self.field = field
-        self.rep = canonical_direction(field, vec)
-
-    @property
-    def dim(self):
-        return len(self.rep)
-
-    def __eq__(self, other):
-        return (isinstance(other, ProjectiveDirection)
-                and self.field == other.field and self.rep == other.rep)
-
-    def __hash__(self):
-        return hash((self.field.q, self.rep))
-
-    def __repr__(self):
-        return "[" + ":".join(map(str, self.rep)) + "]"
-
-
 def enumerate_directions(field, d):
-    """All (q^d - 1)/(q - 1) canonical representatives of P^{d-1}(F_q).
+    """(P, d) np.intp: the P = (q^d - 1)/(q - 1) canonical representatives of
+    P^{d-1}(F_q), one per row, each with its first nonzero coordinate 1.
 
     Order: by position of the leading 1, then lexicographically in the free
-    coordinates.
+    coordinates.  d goes through check_dimension.
     """
-    dirs = []
+    d = check_dimension(field, d, "dimension")
+    q = field.q
+    blocks = []
     for lead in range(d):
-        for tail in product(range(field.q), repeat=d - 1 - lead):
-            dirs.append(ProjectiveDirection(field, (0,) * lead + (1,) + tail))
-    return dirs
+        free = d - 1 - lead
+        block = np.zeros((q ** free, d), dtype=np.intp)
+        block[:, lead] = 1
+        tails = np.indices((q,) * free).reshape(free, q ** free)
+        block[:, lead + 1:] = tails.T
+        blocks.append(block)
+    return np.concatenate(blocks)
 
 
 def enumerate_projective_directions(field, n=1):
@@ -106,71 +88,48 @@ def enumerate_projective_directions(field, n=1):
     return enumerate_directions(field, 2 * check_rank(field, n))
 
 
-class RefinedDirection:
-    """A class [a:b:c] in D_n: spatial direction plus central slope.
-
-    The vertical class [0:...:0:1] is excluded, so the canonical
-    representative always has its leading 1 inside the (a, b) block.
-    """
-
-    __slots__ = ("field", "rep")
-
-    def __init__(self, field, vec):
-        vec = tuple(field.coerce_index(c) for c in vec)
-        if len(vec) < 3 or len(vec) % 2 == 0:
-            raise DomainError("refined direction needs 2n+1 coordinates")
-        if not any(vec[:-1]):
-            raise DomainError("the vertical class [0:...:0:1] is not a "
-                              "refined direction")
-        self.field = field
-        self.rep = canonical_direction(field, vec)
-
-    @property
-    def n(self):
-        return (len(self.rep) - 1) // 2
-
-    @property
-    def c(self):
-        return self.rep[-1]
-
-    def projective(self):
-        return ProjectiveDirection(self.field, self.rep[:-1])
-
-    def chart(self):
-        """Normal-form chart, n=1 only: ('slope', m, gamma) or ('vertical', gamma)."""
-        if self.n != 1:
-            raise DomainError("charts are defined for n=1 only")
-        a, b, c = self.rep
-        if a == 1:
-            return ("slope", b, c)
-        return ("vertical", c)
-
-    def normal_base(self):
-        """(x, y) under the normal-form lines L_{omega,tau} (n=1): (0, -gamma)
-        in the slope chart [1:m:gamma], (gamma, 0) in the vertical chart."""
-        chart = self.chart()
-        gamma = chart[-1]
-        return (0, self.field.neg(gamma)) if chart[0] == "slope" else (gamma, 0)
-
-    def __eq__(self, other):
-        return (isinstance(other, RefinedDirection)
-                and self.field == other.field and self.rep == other.rep)
-
-    def __hash__(self):
-        return hash((self.field.q, self.rep, "rd"))
-
-    def __repr__(self):
-        return "[" + ":".join(map(str, self.rep)) + "]"
-
-
 def enumerate_refined_directions(field, n=1):
-    """All of D_n, fibered: for each projective direction, the q slopes c.
-    enumerate_projective_directions checks the rank."""
-    out = []
-    for v in enumerate_projective_directions(field, n):
-        for c in range(field.q):
-            out.append(RefinedDirection(field, v.rep + (c,)))
-    return out
+    """D_n: P^{2n}(F_q) less its last row, the vertical class [0:...:0:1].
+    Row i is [v:c] for the projective direction v = i // q and the slope
+    c = i % q; n checked by check_rank."""
+    return enumerate_directions(field, 2 * check_rank(field, n) + 1)[:-1]
+
+
+def check_rep(field, rep):
+    """rep as a tuple of ints, when it is a canonical representative: field
+    indices, not all zero, the first nonzero one 1; else DomainError."""
+    a = np.asarray(rep)
+    if a.ndim != 1 or a.dtype.kind not in "iu" \
+            or ((a < 0) | (a >= field.q)).any():
+        raise DomainError(
+            f"a direction is a row of field indices, got {rep!r}")
+    nonzero = a[a != 0]
+    if not nonzero.size or nonzero[0] != 1:
+        raise DomainError(f"{rep!r} is not a canonical representative")
+    return tuple(a.tolist())
+
+
+def _horizontal_rep(field, rep):
+    rep = check_rep(field, rep)
+    if len(rep) % 2:
+        raise DomainError("a horizontal direction has 2n coordinates")
+    return rep
+
+
+def check_refined_rep(field, rep):
+    """(a, b, c) of a refined direction [a:b:c] of D_1, checked."""
+    rep = check_rep(field, rep)
+    if len(rep) != 3:
+        raise DomainError("normal-form lines are defined for n=1 only")
+    if rep == (0, 0, 1):
+        raise DomainError("the vertical class [0:0:1] is not a refined "
+                          "direction")
+    return rep
+
+
+def direction_label(rep):
+    """[a:b:...] of a representative."""
+    return "[" + ":".join(map(str, rep)) + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -227,21 +186,22 @@ def _coset_table(field, rep, horizontal=False):
     return idx.reshape(-1, q)
 
 
-def line_table_for_direction(field, v):
-    """(q^{2n}, q) np.intp table: point indices of every line of direction v,
-    with n = len(v.rep) // 2.
+def line_table_for_direction(field, rep):
+    """(q^{2n}, q) np.intp table: point indices of every line of direction
+    rep of P^{2n-1}, with n = len(rep) // 2.
 
     Row r holds the r-th coset in transversal order; column s is the point
-    p.(s v, 0) of the row's base p.  The operators gather from it once per
+    p.(s rep, 0) of the row's base p.  The operators gather from it once per
     input, so it keeps the native index width of _coset_table: an int32
     table would be cast on every gather.
     """
-    return _coset_table(field, v.rep, horizontal=True)
+    return _coset_table(field, _horizontal_rep(field, rep), horizontal=True)
 
 
-def line_slope_table(field, v):
-    """t-slope c(L) of each row of line_table_for_direction(field, v)."""
-    twist = _twist(field, v.rep, _transversal_axes(field.q, v.rep))
+def line_slope_table(field, rep):
+    """t-slope c(L) of each row of line_table_for_direction(field, rep)."""
+    rep = _horizontal_rep(field, rep)
+    twist = _twist(field, rep, _transversal_axes(field.q, rep))
     return np.repeat(twist.astype(np.int64).ravel(), field.q)
 
 
@@ -258,16 +218,15 @@ def _refined_blocks(field, rep):
     return blocks[field.np_neg] if rep[0] else blocks
 
 
-def lines_with_refined_direction(omega):
+def lines_with_refined_direction(field, rep):
     """(q, q) np.intp: the q pairwise-disjoint lines of refined direction
-    omega (n=1), row tau the line L_{omega,tau}.
+    rep = [a:b:c] of D_1, row tau the line L_{rep,tau}.
 
     L_{[1:m:g],tau} = {(x, mx-g, tau+gx)} and L_{[0:1:g],tau} =
-    {(g, y, tau+gy)}; row omega of maximal.refined_incidence.
+    {(g, y, tau+gy)}; block rep of maximal.refined_incidence.
     """
-    if omega.n != 1:
-        raise DomainError("normal-form lines are defined for n=1 only")
-    return _refined_blocks(omega.field, omega.rep[:-1])[omega.c]
+    a, b, c = check_refined_rep(field, rep)
+    return _refined_blocks(field, (a, b))[c]
 
 
 def lines_through_point(field, n, index=0):
@@ -281,8 +240,7 @@ def lines_through_point(field, n, index=0):
     q = field.q
     dims = (q,) * (2 * n + 1)
     *z, t = np.unravel_index(check_point_index(q ** (2 * n + 1), index), dims)
-    dirs = enumerate_projective_directions(field, n)
-    reps = np.array([v.rep for v in dirs]).T       # (2n, P)
+    reps = enumerate_projective_directions(field, n).T  # (2n, P)
     s_v = field.np_mul[reps[:, :, None], np.arange(q)]  # (2n, P, q)
     zs = [field.np_add[c, step] for c, step in zip(z, s_v)]
     ts = field.np_add[t, field.np_mul[_twist(field, reps, z)[:, None],
@@ -343,7 +301,8 @@ def census(field, n=1):
         if points is None:
             points = int(np.count_nonzero(hits))
         if not (hits == 1).all():
-            raise AssertionError(f"lines of direction {v} do not partition")
+            raise AssertionError(f"lines of direction {direction_label(v)} "
+                                 "do not partition")
         total_lines += table.shape[0]
         per_dir_counts.add(table.shape[0])
         slope_hist = np.bincount(line_slope_table(field, v), minlength=q)
@@ -352,8 +311,8 @@ def census(field, n=1):
     by_enum = Census(
         q=q, n=n,
         points=points,
-        proj_directions=len(set(proj)),
-        refined_directions=len(set(refined)),
+        proj_directions=len(np.unique(proj, axis=0)),
+        refined_directions=len(np.unique(refined, axis=0)),
         lines=total_lines,
         lines_per_direction=(per_dir_counts.pop()
                              if len(per_dir_counts) == 1 else -1),

@@ -33,9 +33,10 @@ class ExtendedExponent:
     __slots__ = ("value",)
 
     def __init__(self, value):
-        if isinstance(value, ExtendedExponent):
-            value = value.value
-        elif isinstance(value, str):
+        if isinstance(value, ExtendedExponent):  # checked when it was made
+            self.value = value.value
+            return
+        if isinstance(value, str):
             value = INF if value in ("inf", "infty", "oo") else Fraction(value)
         elif isinstance(value, float):
             if value != INF:
@@ -75,10 +76,6 @@ class ExtendedExponent:
         return "inf" if self.is_inf else str(self.value)
 
 
-def as_exponent(u):
-    return u if isinstance(u, ExtendedExponent) else ExtendedExponent(u)
-
-
 # |g|^u needs no rescaling while u*|log2 max|g|| + log2(#entries) is below
 # this: the sum cannot overflow, and terms that underflow fall below the
 # last bit of the sum.
@@ -90,7 +87,7 @@ def lp_norm(values, u, axis=None):
 
     With an axis, the norm of every slice along it, as an array.
     """
-    uu = float(as_exponent(u))
+    uu = float(ExtendedExponent(u))
     a = np.abs(np.asarray(values, dtype=np.complex128))
     if a.size == 0:
         return 0.0
@@ -122,25 +119,25 @@ def q_pow(q, alpha):
 
 def exponent_A(n, u, v):
     """Growth exponent of the horizontal operator: the three-term max."""
-    ru, rv = as_exponent(u).recip, as_exponent(v).recip
+    ru, rv = ExtendedExponent(u).recip, ExtendedExponent(v).recip
     return max((2 * n - 1) * rv, 1 - ru, 1 + (2 * n - 1) * rv - 2 * n * ru)
 
 
 def exponent_Ard(u, v):
     """Growth exponent of the refined-direction operator (n=1)."""
-    ru, rv = as_exponent(u).recip, as_exponent(v).recip
+    ru, rv = ExtendedExponent(u).recip, ExtendedExponent(v).recip
     return max(rv, 1 - ru, 2 * rv - ru, 1 + 2 * rv - 3 * ru)
 
 
 def diag_exponent(u, d=2):
     """tau_d(u): (d-1)/u for u <= d, else 1 - 1/u."""
-    ru = as_exponent(u).recip
+    ru = ExtendedExponent(u).recip
     return (d - 1) * ru if ru >= Fraction(1, d) else 1 - ru
 
 
 def rd_diag_constant(u):
     """C_u of the refined diagonal bound: interpolation of 2q and 5 sqrt(q)."""
-    ru = as_exponent(u).recip
+    ru = ExtendedExponent(u).recip
     if ru >= Fraction(1, 2):
         theta = float(2 * (1 - ru))
         return 2.0 ** (1 - theta) * 5.0**theta
@@ -149,7 +146,7 @@ def rd_diag_constant(u):
 
 def rd_upper_constant(u, v):
     """Constant C_{u,v} of the refined mixed-norm upper bound at (u, v)."""
-    u, v = as_exponent(u), as_exponent(v)
+    u, v = ExtendedExponent(u), ExtendedExponent(v)
     ru, rv = u.recip, v.recip
     if ru >= Fraction(1, 2):  # 1 <= u <= 2
         if rv >= ru:          # v <= u
@@ -180,10 +177,8 @@ class Domain:
 
     @classmethod
     def affine(cls, field, d):
-        if d < 1:
-            raise DomainError("affine dimension must be >= 1")
-        hz.check_point_count(field, d, f"F_q^{d}")
-        return cls("affine", field, d)
+        return cls("affine", field,
+                   hz.check_dimension(field, d, "affine dimension"))
 
     @property
     def size(self):
@@ -239,7 +234,7 @@ class GridFunction:
         return self._memo[key]
 
     def norm(self, u):
-        u = as_exponent(u)
+        u = ExtendedExponent(u)
         return self.memo(("norm", u), lambda: lp_norm(self.values, u))
 
     @property
@@ -289,7 +284,7 @@ def _build_affine(field, d):
     dtype = np.intp if d == 2 else np.min_scalar_type(q ** d - 1)
     table = np.empty((len(dirs), q ** (d - 1), q), dtype=dtype)
     for i, v in enumerate(dirs):
-        table[i] = hz._coset_table(field, v.rep)
+        table[i] = hz._coset_table(field, v)
     return dirs, table
 
 
@@ -313,7 +308,7 @@ def refined_incidence(field):
     """(refined directions, (q^2+q, q, q) point-index table) for H_1.
 
     Row (omega, tau) holds the normal-form line L_{omega,tau}; block omega
-    is heisenberg.lines_with_refined_direction(omega).
+    is heisenberg.lines_with_refined_direction(field, omega).
     """
     return field_table(field, "refined-incidence", _build_refined)
 
@@ -323,7 +318,7 @@ def _build_refined(field):
     dirs = hz.enumerate_refined_directions(field, 1)
     table = np.empty((len(dirs), q, q), dtype=np.intp)
     for i, v in enumerate(hz.enumerate_projective_directions(field, 1)):
-        table[i * q:(i + 1) * q] = hz._refined_blocks(field, v.rep)
+        table[i * q:(i + 1) * q] = hz._refined_blocks(field, v)
     return dirs, table
 
 
@@ -392,7 +387,8 @@ class LineFamily:
     """One chosen line per (refined) direction: the linear operator T.
 
     Row i of the point-index table holds the q points of the line chosen
-    for directions[i], in parameter order.
+    for directions[i], in parameter order; directions is the enumeration
+    array of the family's kind.
     """
 
     __slots__ = ("kind", "field", "directions", "point_idx", "domain")
@@ -400,7 +396,7 @@ class LineFamily:
     def __init__(self, kind, field, directions, point_idx, domain):
         self.kind = kind
         self.field = field
-        self.directions = list(directions)
+        self.directions = directions
         self.point_idx = np.array(point_idx, dtype=np.intp)
         if self.point_idx.shape != (len(self.directions), field.q):
             raise DomainError("one q-point line per index is required")

@@ -1,11 +1,14 @@
-"""The definitional oracle: points and lines of H_n(F_q) and F_q^d as objects.
+"""The definitional oracle: points, directions and lines of H_n(F_q) and
+F_q^d as objects.
 
 A point of H_n is (x, y, t) under the group law
 (x,y,t)(x',y',t') = (x+x', y+y', t+t'+(x.y'-y.x')); a horizontal line is
 its q points p.(sa, sb, 0); an affine line of F_q^d is {base + s v}.  Each
-is built by the field operations alone, one point at a time.  kakeyalab
-itself works on rows of point indices; the tests compare those rows, row
-for row and column for column, with the objects built here.
+is built by the field operations alone, one point at a time.  A direction
+is a projective class held as its canonical representative, scaled by the
+field's inverse.  kakeyalab itself works on rows of point indices and of
+field indices; the tests compare those rows, row for row and column for
+column, with the objects built here.
 
 Point indices are row-major with the last coordinate fastest: for H_n,
 t fastest, then the y block, then the x block.
@@ -16,9 +19,123 @@ from __future__ import annotations
 from itertools import product
 
 from kakeyalab.field import DomainError
-from kakeyalab.heisenberg import (ProjectiveDirection, RefinedDirection,
-                                  enumerate_directions,
-                                  enumerate_projective_directions)
+
+
+# ---------------------------------------------------------------------------
+# directions
+
+
+def canonical_direction(field, vec):
+    """Scale so the first nonzero coordinate equals 1; DomainError on zero."""
+    vec = tuple(field.coerce_index(c) for c in vec)
+    for c in vec:
+        if c:
+            s = field.inv(c)
+            return tuple(field.mul(s, v) for v in vec)
+    raise DomainError("zero vector has no projective class")
+
+
+class ProjectiveDirection:
+    """A projective class [v], stored as its canonical representative."""
+
+    __slots__ = ("field", "rep")
+
+    def __init__(self, field, vec):
+        self.field = field
+        self.rep = canonical_direction(field, vec)
+
+    @property
+    def dim(self):
+        return len(self.rep)
+
+    def __eq__(self, other):
+        return (isinstance(other, ProjectiveDirection)
+                and self.field == other.field and self.rep == other.rep)
+
+    def __hash__(self):
+        return hash((self.field.q, self.rep))
+
+    def __repr__(self):
+        return "[" + ":".join(map(str, self.rep)) + "]"
+
+
+def enumerate_directions(field, d):
+    """All (q^d - 1)/(q - 1) projective classes of P^{d-1}(F_q), in the
+    order of heisenberg.enumerate_directions."""
+    dirs = []
+    for lead in range(d):
+        for tail in product(range(field.q), repeat=d - 1 - lead):
+            dirs.append(ProjectiveDirection(field, (0,) * lead + (1,) + tail))
+    return dirs
+
+
+def enumerate_projective_directions(field, n=1):
+    """Horizontal directions of H_n: P^{2n-1}(F_q)."""
+    return enumerate_directions(field, 2 * n)
+
+
+class RefinedDirection:
+    """A class [a:b:c] in D_n: spatial direction plus central slope.
+
+    The vertical class [0:...:0:1] is excluded, so the canonical
+    representative always has its leading 1 inside the (a, b) block.
+    """
+
+    __slots__ = ("field", "rep")
+
+    def __init__(self, field, vec):
+        vec = tuple(field.coerce_index(c) for c in vec)
+        if len(vec) < 3 or len(vec) % 2 == 0:
+            raise DomainError("refined direction needs 2n+1 coordinates")
+        if not any(vec[:-1]):
+            raise DomainError("the vertical class [0:...:0:1] is not a "
+                              "refined direction")
+        self.field = field
+        self.rep = canonical_direction(field, vec)
+
+    @property
+    def n(self):
+        return (len(self.rep) - 1) // 2
+
+    @property
+    def c(self):
+        return self.rep[-1]
+
+    def projective(self):
+        return ProjectiveDirection(self.field, self.rep[:-1])
+
+    def chart(self):
+        """Normal-form chart, n=1 only: ('slope', m, gamma) or ('vertical', gamma)."""
+        if self.n != 1:
+            raise DomainError("charts are defined for n=1 only")
+        a, b, c = self.rep
+        if a == 1:
+            return ("slope", b, c)
+        return ("vertical", c)
+
+    def normal_base(self):
+        """(x, y) under the normal-form lines L_{omega,tau} (n=1): (0, -gamma)
+        in the slope chart [1:m:gamma], (gamma, 0) in the vertical chart."""
+        chart = self.chart()
+        gamma = chart[-1]
+        return (0, self.field.neg(gamma)) if chart[0] == "slope" else (gamma, 0)
+
+    def __eq__(self, other):
+        return (isinstance(other, RefinedDirection)
+                and self.field == other.field and self.rep == other.rep)
+
+    def __hash__(self):
+        return hash((self.field.q, self.rep, "rd"))
+
+    def __repr__(self):
+        return "[" + ":".join(map(str, self.rep)) + "]"
+
+
+def enumerate_refined_directions(field, n=1):
+    """All of D_n, fibered: for each projective direction, the q slopes c."""
+    return [RefinedDirection(field, v.rep + (c,))
+            for v in enumerate_projective_directions(field, n)
+            for c in range(field.q)]
 
 
 # ---------------------------------------------------------------------------

@@ -161,9 +161,9 @@ def test_criterion_7_section_11_separations():
     ok = True
     for q in (5, 7, 9, 11, 13):
         fld = field(q)
-        dirs = hz.enumerate_refined_directions(fld, 1)
+        dirs = ol.enumerate_refined_directions(fld, 1)
         for om0 in (dirs[0], dirs[len(dirs) // 2], dirs[-1]):
-            e1 = cn.example_affine_not_refined(om0)
+            e1 = cn.example_affine_not_refined(fld, om0.rep)
             affine1, _ = cn.is_affine_kakeya(cn.as_affine_set(e1))
             refined1, _ = cn.is_full_refined_kakeya(e1)
             witness_ok = not any(
@@ -174,12 +174,11 @@ def test_criterion_7_section_11_separations():
         e2 = cn.example_refined_not_affine(fld)
         refined2, _ = cn.is_full_refined_kakeya(e2)
         affine2, wit2 = cn.is_affine_kakeya(cn.as_affine_set(e2))
-        if not (refined2 and not affine2
-                and wit2 == hz.ProjectiveDirection(fld, (0, 0, 1))):
+        if not (refined2 and not affine2 and wit2 == (0, 0, 1)):
             ok = False
         if int(cn.vertical_fiber_sizes(e2).max()) > (q + 3) // 2:
             ok = False
-        para = cn.extremal_function("paraboloid", fld)
+        para = cn.extremal_set("paraboloid", fld).indicator()
         m2g = mx.affine_max_op(mx.project_aggregate(para, 1))
         mh = mx.heis_max_op(para)
         if not (m2g.min() == q and m2g.max() == q and mh.max() <= 2):
@@ -198,7 +197,7 @@ def test_criterion_8_size_and_moment_reports():
         fld = field(q)
         dirs = hz.enumerate_refined_directions(fld, 1)
         full = cn.PointSet.full(mx.Domain.heisenberg(fld, 1))
-        rep = cn.kakeya_bound_report(full, dirs, q, 2, 2)
+        rep = cn.kakeya_bound_report(full, np.arange(len(dirs)), q, 2, 2)
         ok &= rep.holds
         ok &= abs(rep.rhs - q**2 * len(dirs) / (25 * q)) < 1e-9
         for s in (2, 3):

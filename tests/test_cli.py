@@ -195,6 +195,44 @@ def test_maxop_command(tmp_path, capsys):
     assert vals.sum() == 6  # delta: 1 on the q+1 zero-slope classes
 
 
+@pytest.mark.parametrize("op,domain,want", [
+    ("affine", mx.Domain.affine(Field(2), 3),
+     [[1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1], [0, 1, 0], [0, 1, 1],
+      [0, 0, 1]]),
+    ("heis", mx.Domain.heisenberg(Field(3), 1),
+     [[1, 0], [1, 1], [1, 2], [0, 1]]),
+    ("heis", mx.Domain.heisenberg(Field(2), 2),
+     [[1, 0, 0, 0], [1, 0, 0, 1], [1, 0, 1, 0], [1, 0, 1, 1], [1, 1, 0, 0],
+      [1, 1, 0, 1], [1, 1, 1, 0], [1, 1, 1, 1], [0, 1, 0, 0], [0, 1, 0, 1],
+      [0, 1, 1, 0], [0, 1, 1, 1], [0, 0, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]]),
+    ("refined", mx.Domain.heisenberg(Field(3), 1),
+     [[1, 0, 0], [1, 0, 1], [1, 0, 2], [1, 1, 0], [1, 1, 1], [1, 1, 2],
+      [1, 2, 0], [1, 2, 1], [1, 2, 2], [0, 1, 0], [0, 1, 1], [0, 1, 2]]),
+], ids=["affine-F2^3", "heis-H1", "heis-H2", "refined-H1"])
+def test_maxop_directions_are_pinned(tmp_path, capsys, op, domain, want):
+    # the directions list is part of the output's bytes: one plain list of
+    # canonical representatives per operator, in enumeration order
+    src = tmp_path / "f.json"
+    src.write_text(json.dumps(mx.grid_to_json(mx.GridFunction.delta(domain))))
+    assert cli.main(["maxop", "--in", str(src), "--op", op]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["directions"] == want
+    assert len(doc["values"]) == len(want)
+
+
+def test_examples_trial_labels_are_pinned():
+    # the witness directions the examples rows print, as in the CSV bytes
+    cfg = cli.SuiteConfig(fields=(Field(3), Field(5), Field(7)),
+                          suites=("examples",))
+    labels = [(r["bound"], r["q"], r["trial"])
+              for r in cli.suite_examples(cfg) if r["trial"] != ""]
+    assert labels == [("ex-affine-not-refined", 3, "[1:2:0]"),
+                      ("ex-affine-not-refined", 5, "[1:3:0]"),
+                      ("ex-refined-not-affine", 5, "[0:0:1]"),
+                      ("ex-affine-not-refined", 7, "[1:4:0]"),
+                      ("ex-refined-not-affine", 7, "[0:0:1]")]
+
+
 def test_maxop_malformed_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"domain": "heisenberg", "q": 5, "values": [[1, 0]]}')
@@ -487,7 +525,9 @@ from kakeyalab import cli
 status = cli.main(sys.argv[1:])
 defined = sorted(f"{name}.{cls}" for name, mod in sys.modules.items()
                  if name.split(".")[0] == "kakeyalab"
-                 for cls in ("HPoint", "HorizontalLine", "AffineLine")
+                 for cls in ("HPoint", "HorizontalLine", "AffineLine",
+                             "ProjectiveDirection", "RefinedDirection",
+                             "canonical_direction")
                  if cls in vars(mod))
 with open("probe.json", "w") as fh:
     json.dump({"oracle": "oracle" in sys.modules, "defined": defined}, fh)
@@ -496,8 +536,9 @@ sys.exit(status)
 
 
 def test_production_builds_no_line_objects(tmp_path):
-    # the line objects are the tests' oracle: a run of every suite, census
-    # and examples included, neither loads it nor finds them in the package
+    # the point, line and direction objects are the tests' oracle: a run of
+    # every suite, census and examples included, neither loads it nor finds
+    # them in the package
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", _PROBE, "verify", "--q", "3",
                            "--trials", "1", "--out", "run.csv"],

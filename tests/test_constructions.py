@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from kakeyalab.field import DomainError, Field
-from kakeyalab import heisenberg as hz
 from kakeyalab import maximal as mx
 from kakeyalab import constructions as cn
 from kakeyalab import cli
@@ -56,7 +55,7 @@ def _object_extremal_set(kind, field, n, eta=None):
     if kind == "point-mass":
         idx = [origin.index]
     elif kind == "single-line":
-        v = hz.enumerate_projective_directions(field, n)[0]
+        v = ol.enumerate_projective_directions(field, n)[0]
         idx = ol.HorizontalLine(origin, v).point_indices
     elif kind == "bush":
         idx = {i for line in ol.lines_through_point(origin)
@@ -92,7 +91,7 @@ def test_extremal_sets_match_object_construction(q, n):
 
 def test_blocking_set_blocks_every_refined_direction(f7):
     # M^rd of the two-line set is >= 1 on all of D_1
-    F = cn.extremal_function("two-lines-blocking", f7)
+    F = cn.extremal_set("two-lines-blocking", f7).indicator()
     assert mx.refined_max_op(F).min() >= 1
 
 
@@ -214,7 +213,7 @@ def _plan_cert_inputs():
     out = [(op, n, kind, u, v) for op, n, kind, pairs in cli.LOWER_BOUND_PLAN
            for u, v in pairs]
     out += [(op, n, kind, u, v) for _, op, n, kind, u, v in cli.SLOPE_PLAN]
-    return [(op, n, kind, mx.as_exponent(u), mx.as_exponent(v))
+    return [(op, n, kind, mx.ExtendedExponent(u), mx.ExtendedExponent(v))
             for op, n, kind, u, v in out]
 
 
@@ -254,7 +253,7 @@ def test_cert_inequality_matches_ladder_on_every_plan_pair(q):
                 (operator, n, kind, u, v, A, B)
 
 
-E = mx.as_exponent
+E = mx.ExtendedExponent
 
 
 @pytest.mark.parametrize("A,B,q,term,u,v,two,holds", [
@@ -315,7 +314,7 @@ def _first_missing_by_whole_table(ps):
     contained = ps.mask[table].all(axis=2).any(axis=1)
     for i, ok in enumerate(contained):
         if not ok:
-            return False, dirs[i]
+            return False, tuple(dirs[i].tolist())
     return True, None
 
 
@@ -335,7 +334,7 @@ def test_affine_kakeya_matches_whole_table_reduction(d, q):
             mask[table[target, rows, cols]] = False
             ps = cn.PointSet.from_mask(dom, mask)
             want = _first_missing_by_whole_table(ps)
-            if want == (False, dirs[target]):
+            if want == (False, tuple(dirs[target].tolist())):
                 break
         else:
             pytest.fail(f"no set misses direction {target} first")
@@ -352,9 +351,9 @@ def test_affine_kakeya_needs_affine_domain(f5):
 @pytest.mark.parametrize("q", [5, 7, 9, 11, 13])
 def test_example_affine_not_refined(q):
     fld = Field(q)
-    dirs = hz.enumerate_refined_directions(fld, 1)
+    dirs = ol.enumerate_refined_directions(fld, 1)
     for om0 in (dirs[0], dirs[len(dirs) // 2], dirs[-1]):
-        e = cn.example_affine_not_refined(om0)
+        e = cn.example_affine_not_refined(fld, om0.rep)
         assert len(e) == q**3 - q
         ok, _ = cn.is_affine_kakeya(cn.as_affine_set(e))
         assert ok
@@ -376,7 +375,7 @@ def test_best_contained_line_matches_object_scan(q):
     # oracle: walk the AffineLine objects in scan order, keep the first
     # contained line of smallest mu
     fld = Field(q)
-    dirs = hz.enumerate_refined_directions(fld, 1)
+    dirs = ol.enumerate_refined_directions(fld, 1)
     # a dense random set less a few vertical fibers: each fiber blocks the
     # q + 1 refined directions whose lines all cross it
     rng = mx.seeded_rng(q)
@@ -384,12 +383,13 @@ def test_best_contained_line_matches_object_scan(q):
     mask.reshape(q * q, q)[rng.choice(q * q, q // 2 + 1, replace=False)] = 0
     fibers = cn.PointSet.from_mask(h1(fld), mask)
     sparse = cn.PointSet.from_mask(h1(fld), rng.random(q**3) < 0.5)
-    for e in (cn.example_affine_not_refined(dirs[len(dirs) // 2]), fibers,
-              sparse):
+    for e in (cn.example_affine_not_refined(fld, dirs[len(dirs) // 2].rep),
+              fibers, sparse):
         rep = cn.omega_partition(e)
         ae = cn.as_affine_set(e)
-        assert rep.omega2
-        for om in rep.omega2:
+        assert rep.omega2.size
+        for i in rep.omega2.tolist():
+            om = dirs[i]
             want = want_mu = None
             for line in ol.affine_lines_with_direction(fld, 3, om.rep):
                 if ol.contains_line(ae, line):
@@ -397,15 +397,15 @@ def test_best_contained_line_matches_object_scan(q):
                     if want is None or mu < want_mu:
                         want, want_mu = line, mu
             if want is None:
-                assert om in rep.unwitnessed and om not in rep.chosen_lines
+                assert i in rep.unwitnessed and i not in rep.chosen_lines
                 continue
-            assert tuple(rep.chosen_lines[om]) == want.point_indices
-            assert om in rep.slices[want_mu]
+            assert tuple(rep.chosen_lines[i]) == want.point_indices
+            assert i in rep.slices[want_mu]
 
 
 def test_example_11_1_every_line_meets_removed_fiber(f5):
-    om0 = hz.RefinedDirection(f5, (1, 2, 3))
-    e = cn.example_affine_not_refined(om0)
+    om0 = ol.RefinedDirection(f5, (1, 2, 3))
+    e = cn.example_affine_not_refined(f5, om0.rep)
     removed = e.complement()
     for L in ol.lines_with_refined_direction(om0):
         assert any(p.index in removed.indices for p in L.points)
@@ -440,7 +440,7 @@ def test_example_refined_not_affine(q, modulus):
     assert ok
     affine, witness = cn.is_affine_kakeya(cn.as_affine_set(e))
     assert not affine
-    assert witness == hz.ProjectiveDirection(fld, (0, 0, 1))
+    assert witness == (0, 0, 1)
     assert cn.vertical_fiber_sizes(e).max() <= (q + 3) // 2
 
 
@@ -477,10 +477,10 @@ def _line_set(fld, base, rep):
 def test_mu_zero_iff_horizontal(f5):
     # oracle: the point sets of all horizontal lines of H_1
     horizontal = {frozenset(L.point_indices)
-                  for om in hz.enumerate_refined_directions(f5, 1)
+                  for om in ol.enumerate_refined_directions(f5, 1)
                   for L in ol.lines_with_refined_direction(om)}
     x0, y0 = np.indices((5, 5)).reshape(2, -1)
-    for v in hz.enumerate_directions(f5, 3)[:-1]:   # all but [0:0:1]
+    for v in ol.enumerate_directions(f5, 3)[:-1]:   # all but [0:0:1]
         mus = cn.mu_parameter(f5, v.rep, x0, y0)
         assert mus.shape == (25,)
         for x, y, mu in zip(x0, y0, mus):
@@ -495,7 +495,7 @@ def test_mu_example_line(f5):
 
 
 def test_mu_basepoint_independent_exhaustive(f5):
-    for v in hz.enumerate_directions(f5, 3)[:-1]:
+    for v in ol.enumerate_directions(f5, 3)[:-1]:
         for line in ol.affine_lines_with_direction(f5, 3, v):
             x, y, _ = np.array(line.points).T
             mus = cn.mu_parameter(f5, v.rep, x, y)
@@ -617,19 +617,21 @@ def test_straighten_rejects_objects_outside_h1(f5, obj):
 
 def test_omega_partition_full_space(f5):
     rep = cn.omega_partition(cn.PointSet.full(h1(f5)))
-    assert len(rep.omega1) == 30 and not rep.omega2
+    assert len(rep.omega1) == 30 and not rep.omega2.size
     assert rep.m == 5
-    assert not rep.slices and not rep.unwitnessed
+    assert not rep.slices and not rep.unwitnessed.size
 
 
 def test_omega_partition_example_11_1(f5):
-    om0 = hz.RefinedDirection(f5, (1, 1, 2))
-    e = cn.example_affine_not_refined(om0)
+    dirs = ol.enumerate_refined_directions(f5, 1)
+    om0 = ol.RefinedDirection(f5, (1, 1, 2))
+    e = cn.example_affine_not_refined(f5, om0.rep)
     rep = cn.omega_partition(e)
-    assert om0 in rep.omega2
+    assert dirs.index(om0) in rep.omega2
     assert len(rep.omega1) + len(rep.omega2) == 30
     assert rep.chosen_lines
-    for om, row in rep.chosen_lines.items():
+    for i, row in rep.chosen_lines.items():
+        om = dirs[i]
         # the row is a contained affine line of direction om, from its base
         x0, y0, t0 = ol.affine_point_from_index(f5, 3, int(row[0]))
         assert tuple(row) == ol.AffineLine(f5, (x0, y0, t0),
@@ -637,25 +639,136 @@ def test_omega_partition_example_11_1(f5):
         assert e.mask[row].all()
         line = _line_set(f5, (x0, y0, t0), om.rep)
         mu = cn.mu_parameter(f5, om.rep, x0, y0)
-        assert mu != 0 and om in rep.slices[mu]
+        assert mu != 0 and i in rep.slices[mu]
         chart = om.chart()[0]
         shear = f5.mul(mu, x0 if chart == "slope" else y0)
         image = (*om.rep[:2], f5.sub(om.rep[2], mu))
         assert cn.straighten(line, mu, chart) == \
             _line_set(f5, (x0, y0, f5.sub(t0, shear)), image)
         assert cn.mu_parameter(f5, image, x0, y0) == 0
-    slice_members = [om for oms in rep.slices.values() for om in oms]
-    assert sorted(map(str, slice_members)) == \
-        sorted(str(om) for om in rep.omega2 if om not in rep.unwitnessed)
+    slice_members = [i for oms in rep.slices.values() for i in oms.tolist()]
+    assert sorted(slice_members) == \
+        [i for i in rep.omega2.tolist() if i not in rep.unwitnessed]
     assert 0 not in rep.slices
+
+
+def _omega_partition_by_objects(ps):
+    """The partition from the oracle's direction and line objects: Omega_1
+    by a contained normal-form line, and for the rest the first contained
+    affine line of smallest mu in scan order."""
+    fld = ps.domain.field
+    ae = cn.as_affine_set(ps)
+    omega1, omega2, unwitnessed, slices, chosen, mvals = [], [], [], {}, {}, []
+    for om in ol.enumerate_refined_directions(fld, 1):
+        lines = ol.lines_with_refined_direction(om)
+        mvals.append(max(int(ps.mask[list(L.point_indices)].sum())
+                         for L in lines))
+        if any(ol.contains_line(ps, L) for L in lines):
+            omega1.append(om)
+            continue
+        omega2.append(om)
+        best = best_mu = None
+        for line in ol.affine_lines_with_direction(fld, 3, om.rep):
+            mu = _mu_by_field_ops(fld, om.rep, *line.base[:2])
+            if ol.contains_line(ae, line) and (best is None or mu < best_mu):
+                best, best_mu = line, mu
+        if best is None:
+            unwitnessed.append(om)
+        else:
+            chosen[om] = best.point_indices
+            slices.setdefault(best_mu, []).append(om)
+    return omega1, omega2, unwitnessed, slices, chosen, mvals
+
+
+def _oracle_sets(fld):
+    q = fld.q
+    rng = mx.seeded_rng(q, 11)
+    mask = rng.random(q**3) < 0.97
+    mask.reshape(q * q, q)[rng.choice(q * q, q // 2 + 1, replace=False)] = 0
+    dirs = ol.enumerate_refined_directions(fld, 1)
+    return [cn.PointSet.full(h1(fld)), cn.PointSet.from_mask(h1(fld), mask),
+            cn.PointSet.from_mask(h1(fld), rng.random(q**3) < 0.5),
+            cn.example_affine_not_refined(fld, dirs[len(dirs) // 3].rep),
+            cn.extremal_set("single-line", fld), cn.extremal_set("bush", fld)]
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7])
+def test_omega_partition_matches_object_run(q):
+    fld = Field(q)
+    dirs = ol.enumerate_refined_directions(fld, 1)
+    for e in _oracle_sets(fld):
+        rep = cn.omega_partition(e)
+        omega1, omega2, unwitnessed, slices, chosen, mvals = \
+            _omega_partition_by_objects(e)
+        assert [dirs[i] for i in rep.omega1] == omega1
+        assert [dirs[i] for i in rep.omega2] == omega2
+        assert [dirs[i] for i in rep.unwitnessed] == unwitnessed
+        assert {k: [dirs[i] for i in v] for k, v in rep.slices.items()} == \
+            slices
+        assert {dirs[i]: tuple(row.tolist())
+                for i, row in rep.chosen_lines.items()} == chosen
+        assert rep.max_values.tolist() == mvals and rep.m == min(mvals)
+        assert rep.omega1_bound == q * len(omega1) / 25.0
+
+
+def _kakeya_bound_by_objects(ps, omega, m, u, v):
+    """(lhs, rhs) of the size bound over a list of direction objects, each
+    checked for a witnessing line of the oracle with >= m points."""
+    fld = ps.domain.field
+    for om in omega:
+        if max(int(ps.mask[list(L.point_indices)].sum())
+               for L in ol.lines_with_refined_direction(om)) < m:
+            raise DomainError(f"direction {om} has no witnessing line")
+    u, v = mx.ExtendedExponent(u), mx.ExtendedExponent(v)
+    uu = float(u.value)
+    omega_pow = 1.0 if v.is_inf else len(omega) ** (uu / float(v.value))
+    rhs = mx.rd_upper_constant(u, v) ** -uu * m ** uu * omega_pow \
+        * mx.q_pow(fld.q, -u.value * mx.exponent_Ard(u, v))
+    return float(len(ps)), rhs
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7])
+def test_kakeya_bound_report_matches_object_run(q):
+    fld = Field(q)
+    dirs = ol.enumerate_refined_directions(fld, 1)
+    rng = mx.seeded_rng(q, 12)
+    for e in _oracle_sets(fld):
+        mvals = _omega_partition_by_objects(e)[-1]
+        picks = [np.arange(len(dirs)),
+                 np.sort(rng.choice(len(dirs), size=q + 1, replace=False))]
+        for idx in picks:
+            for m in (1, min(mvals[i] for i in idx), q):
+                omega = [dirs[i] for i in idx]
+                try:
+                    want = _kakeya_bound_by_objects(e, omega, m, 2, 4)
+                except DomainError as exc:
+                    with pytest.raises(DomainError) as got:
+                        cn.kakeya_bound_report(e, idx, m, 2, 4)
+                    assert str(got.value).split()[1] == str(exc).split()[1]
+                    continue
+                rep = cn.kakeya_bound_report(e, idx, m, 2, 4)
+                assert (rep.lhs, rep.rhs) == want
+                assert rep.holds == (want[0] * (1 + mx.REL_TOL) >= want[1])
+
+
+@pytest.mark.parametrize("omega,match", [
+    *(([bad], "indices into D_1") for bad in (0.0, True, -1, 30, "0")),
+    ([[0, 1]], "indices into D_1"),
+    # a repeated direction would inflate |Omega|: the one-line set has
+    # |E| = 5 but [0] * 1000 asked for |E| >= 200 at (2, 2)
+    ([0] * 1000, "twice"),
+])
+def test_kakeya_bound_report_refuses_bad_indices(f5, omega, match):
+    with pytest.raises(DomainError, match=match):
+        cn.kakeya_bound_report(cn.extremal_set("single-line", f5), omega, 5,
+                               2, 2)
 
 
 # -- size and moment reports ---------------------------------------------------------
 
 
 def test_kakeya_bound_full_space(f5):
-    dirs = hz.enumerate_refined_directions(f5, 1)
-    rep = cn.kakeya_bound_report(cn.PointSet.full(h1(f5)), dirs, 5, 2, 2)
+    rep = cn.kakeya_bound_report(cn.PointSet.full(h1(f5)), range(30), 5, 2, 2)
     assert rep.holds
     assert rep.lhs == 125
     assert rep.rhs == pytest.approx((1 / 25) * 25 * 30 / 5)
@@ -663,25 +776,22 @@ def test_kakeya_bound_full_space(f5):
 
 
 def test_kakeya_bound_checks_witnesses(f5):
-    dirs = hz.enumerate_refined_directions(f5, 1)
     line_set = cn.extremal_set("single-line", f5)
-    with pytest.raises(DomainError):
-        cn.kakeya_bound_report(line_set, dirs, 5, 2, 2)
+    with pytest.raises(DomainError, match=r"direction \[1:0:1\]"):
+        cn.kakeya_bound_report(line_set, range(30), 5, 2, 2)
 
 
 def test_kakeya_bound_refined_kakeya_set(f7):
     e = cn.example_refined_not_affine(f7)
-    dirs = hz.enumerate_refined_directions(f7, 1)
-    rep = cn.kakeya_bound_report(e, dirs, 7, 2, 2)
+    rep = cn.kakeya_bound_report(e, range(56), 7, 2, 2)
     assert rep.holds
     # |E| >= q|Omega|/25 with m = q
     assert rep.rhs == pytest.approx(49 * 56 / (25 * 7))
 
 
 def test_kakeya_bound_rejects_infinite_u(f5):
-    dirs = hz.enumerate_refined_directions(f5, 1)
     with pytest.raises(DomainError):
-        cn.kakeya_bound_report(cn.PointSet.full(h1(f5)), dirs, 5, INF, 2)
+        cn.kakeya_bound_report(cn.PointSet.full(h1(f5)), range(30), 5, INF, 2)
 
 
 def test_moment_reports(f5):

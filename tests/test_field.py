@@ -212,7 +212,7 @@ def _fill_every_table(fld):
     mx.affine_incidence(fld, 2)
     mx.affine_incidence(fld, 3)
     mx.heis1_incidence(fld)
-    hz.line_table_for_direction(fld, hz.ProjectiveDirection(fld, (0, 1, 0, 0)))
+    hz.line_table_for_direction(fld, (0, 1, 0, 0))
     fr.u_tables(mx.GridFunction.delta(mx.Domain.heisenberg(fld, 1)), 1)
     cn.lower_bound_ratio("bush", fld, 2, 2, operator="heis")
 

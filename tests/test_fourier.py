@@ -81,8 +81,8 @@ def test_zero_component_is_planar_average(f7):
     fam = mx.linearize("refined", f7)
     t0 = fr.t_xi_component(f, 0, fam)
     raw = f.values.reshape(49, 7).sum(axis=1)  # g_0: plain t-fiber sums
-    for i, om in enumerate(fam.directions):
-        line = ol.planar_line_of(om)
+    for i, rep in enumerate(fam.directions):
+        line = ol.planar_line_of(ol.RefinedDirection(f7, rep))
         expect = sum(raw[ol.affine_point_index(f7, p)]
                      for p in line.points) / 7
         assert abs(t0[i] - expect) < 1e-9
@@ -103,7 +103,8 @@ def test_normal_form_factorization(f7):
     for xi in (1, 3, 6):
         tx = fr.t_xi_component(f, xi, fam)
         ut = fr.u_tables(f, xi)
-        for i, om in enumerate(fam.directions):
+        for i, rep in enumerate(fam.directions):
+            om = ol.RefinedDirection(f7, rep)
             chart = om.chart()
             base = ol.point_from_index(f7, 1, int(fam.point_idx[i, 0]))
             tau = ol.HorizontalLine(base, om.projective()).tau()

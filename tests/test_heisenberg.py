@@ -76,22 +76,22 @@ def test_point_enumeration_order(f3):
 
 def test_horizontal_line_zero_twist(f3):
     L = ol.HorizontalLine(ol.HPoint.origin(f3),
-                          hz.ProjectiveDirection(f3, (1, 0)))
+                          ol.ProjectiveDirection(f3, (1, 0)))
     assert {(p.x[0], p.y[0], p.t) for p in L.points} == {(s, 0, 0)
                                                          for s in range(3)}
 
 
 def test_horizontal_line_unit_twist(f3):
     L = ol.HorizontalLine(ol.HPoint(f3, 1, 0, 0),
-                          hz.ProjectiveDirection(f3, (0, 1)))
+                          ol.ProjectiveDirection(f3, (0, 1)))
     assert {(p.x[0], p.y[0], p.t) for p in L.points} == {(1, s, s)
                                                          for s in range(3)}
     assert L.t_slope() == 1
-    assert L.refined_direction() == hz.RefinedDirection(f3, (0, 1, 1))
+    assert L.refined_direction() == ol.RefinedDirection(f3, (0, 1, 1))
 
 
 def test_line_independent_of_basepoint(f5):
-    v = hz.ProjectiveDirection(f5, (1, 3))
+    v = ol.ProjectiveDirection(f5, (1, 3))
     L = ol.HorizontalLine(ol.HPoint(f5, 2, 1, 4), v)
     for p in L.points:
         assert ol.HorizontalLine(p, v) == L
@@ -101,7 +101,7 @@ def test_line_independent_of_basepoint(f5):
 
 
 def test_t_slope_zero_through_origin(f5):
-    for v in hz.enumerate_projective_directions(f5, 1):
+    for v in ol.enumerate_projective_directions(f5, 1):
         L = ol.HorizontalLine(ol.HPoint.origin(f5), v)
         assert L.t_slope() == 0
 
@@ -110,13 +110,13 @@ def test_refined_direction_slope_chart(f5):
     # through the origin in direction [1:m]: Dir = [1:m:0]
     for m in range(5):
         L = ol.HorizontalLine(ol.HPoint.origin(f5),
-                              hz.ProjectiveDirection(f5, (1, m)))
+                              ol.ProjectiveDirection(f5, (1, m)))
         assert L.refined_direction().rep == (1, m, 0)
 
 
 def test_line_has_q_points(f5):
     L = ol.HorizontalLine(ol.HPoint(f5, 1, 2, 3),
-                          hz.ProjectiveDirection(f5, (2, 3)))
+                          ol.ProjectiveDirection(f5, (2, 3)))
     assert len(L) == 5
     assert len(set(L.point_indices)) == 5
 
@@ -128,23 +128,66 @@ def test_projective_direction_counts(f3):
     assert len(hz.enumerate_projective_directions(f3, 1)) == 4
     assert len(hz.enumerate_projective_directions(f3, 2)) == 40
     dirs7 = hz.enumerate_projective_directions(Field(7), 1)
-    assert len(dirs7) == len(set(dirs7)) == 8
+    assert len(dirs7) == len(np.unique(dirs7, axis=0)) == 8
+
+
+_ENUM_QS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)
+
+
+@pytest.mark.parametrize("q", _ENUM_QS)
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_enumerate_directions_matches_oracle(q, d):
+    # row for row against the oracle's canonical representatives; where
+    # q^d is small, also against canonicalizing every nonzero vector
+    f = Field(q)
+    dirs = hz.enumerate_directions(f, d)
+    assert dirs.dtype == np.intp
+    assert dirs.shape == ((q**d - 1) // (q - 1), d)
+    assert dirs.tolist() == [list(v.rep)
+                             for v in ol.enumerate_directions(f, d)]
+    if q**d <= 20000:
+        every = np.indices((q,) * d).reshape(d, -1).T[1:]
+        assert {ol.canonical_direction(f, v) for v in every.tolist()} == \
+            set(map(tuple, dirs.tolist()))
+
+
+@pytest.mark.parametrize("q,n", [(q, 1) for q in _ENUM_QS]
+                         + [(q, 2) for q in _ENUM_QS if q <= 7])
+def test_enumerate_refined_directions_matches_oracle(q, n):
+    f = Field(q)
+    dirs = hz.enumerate_refined_directions(f, n)
+    assert dirs.dtype == np.intp
+    assert dirs.tolist() == [list(om.rep)
+                             for om in ol.enumerate_refined_directions(f, n)]
+    assert np.array_equal(hz.enumerate_projective_directions(f, n),
+                          hz.enumerate_directions(f, 2 * n))
+
+
+@pytest.mark.parametrize("rep,match", [
+    ((0, 0), "canonical"), ((2, 1), "canonical"), ((0, 3, 1), "canonical"),
+    ((1, 5), "field indices"), ((1, -1), "field indices"),
+    ((1.0, 0), "field indices"), ((True, False), "field indices"),
+    ((), "field indices"), ((1, 0, 0), "2n coordinates"),
+])
+def test_line_table_refuses_a_bad_rep(f5, rep, match):
+    with pytest.raises(DomainError, match=match):
+        hz.line_table_for_direction(f5, rep)
 
 
 def test_canonicalization():
     f = Field(5)
-    assert hz.ProjectiveDirection(f, (2, 4)) == hz.ProjectiveDirection(f, (1, 2))
-    assert hz.ProjectiveDirection(f, (0, 3)).rep == (0, 1)
+    assert ol.ProjectiveDirection(f, (2, 4)) == ol.ProjectiveDirection(f, (1, 2))
+    assert ol.ProjectiveDirection(f, (0, 3)).rep == (0, 1)
     with pytest.raises(DomainError):
-        hz.ProjectiveDirection(f, (0, 0))
+        ol.ProjectiveDirection(f, (0, 0))
 
 
 def test_refined_direction_counts_and_fibers(f3):
     rd = hz.enumerate_refined_directions(f3, 1)
-    assert len(rd) == 12
+    assert rd.shape == (12, 3) and rd.dtype == np.intp
     fibers = {}
-    for om in rd:
-        fibers.setdefault(om.projective(), set()).add(om.c)
+    for a, b, c in rd.tolist():
+        fibers.setdefault((a, b), set()).add(c)
     assert all(len(v) == 3 for v in fibers.values())
     assert len(hz.enumerate_refined_directions(f3, 2)) == 120
 
@@ -160,27 +203,28 @@ def test_refined_directions_lead_the_directions_of_f_q3(q, modulus):
     refined = hz.enumerate_refined_directions(fld, 1)
     affine = hz.enumerate_directions(fld, 3)
     assert len(refined) == q * q + q == len(affine) - 1
-    for i in range(q * q + q):
-        assert refined[i].rep == affine[i].rep
-    assert affine[-1].rep == (0, 0, 1)
+    assert np.array_equal(refined, affine[:-1])
+    assert affine[-1].tolist() == [0, 0, 1]
 
 
 def test_vertical_class_unrepresentable(f3):
     with pytest.raises(DomainError):
-        hz.RefinedDirection(f3, (0, 0, 1))
+        ol.RefinedDirection(f3, (0, 0, 1))
+    with pytest.raises(DomainError, match="vertical"):
+        hz.lines_with_refined_direction(f3, (0, 0, 1))
 
 
 def test_refined_direction_charts(f5):
-    assert hz.RefinedDirection(f5, (1, 2, 3)).chart() == ("slope", 2, 3)
-    assert hz.RefinedDirection(f5, (0, 1, 3)).chart() == ("vertical", 3)
-    assert hz.RefinedDirection(f5, (0, 2, 1)).chart() == ("vertical", 3)
+    assert ol.RefinedDirection(f5, (1, 2, 3)).chart() == ("slope", 2, 3)
+    assert ol.RefinedDirection(f5, (0, 1, 3)).chart() == ("vertical", 3)
+    assert ol.RefinedDirection(f5, (0, 2, 1)).chart() == ("vertical", 3)
 
 
 # -- line families -----------------------------------------------------------
 
 
 def test_lines_with_refined_direction_partition_of_slab(f3):
-    om = hz.RefinedDirection(f3, (1, 0, 0))
+    om = ol.RefinedDirection(f3, (1, 0, 0))
     fam = ol.lines_with_refined_direction(om)
     assert len(fam) == 3
     pts = set()
@@ -191,7 +235,7 @@ def test_lines_with_refined_direction_partition_of_slab(f3):
 
 
 def test_lines_with_refined_direction_count_q5(f5):
-    for om in hz.enumerate_refined_directions(f5, 1):
+    for om in ol.enumerate_refined_directions(f5, 1):
         fam = ol.lines_with_refined_direction(om)
         assert len(fam) == 5
         assert all(L.refined_direction() == om for L in fam)
@@ -235,7 +279,7 @@ def test_census_values():
 
 def test_every_refined_direction_realized(f5):
     # census would raise otherwise; also check directly at q=5
-    for om in hz.enumerate_refined_directions(f5, 1):
+    for om in ol.enumerate_refined_directions(f5, 1):
         fam = ol.lines_with_refined_direction(om)
         assert fam and all(L.refined_direction() == om for L in fam)
 
@@ -279,6 +323,7 @@ def test_lines_through_point_rejects_a_bad_index(f3, index, match):
 
 
 _RANKED = {
+    "enumerate_directions": hz.enumerate_directions,
     "census": hz.census,
     "lines_through_point": hz.lines_through_point,
     "enumerate_projective_directions": hz.enumerate_projective_directions,
@@ -315,8 +360,8 @@ def test_rank_cap_is_the_point_count():
 def test_lines_with_refined_direction_matches_objects(q, modulus):
     f = Field(q, modulus=modulus)
     _, table = mx.refined_incidence(f)
-    for om, block in zip(hz.enumerate_refined_directions(f, 1), table):
-        rows = hz.lines_with_refined_direction(om)
+    for om, block in zip(ol.enumerate_refined_directions(f, 1), table):
+        rows = hz.lines_with_refined_direction(f, om.rep)
         assert rows.dtype == np.intp
         assert rows.tolist() == [list(L.point_indices)
                                  for L in ol.lines_with_refined_direction(om)]
@@ -325,7 +370,7 @@ def test_lines_with_refined_direction_matches_objects(q, modulus):
 
 def test_lines_with_refined_direction_needs_rank_1(f3):
     with pytest.raises(DomainError, match="n=1"):
-        hz.lines_with_refined_direction(hz.RefinedDirection(f3, (1, 0, 0, 0, 0)))
+        hz.lines_with_refined_direction(f3, (1, 0, 0, 0, 0))
 
 
 # -- projections -------------------------------------------------------------
@@ -337,7 +382,7 @@ def test_project_point(f5):
 
 def test_project_line_bijective(f5):
     L = ol.HorizontalLine(ol.HPoint(f5, 1, 2, 3),
-                          hz.ProjectiveDirection(f5, (2, 3)))
+                          ol.ProjectiveDirection(f5, (2, 3)))
     pl = ol.project_line(L)
     assert len(set(pl.points)) == 5
     assert pl.direction == L.direction
@@ -345,7 +390,7 @@ def test_project_line_bijective(f5):
 
 def test_projected_line_is_ell_omega(f5):
     # pi(L_{omega,tau}) = l_omega for every omega, tau
-    for om in hz.enumerate_refined_directions(f5, 1):
+    for om in ol.enumerate_refined_directions(f5, 1):
         lo = ol.planar_line_of(om)
         for L in ol.lines_with_refined_direction(om):
             assert ol.project_line(L) == lo
@@ -355,7 +400,7 @@ def test_omega_to_planar_line_bijection():
     for q in (3, 4, 5):
         f = Field(q)
         images = {ol.planar_line_of(om)
-                  for om in hz.enumerate_refined_directions(f, 1)}
+                  for om in ol.enumerate_refined_directions(f, 1)}
         alll = ol.all_affine_lines(f, 2)
         assert len(images) == len(alll) == q * (q + 1)
         assert images == set(alll)
@@ -363,7 +408,7 @@ def test_omega_to_planar_line_bijection():
 
 def test_planar_line_equation(f5):
     # l_[a:b:c] = {bx - ay = c}, parallel to [a:b]
-    for om in hz.enumerate_refined_directions(f5, 1):
+    for om in ol.enumerate_refined_directions(f5, 1):
         a, b, c = om.rep
         for (x, y) in ol.planar_line_of(om).points:
             assert f5.sub(f5.mul(b, x), f5.mul(a, y)) == c
@@ -378,11 +423,11 @@ def test_line_table_matches_objects(q, n):
     # ordered: row r is the r-th line of the object scan, column s its s-th
     # point, so any reordering of rows or columns fails
     f = Field(q)
-    for v in hz.enumerate_projective_directions(f, n):
+    for v in ol.enumerate_projective_directions(f, n):
         lines = ol.lines_with_direction(f, n, v)
-        table = hz.line_table_for_direction(f, v)
+        table = hz.line_table_for_direction(f, v.rep)
         assert table.tolist() == [list(L.point_indices) for L in lines]
-        slopes = hz.line_slope_table(f, v)
+        slopes = hz.line_slope_table(f, v.rep)
         assert slopes.tolist() == [L.t_slope() for L in lines]
 
 
@@ -391,20 +436,20 @@ def test_incidence_tables_match_objects(q):
     f = Field(q)
     for d in (2, 3):
         dirs, table = mx.affine_incidence(f, d)
-        assert dirs == hz.enumerate_directions(f, d)
-        for v, block in zip(dirs, table):
+        assert np.array_equal(dirs, hz.enumerate_directions(f, d))
+        for v, block in zip(ol.enumerate_directions(f, d), table):
             lead = next(j for j, c in enumerate(v.rep) if c)
             bases = [p for p in ol.enumerate_affine_points(f, d)
                      if p[lead] == 0]
             assert block.tolist() == [
                 list(ol.AffineLine(f, b, v).point_indices) for b in bases]
     dirs, table = mx.refined_incidence(f)
-    assert dirs == hz.enumerate_refined_directions(f, 1)
+    assert np.array_equal(dirs, hz.enumerate_refined_directions(f, 1))
     want = [[list(L.point_indices) for L in ol.lines_with_refined_direction(om)]
-            for om in dirs]
+            for om in ol.enumerate_refined_directions(f, 1)]
     assert table.tolist() == want
     hdirs, htable = mx.heis1_incidence(f)
-    assert hdirs == hz.enumerate_projective_directions(f, 1)
+    assert np.array_equal(hdirs, hz.enumerate_projective_directions(f, 1))
     assert htable.tolist() == [sum(want[i * q:(i + 1) * q], [])
                                for i in range(q + 1)]
 
@@ -426,27 +471,28 @@ def _ends_of_lead_blocks(dirs):
 def test_large_field_tables_match_objects_sampled(q):
     # ordered, at the first and last direction of every lead block
     f = Field(q)
-    dirs, table = mx.affine_incidence(f, 3)
+    _, table = mx.affine_incidence(f, 3)
+    dirs = ol.enumerate_directions(f, 3)
     for i in _ends_of_lead_blocks(dirs):
         v = dirs[i]
         bases = [p for p in ol.enumerate_affine_points(f, 3)
                  if p[_lead(v)] == 0]
         assert table[i].tolist() == [
             list(ol.AffineLine(f, b, v).point_indices) for b in bases]
-    pdirs = hz.enumerate_projective_directions(f, 1)
+    pdirs = ol.enumerate_projective_directions(f, 1)
     for i in _ends_of_lead_blocks(pdirs):
         v = pdirs[i]
         lines = [ol.HorizontalLine(ol.HPoint(f, x, y, t), v)
                  for x, y, t in ol.enumerate_affine_points(f, 3)
                  if (x, y)[_lead(v)] == 0]
-        assert hz.line_table_for_direction(f, v).tolist() == [
+        assert hz.line_table_for_direction(f, v.rep).tolist() == [
             list(L.point_indices) for L in lines]
-        assert hz.line_slope_table(f, v).tolist() == [
+        assert hz.line_slope_table(f, v.rep).tolist() == [
             L.t_slope() for L in lines]
 
 
 def test_lines_with_direction_partition(f5):
-    v = hz.ProjectiveDirection(f5, (1, 2))
+    v = ol.ProjectiveDirection(f5, (1, 2))
     fam = ol.lines_with_direction(f5, 1, v)
     assert len(fam) == 25
     seen = set()
@@ -458,7 +504,7 @@ def test_lines_with_direction_partition(f5):
 
 def test_as_affine_line(f5):
     L = ol.HorizontalLine(ol.HPoint(f5, 1, 2, 3),
-                          hz.ProjectiveDirection(f5, (1, 4)))
+                          ol.ProjectiveDirection(f5, (1, 4)))
     al = ol.as_affine_line(L)
     assert {(p.x[0], p.y[0], p.t) for p in L.points} == set(al.points)
     assert al.direction.rep == L.refined_direction().rep

@@ -55,9 +55,9 @@ def test_exponent_Ard_examples():
 def test_exponent_formula_dominates_terms():
     grid = [1, Fraction(4, 3), Fraction(3, 2), 2, 3, 4, INF]
     for u in grid:
-        ru = mx.as_exponent(u).recip
+        ru = mx.ExtendedExponent(u).recip
         for v in grid:
-            rv = mx.as_exponent(v).recip
+            rv = mx.ExtendedExponent(v).recip
             a = mx.exponent_A(1, u, v)
             assert a >= rv and a >= 1 - ru and a >= 1 + rv - 2 * ru
             ard = mx.exponent_Ard(u, v)
@@ -150,19 +150,19 @@ def test_heis_max_op_delta(f5):
 
 
 def test_heis_max_op_line_indicator(f5):
-    v = hz.ProjectiveDirection(f5, (1, 2))
+    v = ol.ProjectiveDirection(f5, (1, 2))
     L = ol.HorizontalLine(ol.HPoint(f5, 0, 1, 3), v)
     F = cn.PointSet(h1(f5), L.point_indices).indicator()
     vals = mx.heis_max_op(F)
-    dirs = hz.enumerate_projective_directions(f5, 1)
+    dirs = ol.enumerate_projective_directions(f5, 1)
     assert vals[dirs.index(v)] == 5
 
 
 def test_refined_max_op_delta(f3):
     F = mx.GridFunction.delta(h1(f3))
     vals = mx.refined_max_op(F)
-    for om, val in zip(hz.enumerate_refined_directions(f3, 1), vals):
-        assert val == (1 if om.c == 0 else 0)
+    for (_, _, c), val in zip(hz.enumerate_refined_directions(f3, 1), vals):
+        assert val == (1 if c == 0 else 0)
     # vals[True] would mark all 27 points, vals[-1] the last one, and 27
     # would raise a bare IndexError
     for index, match in ((True, "must be an integer"), (-1, "outside"),
@@ -242,14 +242,13 @@ def test_refined_max_op_permuted_by_left_translation(q):
     rng = mx.seeded_rng(q, 7)
     F = _integer_grid(f, 1, rng)
     want = mx.refined_max_op(F)
-    dirs = hz.enumerate_refined_directions(f, 1)
-    pos = {om.rep: i for i, om in enumerate(dirs)}
+    dirs = hz.enumerate_refined_directions(f, 1).tolist()
+    pos = {tuple(rep): i for i, rep in enumerate(dirs)}
     for _ in range(3):
         g = _random_point(f, 1, rng)
         got = mx.refined_max_op(_pulled_back(F, g.__mul__))
         gx, gy = g.x[0], g.y[0]
-        for om, val in zip(dirs, got):
-            a, b, c = om.rep
+        for (a, b, c), val in zip(dirs, got):
             shifted = f.add(c, f.sub(f.mul(gx, b), f.mul(gy, a)))
             assert val == want[pos[a, b, shifted]]
 
@@ -332,7 +331,7 @@ def test_eot_diagonal_inequality_on_inputs():
         scale = mx.q_pow(q, Fraction(3, 4))
         inputs = [mx.GridFunction.delta(dom), mx.GridFunction.constant(dom)]
         bush = np.zeros(dom.size, dtype=np.int64)
-        for v in hz.enumerate_directions(fld, 4):
+        for v in ol.enumerate_directions(fld, 4):
             line = ol.AffineLine(fld, (0, 0, 0, 0), v)
             bush[list(line.point_indices)] = 1
         inputs.append(mx.GridFunction(dom, bush))
@@ -369,8 +368,8 @@ def test_maximizing_family_matches_operator(f5):
 def test_maximizing_family_for_delta_picks_origin_lines(f5):
     F = mx.GridFunction.delta(h1(f5))
     fam = mx.linearize("refined", f5, for_function=F)
-    for om, row in zip(fam.directions, fam.point_idx):
-        if om.c == 0:
+    for (_, _, c), row in zip(fam.directions, fam.point_idx):
+        if c == 0:
             assert 0 in row  # the line through the origin
 
 
@@ -396,12 +395,14 @@ def test_lazy_lines_match_index_table(kind):
     f = Field(q)
     fam = mx.linearize(kind, f, rng=mx.seeded_rng(6))
     assert len(fam) == (q + 1) * (q if kind == "refined" else 1)
-    for want, row in zip(fam.directions, fam.point_idx.tolist()):
+    for rep, row in zip(fam.directions, fam.point_idx.tolist()):
         if kind == "planar":
+            want = ol.ProjectiveDirection(f, rep)
             base = ol.affine_point_from_index(f, 2, row[0])
             line = ol.AffineLine(f, base, want)
             got = line.direction
         else:
+            want = ol.RefinedDirection(f, rep)
             base = ol.point_from_index(f, 1, row[0])
             line = ol.HorizontalLine(base, want.projective())
             got = line.refined_direction()
@@ -464,7 +465,7 @@ def test_narrow_f3_table_equals_the_native_width_build(q):
     assert table.dtype == (np.uint8 if q < 7 else np.uint16)
     assert len(dirs) == len(table) == q * q + q + 1
     for v, block in zip(dirs, table):
-        assert np.array_equal(block, hz._coset_table(f, v.rep))
+        assert np.array_equal(block, hz._coset_table(f, v))
 
 
 # -- TT* and operator norms ------------------------------------------------------
@@ -707,6 +708,23 @@ def test_grid_json_overflowing_modulus_is_a_domain_error():
 def test_domain_rejects_nonpositive_rank(f3, make):
     with pytest.raises(DomainError):
         make(f3)
+
+
+@pytest.mark.parametrize("d,match", [
+    (True, "must be an integer"), (1.5, "must be an integer"),
+    (2.0, "must be an integer"), ("2", "must be an integer"),
+    (0, ">= 1"), (-1, ">= 1"),
+])
+def test_affine_dimension_goes_through_the_rank_check(f3, d, match):
+    # True would give a domain of size 3 and 1.5 one of size 5.196
+    with pytest.raises(DomainError, match=match):
+        mx.Domain.affine(f3, d)
+
+
+def test_affine_dimension_comes_back_as_an_int(f3):
+    dom = mx.Domain.affine(f3, np.int64(3))
+    assert type(dom.n) is int and dom.n == 3
+    assert type(dom.size) is int and dom.size == 27
 
 
 @pytest.mark.parametrize("make", [
