@@ -5,8 +5,8 @@ from .field import BUILTIN_MODULI, DomainError, Field
 from .heisenberg import (Census, census, enumerate_projective_directions,
                          enumerate_refined_directions, lines_through_point,
                          lines_with_refined_direction)
-from .maximal import (BoundSpec, Domain, ExtendedExponent, GridFunction,
-                      LineFamily, VerifyReport, affine_max_op, apply_linearized,
+from .maximal import (BoundSpec, Domain, GridFunction, LineFamily,
+                      VerifyReport, affine_max_op, apply_linearized, exponent,
                       exponent_A, exponent_Ard, grid_from_json, grid_to_json,
                       heis_max_op, l2_operator_norm, linearize, lp_norm,
                       project_aggregate, random_complex_grid, refined_max_op,

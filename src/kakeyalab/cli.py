@@ -651,8 +651,10 @@ def _emit(text):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def cmd_census(args):
-    cfg = _config_from(args, suites=("census",))
+def cmd_suite(args):
+    """census and examples: run the one suite the subparser binds and print
+    its CSV."""
+    cfg = _config_from(args, default_qs=args.default_qs, suites=(args.suite,))
     rows, status = run_suite(cfg)
     _emit(rows_to_csv(rows))
     return status
@@ -711,14 +713,6 @@ def cmd_maxop(args):
     return 0
 
 
-def cmd_examples(args):
-    cfg = _config_from(args, default_qs=(5, 7, 9, 11, 13),
-                       suites=("examples",))
-    rows, status = run_suite(cfg)
-    _emit(rows_to_csv(rows))
-    return status
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="kakeya",
@@ -728,7 +722,7 @@ def main(argv=None):
 
     p = sub.add_parser("census", help="enumeration vs closed-form counts")
     _add_common(p)
-    p.set_defaults(fn=cmd_census)
+    p.set_defaults(fn=cmd_suite, suite="census", default_qs=DEFAULT_QS)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default=None,
@@ -749,7 +743,8 @@ def main(argv=None):
 
     p = sub.add_parser("examples", help="run the separating-example checks")
     _add_common(p)
-    p.set_defaults(fn=cmd_examples)
+    p.set_defaults(fn=cmd_suite, suite="examples",
+                   default_qs=(5, 7, 9, 11, 13))
 
     args = parser.parse_args(argv)
     try:

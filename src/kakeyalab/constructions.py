@@ -16,11 +16,12 @@ import numpy as np
 
 from .field import DomainError, field_table
 from . import heisenberg as hz
-from .maximal import (Domain, ExtendedExponent, GridFunction, VerifyReport,
-                      _json_int, affine_incidence,
-                      domain_from_json, domain_to_json, exponent_Ard,
-                      heis_max_op, lp_norm, q_pow, rd_upper_constant,
-                      refined_incidence, refined_max_op, REL_TOL)
+from .maximal import (INF, Domain, GridFunction, VerifyReport,
+                      _HEIS_TERMS, _REFINED_TERMS, _json_int,
+                      affine_incidence, domain_from_json, domain_to_json,
+                      exponent, exponent_Ard, heis_max_op, lp_norm, q_pow,
+                      rd_upper_constant, recip, refined_incidence,
+                      refined_max_op, REL_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -159,20 +160,6 @@ def extremal_set(kind, field, n=1, *, eta=None):
 # exponent-term lower bounds
 
 
-_HEIS_TERMS = {
-    "point-mass": lambda n, ru, rv: (2 * n - 1) * rv,
-    "single-line": lambda n, ru, rv: 1 - ru,
-    "bush": lambda n, ru, rv: 1 + (2 * n - 1) * rv - 2 * n * ru,
-}
-
-_REFINED_TERMS = {
-    "point-mass": lambda n, ru, rv: rv,
-    "single-line": lambda n, ru, rv: 1 - ru,
-    "two-lines-blocking": lambda n, ru, rv: 2 * rv - ru,
-    "constant": lambda n, ru, rv: 1 + 2 * rv - 3 * ru,
-}
-
-
 @dataclass
 class LowerBoundReport:
     """Exact evidence that one exponent-formula term is forced."""
@@ -181,8 +168,8 @@ class LowerBoundReport:
     operator: str
     q: int
     n: int
-    u: ExtendedExponent
-    v: ExtendedExponent
+    u: Fraction | float     # an exponent(): a Fraction, or math.inf
+    v: Fraction | float
     ratio: float            # |op F|_v / |F|_u
     term: Fraction          # the exponent term this test function certifies
     certified_constant: float  # ratio >= certified_constant * q^term
@@ -193,12 +180,11 @@ class LowerBoundReport:
 
 def _exact_pow_sum(vals, v):
     """sum vals^v (exact ints) for finite integer v; max for v = inf."""
-    if v.is_inf:
+    if v == INF:
         return max(int(x) for x in vals)
-    e = v.value
-    if e.denominator != 1:
+    if v.denominator != 1:
         raise DomainError("exact certificates need integer or inf exponents")
-    return sum(int(x) ** int(e) for x in vals)
+    return sum(int(x) ** int(v) for x in vals)
 
 
 def _cert_inequality(A, B, q, term, u, v, two_power):
@@ -209,8 +195,8 @@ def _cert_inequality(A, B, q, term, u, v, two_power):
     example's factor 2^{1/u}.  Both sides are raised to the lcm of the
     exponents' denominators, and a negative power of q moves to the left.
     """
-    a = 1 if v.is_inf else v.recip
-    b = u.recip
+    a = 1 if v == INF else recip(v)
+    b = recip(u)
     L = math.lcm(a.denominator, b.denominator, term.denominator)
     a, b, e = int(a * L), int(b * L), int(term * L)
     lhs = A**a * 2 ** (two_power * b) * q ** max(-e, 0)
@@ -235,7 +221,7 @@ def lower_bound_ratio(kind, field, u, v, *, n=1, operator="refined"):
     integers, and the comparison is done with bigints.  Only the blocking
     example carries a constant below 1 (its support is 2q-1, bounded by 2q).
     """
-    u, v = ExtendedExponent(u), ExtendedExponent(v)
+    u, v = exponent(u), exponent(v)
     terms = _REFINED_TERMS if operator == "refined" else _HEIS_TERMS
     if kind not in terms:
         raise DomainError(f"{kind!r} does not certify a term of the "
@@ -243,22 +229,22 @@ def lower_bound_ratio(kind, field, u, v, *, n=1, operator="refined"):
     if operator == "refined" and n != 1:
         raise DomainError("refined terms live at n=1")
     opvals, support_size = _extremal_op_values(kind, field, n, operator)
-    term = terms[kind](n, u.recip, v.recip)
+    term = terms[kind](n, recip(u), recip(v))
     q = field.q
 
-    if u.is_inf:
+    if u == INF:
         unorm = 1.0  # indicator functions have sup norm 1
     else:
-        unorm = support_size ** (1.0 / float(u.value))
+        unorm = support_size ** (1.0 / float(u))
     ratio = lp_norm(opvals.astype(np.float64), v) / unorm
     A = _exact_pow_sum(opvals, v)
-    B = 1 if u.is_inf else support_size
+    B = 1 if u == INF else support_size
     two_power = 0
     cert_c = 1.0
-    if kind == "two-lines-blocking" and not u.is_inf:
+    if kind == "two-lines-blocking" and u != INF:
         # |B| = 2q - 1 <= 2q, so the certified constant is 2^(-1/u)
         two_power = 1
-        cert_c = 2.0 ** (-float(u.recip))
+        cert_c = 2.0 ** (-float(recip(u)))
     cert = _cert_inequality(A, B, q, term, u, v, two_power)
     return LowerBoundReport(kind, operator, q, n, u, v, float(ratio), term,
                             cert_c, bool(cert), A, support_size)
@@ -475,8 +461,8 @@ def kakeya_bound_report(ps, omega, m, u, v, tol=REL_TOL):
     Precondition (checked): every direction in omega is witnessed by a
     horizontal line meeting E in at least m points.
     """
-    u, v = ExtendedExponent(u), ExtendedExponent(v)
-    if u.is_inf:
+    u, v = exponent(u), exponent(v)
+    if u == INF:
         raise DomainError("the size bound needs finite u")
     field = ps.domain.field
     dirs, _ = refined_incidence(field)
@@ -493,10 +479,10 @@ def kakeya_bound_report(ps, omega, m, u, v, tol=REL_TOL):
         raise DomainError(f"direction {hz.direction_label(dirs[weak[0]])} "
                           f"has no witnessing line with >= {m} points")
     C = rd_upper_constant(u, v)
-    uu = float(u.value)
-    omega_pow = 1.0 if v.is_inf else len(omega) ** (uu / float(v.value))
+    uu = float(u)
+    omega_pow = 1.0 if v == INF else len(omega) ** (uu / float(v))
     rhs = (C ** -uu) * (m ** uu) * omega_pow \
-        * q_pow(field.q, -u.value * exponent_Ard(u, v))
+        * q_pow(field.q, -u * exponent_Ard(u, v))
     lhs = float(len(ps))
     return VerifyReport("kakeya-size-bound", field.q, 1, u, v, lhs, rhs,
                         lhs * (1 + tol) >= rhs, sense="ge", constant_used=C)
@@ -504,16 +490,15 @@ def kakeya_bound_report(ps, omega, m, u, v, tol=REL_TOL):
 
 def moment_report(ps, s, tol=REL_TOL):
     """sum_omega M_E(omega)^s <= C_s q |E|^{s-1} with C_s from the (s', s) bound."""
-    s = ExtendedExponent(s)
-    if s.is_inf or s.value < 2:
+    s = exponent(s)
+    if s == INF or s < 2:
         raise DomainError("moment bound needs 2 <= s < infinity")
     field = ps.domain.field
-    ss = float(s.value)
+    ss = float(s)
     mvals = np.abs(refined_max_op(ps.indicator()))
     lhs = float((mvals**ss).sum())
-    u_dual = s.value / (s.value - 1)
+    u_dual = s / (s - 1)
     C_s = rd_upper_constant(u_dual, s) ** ss
     rhs = C_s * field.q * float(len(ps)) ** (ss - 1)
-    return VerifyReport(f"moment-s={s}", field.q, 1,
-                        ExtendedExponent(u_dual), s, lhs, rhs,
+    return VerifyReport(f"moment-s={s}", field.q, 1, u_dual, s, lhs, rhs,
                         lhs <= rhs * (1 + tol), constant_used=C_s)

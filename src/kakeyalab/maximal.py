@@ -27,53 +27,48 @@ REL_TOL = 1e-9
 # exponents
 
 
-class ExtendedExponent:
-    """An exponent in [1, infinity]: an exact rational or math.inf."""
+def exponent(u):
+    """An exponent in [1, infinity]: an exact Fraction, or math.inf.
 
-    __slots__ = ("value",)
+    Reads a Fraction, an int, a float (to the nearest fraction with
+    denominator at most 10^6) or a string: "inf", "infty", "oo" or a
+    fraction such as "3/2".
+    """
+    if isinstance(u, str):
+        u = INF if u in ("inf", "infty", "oo") else Fraction(u)
+    elif isinstance(u, float):
+        if u != INF:
+            u = Fraction(u).limit_denominator(10**6)
+    elif isinstance(u, int):
+        u = Fraction(u)
+    elif not isinstance(u, Fraction):
+        raise DomainError(f"cannot read exponent from {u!r}")
+    if isinstance(u, Fraction) and u < 1:  # else u is inf
+        raise DomainError(f"exponent must be >= 1, got {u}")
+    return u
 
-    def __init__(self, value):
-        if isinstance(value, ExtendedExponent):  # checked when it was made
-            self.value = value.value
-            return
-        if isinstance(value, str):
-            value = INF if value in ("inf", "infty", "oo") else Fraction(value)
-        elif isinstance(value, float):
-            if value != INF:
-                value = Fraction(value).limit_denominator(10**6)
-        elif isinstance(value, int):
-            value = Fraction(value)
-        elif not isinstance(value, Fraction):
-            raise DomainError(f"cannot read exponent from {value!r}")
-        if value != INF and value < 1:
-            raise DomainError(f"exponent must be >= 1, got {value}")
-        self.value = value
 
-    @property
-    def is_inf(self):
-        return self.value == INF
+def recip(u):
+    """1/u as an exact Fraction, with 1/inf = 0."""
+    u = exponent(u)
+    return Fraction(0) if u == INF else 1 / u
 
-    @property
-    def recip(self):
-        """1/u as an exact Fraction, with 1/inf = 0."""
-        return Fraction(0) if self.is_inf else 1 / self.value
 
-    def __float__(self):
-        return INF if self.is_inf else float(self.value)
+# The terms of the two growth exponents, each forced by the extremal
+# function it is keyed by (constructions.lower_bound_ratio certifies it);
+# ru = 1/u and rv = 1/v.
+_HEIS_TERMS = {
+    "point-mass": lambda n, ru, rv: (2 * n - 1) * rv,
+    "single-line": lambda n, ru, rv: 1 - ru,
+    "bush": lambda n, ru, rv: 1 + (2 * n - 1) * rv - 2 * n * ru,
+}
 
-    def __eq__(self, other):
-        if not isinstance(other, ExtendedExponent):
-            try:
-                other = ExtendedExponent(other)
-            except (DomainError, ValueError, TypeError):
-                return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        return "inf" if self.is_inf else str(self.value)
+_REFINED_TERMS = {
+    "point-mass": lambda n, ru, rv: rv,
+    "single-line": lambda n, ru, rv: 1 - ru,
+    "two-lines-blocking": lambda n, ru, rv: 2 * rv - ru,
+    "constant": lambda n, ru, rv: 1 + 2 * rv - 3 * ru,
+}
 
 
 # |g|^u needs no rescaling while u*|log2 max|g|| + log2(#entries) is below
@@ -87,7 +82,7 @@ def lp_norm(values, u, axis=None):
 
     With an axis, the norm of every slice along it, as an array.
     """
-    uu = float(ExtendedExponent(u))
+    uu = float(exponent(u))
     a = np.abs(np.asarray(values, dtype=np.complex128))
     if a.size == 0:
         return 0.0
@@ -118,26 +113,21 @@ def q_pow(q, alpha):
 
 
 def exponent_A(n, u, v):
-    """Growth exponent of the horizontal operator: the three-term max."""
-    ru, rv = ExtendedExponent(u).recip, ExtendedExponent(v).recip
-    return max((2 * n - 1) * rv, 1 - ru, 1 + (2 * n - 1) * rv - 2 * n * ru)
+    """Growth exponent of the horizontal operator: the max of its terms."""
+    ru, rv = recip(u), recip(v)
+    return max(term(n, ru, rv) for term in _HEIS_TERMS.values())
 
 
 def exponent_Ard(u, v):
-    """Growth exponent of the refined-direction operator (n=1)."""
-    ru, rv = ExtendedExponent(u).recip, ExtendedExponent(v).recip
-    return max(rv, 1 - ru, 2 * rv - ru, 1 + 2 * rv - 3 * ru)
-
-
-def diag_exponent(u, d=2):
-    """tau_d(u): (d-1)/u for u <= d, else 1 - 1/u."""
-    ru = ExtendedExponent(u).recip
-    return (d - 1) * ru if ru >= Fraction(1, d) else 1 - ru
+    """Growth exponent of the refined-direction operator (n=1): the max of
+    its terms."""
+    ru, rv = recip(u), recip(v)
+    return max(term(1, ru, rv) for term in _REFINED_TERMS.values())
 
 
 def rd_diag_constant(u):
     """C_u of the refined diagonal bound: interpolation of 2q and 5 sqrt(q)."""
-    ru = ExtendedExponent(u).recip
+    ru = recip(u)
     if ru >= Fraction(1, 2):
         theta = float(2 * (1 - ru))
         return 2.0 ** (1 - theta) * 5.0**theta
@@ -146,8 +136,7 @@ def rd_diag_constant(u):
 
 def rd_upper_constant(u, v):
     """Constant C_{u,v} of the refined mixed-norm upper bound at (u, v)."""
-    u, v = ExtendedExponent(u), ExtendedExponent(v)
-    ru, rv = u.recip, v.recip
+    ru, rv = recip(u), recip(v)
     if ru >= Fraction(1, 2):  # 1 <= u <= 2
         if rv >= ru:          # v <= u
             return rd_diag_constant(u) * 2.0 ** float(rv - ru)
@@ -234,7 +223,7 @@ class GridFunction:
         return self._memo[key]
 
     def norm(self, u):
-        u = ExtendedExponent(u)
+        u = exponent(u)
         return self.memo(("norm", u), lambda: lp_norm(self.values, u))
 
     @property
@@ -499,8 +488,8 @@ class BoundSpec:
 
     name: str
     operator: str  # 'affine' | 'heis' | 'refined'
-    u: ExtendedExponent
-    v: ExtendedExponent
+    u: Fraction | float   # an exponent(): a Fraction, or math.inf
+    v: Fraction | float
     constant: float
     alpha: Fraction
 
@@ -512,17 +501,13 @@ class VerifyReport:
     name: str
     q: int
     n: int
-    u: ExtendedExponent
-    v: ExtendedExponent
+    u: Fraction | float   # an exponent(): a Fraction, or math.inf
+    v: Fraction | float
     lhs: float
     rhs: float
     holds: bool
     sense: str = "le"  # 'le': lhs <= rhs must hold; 'ge': lhs >= rhs
     constant_used: float = float("nan")
-
-    @property
-    def ratio(self):
-        return self.lhs / self.rhs if self.rhs else INF
 
     def __str__(self):
         op = "<=" if self.sense == "le" else ">="
@@ -553,64 +538,58 @@ def bound_catalog(q):
     bounds are instantiated at sample (u, v) pairs inside their regions.
     """
     sqrt2 = math.sqrt(2.0)
-    specs = [
-        BoundSpec("planar-l1", "affine", ExtendedExponent(1),
-                  ExtendedExponent(1), q + 1, Fraction(0)),
-        BoundSpec("planar-l2", "affine", ExtendedExponent(2),
-                  ExtendedExponent(2), sqrt2, Fraction(1, 2)),
-        BoundSpec("planar-linf", "affine", ExtendedExponent(INF),
-                  ExtendedExponent(INF), 1.0, Fraction(1)),
-        BoundSpec("rd-1-to-inf", "refined", ExtendedExponent(1),
-                  ExtendedExponent(INF), 1.0, Fraction(0)),
-        BoundSpec("rd-inf-to-inf", "refined", ExtendedExponent(INF),
-                  ExtendedExponent(INF), 1.0, Fraction(1)),
-        BoundSpec("rd-1-to-1", "refined", ExtendedExponent(1),
-                  ExtendedExponent(1), q + 1, Fraction(0)),
-        BoundSpec("rd-l2-sharp", "refined", ExtendedExponent(2),
-                  ExtendedExponent(2), 5.0, Fraction(1, 2)),
-    ]
+    endpoints = (
+        ("planar-l1", "affine", 1, 1, q + 1, 0),
+        ("planar-l2", "affine", 2, 2, sqrt2, Fraction(1, 2)),
+        ("planar-linf", "affine", INF, INF, 1.0, 1),
+        ("rd-1-to-inf", "refined", 1, INF, 1.0, 0),
+        ("rd-inf-to-inf", "refined", INF, INF, 1.0, 1),
+        ("rd-1-to-1", "refined", 1, 1, q + 1, 0),
+        ("rd-l2-sharp", "refined", 2, 2, 5.0, Fraction(1, 2)),
+    )
+    specs = [BoundSpec(name, op, exponent(u), exponent(v), c, Fraction(a))
+             for name, op, u, v, c, a in endpoints]
     for u in (1, Fraction(3, 2), 2, 3, 4, INF):
-        ue = ExtendedExponent(u)
-        tau = diag_exponent(ue, d=2)
-        specs.append(BoundSpec(f"planar-diag-u={ue}", "affine", ue, ue,
+        u = exponent(u)
+        tau = exponent_A(1, u, u)  # tau_2(u): 1/u for u <= 2, else 1 - 1/u
+        specs.append(BoundSpec(f"planar-diag-u={u}", "affine", u, u,
                                sqrt2, tau))
-        specs.append(BoundSpec(f"heis-diag-u={ue}", "heis", ue, ue,
-                               sqrt2, tau))
-        specs.append(BoundSpec(f"rd-diag-u={ue}", "refined", ue, ue,
-                               rd_diag_constant(ue), tau))
+        specs.append(BoundSpec(f"heis-diag-u={u}", "heis", u, u, sqrt2, tau))
+        specs.append(BoundSpec(f"rd-diag-u={u}", "refined", u, u,
+                               rd_diag_constant(u), tau))
     return specs
 
 
 def offdiag_catalog():
-    """Sample (u, v) instances of the four off-diagonal region bounds."""
+    """Sample (u, v) instances of the off-diagonal region bounds.
+
+    Each region's bound has the growth exponent A(1, u, v) at its samples.
+    """
     sqrt2 = math.sqrt(2.0)
+    regions = (
+        # region, constant, sample (u, v) pairs inside it
+        # upper left: 2 <= u <= inf, 1 <= v <= u
+        ("upperleft", 2 * sqrt2,
+         ((2, 1), (4, 2), (INF, 1), (INF, 2), (3, 3))),
+        # flat: 2 <= u <= v
+        ("flat", sqrt2, ((2, 3), (2, INF), (3, 4), (4, INF))),
+        # dual flat: u <= 2, v >= u/(u-1)
+        ("dualflat", sqrt2,
+         ((2, 2), (Fraction(3, 2), 3), (Fraction(3, 2), INF),
+          (Fraction(4, 3), 4))),
+        # steep: 1 <= v <= u <= 2
+        ("steep", 2.0,
+         ((2, 1), (Fraction(3, 2), 1), (2, Fraction(3, 2)), (1, 1))),
+        # middle: u <= 2, u <= v <= u/(u-1)
+        ("middle", 2 * sqrt2,
+         ((Fraction(3, 2), 2), (Fraction(4, 3), 3), (1, 2), (1, INF))),
+    )
     specs = []
-    # upper-left region: 2 <= u <= inf, 1 <= v <= u, constant 2 sqrt 2
-    for u, v in ((2, 1), (4, 2), (INF, 1), (INF, 2), (3, 3)):
-        ue, ve = ExtendedExponent(u), ExtendedExponent(v)
-        specs.append(BoundSpec(f"heis-upperleft-({ue},{ve})", "heis", ue, ve,
-                               2 * sqrt2, 1 + ve.recip - 2 * ue.recip))
-    # flat region 2 <= u <= v: constant sqrt 2, exponent 1 - 1/u
-    for u, v in ((2, 3), (2, INF), (3, 4), (4, INF)):
-        ue, ve = ExtendedExponent(u), ExtendedExponent(v)
-        specs.append(BoundSpec(f"heis-flat-({ue},{ve})", "heis", ue, ve,
-                               sqrt2, 1 - ue.recip))
-    # dual flat region u <= 2, v >= u/(u-1): constant sqrt 2
-    for u, v in ((2, 2), (Fraction(3, 2), 3), (Fraction(3, 2), INF),
-                 (Fraction(4, 3), 4)):
-        ue, ve = ExtendedExponent(u), ExtendedExponent(v)
-        specs.append(BoundSpec(f"heis-dualflat-({ue},{ve})", "heis", ue, ve,
-                               sqrt2, 1 - ue.recip))
-    # steep region 1 <= v <= u <= 2: constant 2, exponent 1/v
-    for u, v in ((2, 1), (Fraction(3, 2), 1), (2, Fraction(3, 2)), (1, 1)):
-        ue, ve = ExtendedExponent(u), ExtendedExponent(v)
-        specs.append(BoundSpec(f"heis-steep-({ue},{ve})", "heis", ue, ve,
-                               2.0, ve.recip))
-    # middle region u <= 2, u <= v <= u/(u-1): constant 2 sqrt 2
-    for u, v in ((Fraction(3, 2), 2), (Fraction(4, 3), 3), (1, 2), (1, INF)):
-        ue, ve = ExtendedExponent(u), ExtendedExponent(v)
-        specs.append(BoundSpec(f"heis-middle-({ue},{ve})", "heis", ue, ve,
-                               2 * sqrt2, ve.recip))
+    for region, constant, pairs in regions:
+        for u, v in pairs:
+            u, v = exponent(u), exponent(v)
+            specs.append(BoundSpec(f"heis-{region}-({u},{v})", "heis", u, v,
+                                   constant, exponent_A(1, u, v)))
     return specs
 
 

@@ -183,25 +183,25 @@ def _ladder(A, B, q, term, u, v, two_power):
     """The case-by-case certificate check that _cert_inequality replaced,
     kept as the reference: it raises where an exponent does not clear, and
     compares against a float power of q when the exponent is negative."""
-    if u.is_inf and v.is_inf:
+    if u == INF and v == INF:
         e = term
         if e.denominator != 1:
             raise DomainError("non-integer exponent at (inf, inf)")
         return A >= q ** int(e)
-    if u.is_inf:
-        e = term * int(v.value)
+    if u == INF:
+        e = term * int(v)
         if e.denominator != 1:
             raise DomainError("exponent does not clear at u=inf")
         return A >= q ** int(e)
-    uu = int(u.value)
-    if u.value.denominator != 1:
+    uu = int(u)
+    if u.denominator != 1:
         raise DomainError("exact certificates need integer u")
-    if v.is_inf:
+    if v == INF:
         e = term * uu
         if e.denominator != 1:
             raise DomainError("exponent does not clear at v=inf")
         return A**uu * 2**two_power >= q ** int(e) * B
-    vv = int(v.value)
+    vv = int(v)
     e = term * uu * vv
     if e.denominator != 1:
         raise DomainError("exponent does not clear")
@@ -213,7 +213,7 @@ def _plan_cert_inputs():
     out = [(op, n, kind, u, v) for op, n, kind, pairs in cli.LOWER_BOUND_PLAN
            for u, v in pairs]
     out += [(op, n, kind, u, v) for _, op, n, kind, u, v in cli.SLOPE_PLAN]
-    return [(op, n, kind, mx.ExtendedExponent(u), mx.ExtendedExponent(v))
+    return [(op, n, kind, mx.exponent(u), mx.exponent(v))
             for op, n, kind, u, v in out]
 
 
@@ -236,15 +236,15 @@ def _ladder_threshold(B, q, term, u, v, two):
 def test_cert_inequality_matches_ladder_on_every_plan_pair(q):
     fld = Field(q)
     for operator, n, kind, u, v in _plan_cert_inputs():
-        terms = cn._REFINED_TERMS if operator == "refined" else cn._HEIS_TERMS
-        term = terms[kind](n, u.recip, v.recip)
-        two = 1 if kind == "two-lines-blocking" and not u.is_inf else 0
+        terms = mx._REFINED_TERMS if operator == "refined" else mx._HEIS_TERMS
+        term = terms[kind](n, mx.recip(u), mx.recip(v))
+        two = 1 if kind == "two-lines-blocking" and u != INF else 0
         cases = []
         if n == 1 or q <= 5:
             opvals, support = cn._extremal_op_values(kind, fld, n, operator)
             A = cn._exact_pow_sum(opvals, v)
-            cases.append((A, 1 if u.is_inf else support))
-        for B in ((1,) if u.is_inf else (1, q, 2 * q - 1, q * q)):
+            cases.append((A, 1 if u == INF else support))
+        for B in ((1,) if u == INF else (1, q, 2 * q - 1, q * q)):
             A = _ladder_threshold(B, q, term, u, v, two)
             cases += [(A, B), (A - 1, B)] if A else [(A, B)]
         for A, B in cases:
@@ -253,10 +253,9 @@ def test_cert_inequality_matches_ladder_on_every_plan_pair(q):
                 (operator, n, kind, u, v, A, B)
 
 
-E = mx.ExtendedExponent
+E = mx.exponent
 
-
-@pytest.mark.parametrize("A,B,q,term,u,v,two,holds", [
+_BOUNDARY_CASES = [
     # equality holds, then one unit below it
     (10, 2, 5, Fraction(1, 2), E(2), E(2), 0, True),       # A = qB
     (9, 2, 5, Fraction(1, 2), E(2), E(2), 0, False),
@@ -276,7 +275,14 @@ E = mx.ExtendedExponent
     # a non-integer u: A^(1/2) >= q^(1/3) B^(2/3), i.e. A^3 >= q^2 B^4
     (4, 2, 2, Fraction(1, 3), E(Fraction(3, 2)), E(2), 0, True),
     (3, 2, 2, Fraction(1, 3), E(Fraction(3, 2)), E(2), 0, False),
-])
+]
+
+
+# each case's id names u and v by its position, whatever their type
+@pytest.mark.parametrize(
+    "A,B,q,term,u,v,two,holds", _BOUNDARY_CASES,
+    ids=[f"{A}-{B}-{q}-term{i}-u{i}-v{i}-{two}-{holds}"
+         for i, (A, B, q, _, _, _, two, holds) in enumerate(_BOUNDARY_CASES)])
 def test_cert_inequality_boundary_cases(A, B, q, term, u, v, two, holds):
     assert cn._cert_inequality(A, B, q, term, u, v, two) is holds
 
@@ -719,11 +725,11 @@ def _kakeya_bound_by_objects(ps, omega, m, u, v):
         if max(int(ps.mask[list(L.point_indices)].sum())
                for L in ol.lines_with_refined_direction(om)) < m:
             raise DomainError(f"direction {om} has no witnessing line")
-    u, v = mx.ExtendedExponent(u), mx.ExtendedExponent(v)
-    uu = float(u.value)
-    omega_pow = 1.0 if v.is_inf else len(omega) ** (uu / float(v.value))
+    u, v = mx.exponent(u), mx.exponent(v)
+    uu = float(u)
+    omega_pow = 1.0 if v == INF else len(omega) ** (uu / float(v))
     rhs = mx.rd_upper_constant(u, v) ** -uu * m ** uu * omega_pow \
-        * mx.q_pow(fld.q, -u.value * mx.exponent_Ard(u, v))
+        * mx.q_pow(fld.q, -u * mx.exponent_Ard(u, v))
     return float(len(ps)), rhs
 
 

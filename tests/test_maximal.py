@@ -53,27 +53,94 @@ def test_exponent_Ard_examples():
 
 
 def test_exponent_formula_dominates_terms():
+    # each formula is the paper's max of its terms, written out here
     grid = [1, Fraction(4, 3), Fraction(3, 2), 2, 3, 4, INF]
     for u in grid:
-        ru = mx.ExtendedExponent(u).recip
+        ru = mx.recip(u)
         for v in grid:
-            rv = mx.ExtendedExponent(v).recip
-            a = mx.exponent_A(1, u, v)
-            assert a >= rv and a >= 1 - ru and a >= 1 + rv - 2 * ru
+            rv = mx.recip(v)
+            for n in (1, 2):
+                assert mx.exponent_A(n, u, v) == max(
+                    (2 * n - 1) * rv, 1 - ru,
+                    1 + (2 * n - 1) * rv - 2 * n * ru)
             ard = mx.exponent_Ard(u, v)
-            assert ard >= rv and ard >= 1 - ru
-            assert ard >= 2 * rv - ru and ard >= 1 + 2 * rv - 3 * ru
+            assert ard == max(rv, 1 - ru, 2 * rv - ru, 1 + 2 * rv - 3 * ru)
             # refined operator sees more directions: never a smaller exponent
-            assert ard >= a
+            assert ard >= mx.exponent_A(1, u, v)
 
 
 def test_extended_exponent_parsing():
-    assert mx.ExtendedExponent("3/2").value == Fraction(3, 2)
-    assert mx.ExtendedExponent("inf").is_inf
-    assert mx.ExtendedExponent(2).recip == Fraction(1, 2)
-    assert mx.ExtendedExponent(INF).recip == 0
+    assert mx.exponent("3/2") == Fraction(3, 2)
+    assert type(mx.exponent(2)) is Fraction
+    assert mx.exponent(1.5) == Fraction(3, 2)
+    for text in ("inf", "infty", "oo"):
+        assert mx.exponent(text) == INF
+    assert mx.recip(2) == Fraction(1, 2)
+    assert mx.recip(INF) == 0 and type(mx.recip(INF)) is Fraction
+    assert mx.recip("oo") == 0
     with pytest.raises(DomainError):
-        mx.ExtendedExponent(Fraction(1, 2))
+        mx.exponent(Fraction(1, 2))
+    with pytest.raises(DomainError):
+        mx.recip(Fraction(1, 2))
+
+
+def _tau2(u):
+    """tau_2(u): 1/u for u <= 2, else 1 - 1/u."""
+    ru = mx.recip(u)
+    return ru if ru >= Fraction(1, 2) else 1 - ru
+
+
+# The region exponents of the off-diagonal bounds, each written by hand.
+_REGION_EXPONENTS = {
+    "upperleft": lambda ru, rv: 1 + rv - 2 * ru,
+    "flat": lambda ru, rv: 1 - ru,
+    "dualflat": lambda ru, rv: 1 - ru,
+    "steep": lambda ru, rv: rv,
+    "middle": lambda ru, rv: rv,
+}
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_bound_catalogs_are_pinned(q):
+    sqrt2 = math.sqrt(2)
+    want = [
+        ("planar-l1", "affine", 1, 1, q + 1, 0),
+        ("planar-l2", "affine", 2, 2, sqrt2, Fraction(1, 2)),
+        ("planar-linf", "affine", INF, INF, 1.0, 1),
+        ("rd-1-to-inf", "refined", 1, INF, 1.0, 0),
+        ("rd-inf-to-inf", "refined", INF, INF, 1.0, 1),
+        ("rd-1-to-1", "refined", 1, 1, q + 1, 0),
+        ("rd-l2-sharp", "refined", 2, 2, 5.0, Fraction(1, 2)),
+    ]
+    for u in (1, Fraction(3, 2), 2, 3, 4, INF):
+        label = "inf" if u == INF else str(u)
+        want += [(f"planar-diag-u={label}", "affine", u, u, sqrt2, _tau2(u)),
+                 (f"heis-diag-u={label}", "heis", u, u, sqrt2, _tau2(u)),
+                 (f"rd-diag-u={label}", "refined", u, u,
+                  mx.rd_diag_constant(u), _tau2(u))]
+    regions = [
+        ("upperleft", 2 * sqrt2, [(2, 1), (4, 2), (INF, 1), (INF, 2), (3, 3)]),
+        ("flat", sqrt2, [(2, 3), (2, INF), (3, 4), (4, INF)]),
+        ("dualflat", sqrt2, [(2, 2), (Fraction(3, 2), 3),
+                             (Fraction(3, 2), INF), (Fraction(4, 3), 4)]),
+        ("steep", 2.0, [(2, 1), (Fraction(3, 2), 1), (2, Fraction(3, 2)),
+                        (1, 1)]),
+        ("middle", 2 * sqrt2, [(Fraction(3, 2), 2), (Fraction(4, 3), 3),
+                               (1, 2), (1, INF)]),
+    ]
+    for region, constant, pairs in regions:
+        for u, v in pairs:
+            alpha = _REGION_EXPONENTS[region](mx.recip(u), mx.recip(v))
+            names = ["inf" if x == INF else str(x) for x in (u, v)]
+            want.append((f"heis-{region}-({names[0]},{names[1]})", "heis",
+                         u, v, constant, alpha))
+    got = [(s.name, s.operator, s.u, s.v, s.constant, s.alpha)
+           for s in mx.bound_catalog(q) + mx.offdiag_catalog()]
+    assert got == want
+    for spec in mx.bound_catalog(q) + mx.offdiag_catalog():
+        for x in (spec.u, spec.v):
+            assert x == INF or type(x) is Fraction
+        assert type(spec.alpha) is Fraction
 
 
 # -- norms ---------------------------------------------------------------------
@@ -561,16 +628,16 @@ def test_refined_family_norm_bracket(f5):
 
 
 def test_verify_bound_diag_u2(f7):
-    spec = mx.BoundSpec("heis-diag", "heis", mx.ExtendedExponent(2),
-                        mx.ExtendedExponent(2), math.sqrt(2), Fraction(1, 2))
+    spec = mx.BoundSpec("heis-diag", "heis", mx.exponent(2),
+                        mx.exponent(2), math.sqrt(2), Fraction(1, 2))
     for trial in range(50):
         F = mx.random_complex_grid(h1(f7), mx.seeded_rng(10, trial))
         assert mx.verify_bound(spec, F).holds
 
 
 def test_verify_bound_rd_l2(f5):
-    spec = mx.BoundSpec("rd-l2", "refined", mx.ExtendedExponent(2),
-                        mx.ExtendedExponent(2), 5.0, Fraction(1, 2))
+    spec = mx.BoundSpec("rd-l2", "refined", mx.exponent(2),
+                        mx.exponent(2), 5.0, Fraction(1, 2))
     for trial in range(50):
         F = mx.random_complex_grid(h1(f5), mx.seeded_rng(11, trial))
         rep = mx.verify_bound(spec, F)
@@ -578,16 +645,16 @@ def test_verify_bound_rd_l2(f5):
 
 
 def test_verify_bound_rd_l1(f5):
-    spec = mx.BoundSpec("rd-l1", "refined", mx.ExtendedExponent(1),
-                        mx.ExtendedExponent(1), 6.0, Fraction(0))
+    spec = mx.BoundSpec("rd-l1", "refined", mx.exponent(1),
+                        mx.exponent(1), 6.0, Fraction(0))
     for trial in range(20):
         F = mx.random_complex_grid(h1(f5), mx.seeded_rng(12, trial))
         assert mx.verify_bound(spec, F).holds
 
 
 def test_verify_bound_zero_function(f3):
-    spec = mx.BoundSpec("rd-l2", "refined", mx.ExtendedExponent(2),
-                        mx.ExtendedExponent(2), 5.0, Fraction(1, 2))
+    spec = mx.BoundSpec("rd-l2", "refined", mx.exponent(2),
+                        mx.exponent(2), 5.0, Fraction(1, 2))
     rep = mx.verify_bound(spec, mx.GridFunction.zeros(h1(f3)))
     assert rep.holds
 
