@@ -17,8 +17,7 @@ import numpy as np
 from .field import DomainError, field_table
 from . import heisenberg as hz
 from .maximal import (INF, Domain, GridFunction, VerifyReport,
-                      _HEIS_TERMS, _REFINED_TERMS, _json_int,
-                      affine_incidence, domain_from_json, domain_to_json,
+                      _HEIS_TERMS, _REFINED_TERMS, affine_incidence,
                       exponent, exponent_Ard, heis_max_op, lp_norm, q_pow,
                       rd_upper_constant, recip, refined_incidence,
                       refined_max_op, REL_TOL)
@@ -72,9 +71,6 @@ class PointSet:
     def indicator(self):
         return GridFunction(self.domain, self.mask.astype(np.int64))
 
-    def complement(self):
-        return PointSet.from_mask(self.domain, ~self.mask)
-
     def __len__(self):
         return int(self.mask.sum())
 
@@ -84,19 +80,6 @@ class PointSet:
 
     def __repr__(self):
         return f"PointSet({self.domain.kind}, q={self.domain.field.q}, |E|={len(self)})"
-
-
-def pointset_to_json(ps):
-    return {**domain_to_json(ps.domain), "points": ps.indices}
-
-
-def pointset_from_json(doc):
-    domain = domain_from_json(doc)
-    try:
-        points = [_json_int(i, "a point index") for i in doc["points"]]
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"malformed point-set document: {exc}") from exc
-    return PointSet(domain, points)
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +123,13 @@ def extremal_set(kind, field, n=1, *, eta=None):
         # points iff the form is anisotropic, i.e. -eta is a nonsquare.
         # (For q = 1 mod 4 that is the same as eta being a nonsquare; for
         # q = 3 mod 4 it forces eta to be a nonzero square instead.)
+        square = np.zeros(q, dtype=bool)
+        square[field.np_mul.diagonal()] = True
         if eta is None:
-            eta_i = next(e for e in range(1, field.q)
-                         if not field.is_square(field.neg(e)))
+            eta_i = next(e for e in range(1, q) if not square[field.np_neg[e]])
         else:
             eta_i = field.coerce_index(eta)
-        if eta_i == 0 or field.is_square(field.neg(eta_i)):
+        if eta_i == 0 or square[field.np_neg[eta_i]]:
             raise DomainError(
                 f"eta={eta_i} makes x^2 + eta y^2 isotropic; the graph then "
                 "contains horizontal lines")
@@ -304,7 +288,7 @@ def example_affine_not_refined(field, rep):
     entirely.
     """
     a, _, c = hz.check_refined_rep(field, rep)
-    gx, gy = (0, field.neg(c)) if a == 1 else (c, 0)
+    gx, gy = (0, int(field.np_neg[c])) if a == 1 else (c, 0)
     q = field.q
     mask = np.ones(q**3, dtype=bool)
     mask.reshape(q * q, q)[gx * q + gy] = False   # the fiber over (gx, gy)

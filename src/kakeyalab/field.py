@@ -112,7 +112,13 @@ def _is_irreducible(modulus, p):
 
 
 class Field:
-    """The finite field F_q, q = p^k, with table-driven exact arithmetic."""
+    """The finite field F_q, q = p^k, as its arithmetic tables.
+
+    np_add, np_sub and np_mul are (q, q) and np_neg, np_inv, np_trace and
+    np_chi are (q,), all indexed by field index; they are the one
+    arithmetic API.  np_inv[0] is 0, and np_chi is the additive character
+    exp(2 pi i Tr(x) / p).
+    """
 
     def __init__(self, q, *, modulus=None):
         p, k = factor_prime_power(q)
@@ -183,68 +189,21 @@ class Field:
                 raise DomainError(f"element {i} has no inverse; bad modulus")
         self.np_inv = inv
 
-        # Tr(x) = sum of x^{p^i}; lands in the prime subfield, index < p.
+        # Tr(x) = x + x^p + ... + x^(p^(k-1)), by table lookups over all of
+        # F_q at once; it lands in the prime subfield, index < p.
+        elems = np.arange(q)
+        frobenius = elems
+        for _ in range(p - 1):
+            frobenius = mul[frobenius, elems]   # x^p
         trace = np.zeros(q, dtype=np.int16)
-        for i in range(q):
-            acc = 0
-            x = i
-            for _ in range(k):
-                acc = int(add[acc, x])
-                x = self._pow_int(x, p)
-            trace[i] = acc
+        power = elems
+        for _ in range(k):
+            trace = add[trace, power]
+            power = frobenius[power]
         self.np_trace = trace
         self.np_chi = np.exp(2j * math.pi * trace.astype(np.float64) / p)
-        self._squares = frozenset(int(mul[i, i]) for i in range(q))
 
-    def _pow_int(self, x, e):
-        out = 1
-        base = x
-        while e:
-            if e & 1:
-                out = int(self.np_mul[out, base])
-            base = int(self.np_mul[base, base])
-            e >>= 1
-        return out
-
-    # -- scalar index arithmetic -------------------------------------------
-
-    def add(self, i, j):
-        return int(self.np_add[i, j])
-
-    def sub(self, i, j):
-        return int(self.np_sub[i, j])
-
-    def mul(self, i, j):
-        return int(self.np_mul[i, j])
-
-    def neg(self, i):
-        return int(self.np_neg[i])
-
-    def inv(self, i):
-        if i == 0:
-            raise DomainError("inversion of zero")
-        return int(self.np_inv[i])
-
-    def pow(self, i, e):
-        if e < 0:
-            return self._pow_int(self.inv(i), -e)
-        return self._pow_int(i, e)
-
-    def trace_int(self, i):
-        return int(self.np_trace[i])
-
-    def chi(self, i):
-        """Nontrivial additive character exp(2*pi*i*Tr(x)/p)."""
-        return complex(self.np_chi[i])
-
-    def is_square(self, i):
-        if self.q % 2 == 0:
-            raise DomainError("is_square needs odd q: every element of "
-                              "characteristic-2 fields is a square")
-        return i in self._squares
-
-    def squares(self):
-        return self._squares
+    # -- input -------------------------------------------------------------
 
     def coerce_index(self, x):
         """A plain index of this field as an int; DomainError if x is not

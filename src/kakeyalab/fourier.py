@@ -13,8 +13,8 @@ import math
 import numpy as np
 
 from .field import DomainError, field_table
-from .maximal import (Domain, GridFunction, VerifyReport, affine_incidence,
-                      apply_linearized, lp_norm, REL_TOL)
+from .maximal import (VerifyReport, affine_incidence, apply_linearized,
+                      lp_norm, REL_TOL)
 
 
 def chi_matrix(field):
@@ -93,13 +93,6 @@ def _planes(F):
     return F.memo("fourier-planes", build)
 
 
-def inverse_central_fourier(tab):
-    """f(x,y,t) = (1/q) sum_xi f^(x,y;xi) chi(xi t)."""
-    q = tab.field.q
-    vals = (tab.table @ chi_matrix(tab.field)) / q
-    return GridFunction(Domain.heisenberg(tab.field, 1), vals.reshape(-1))
-
-
 def _family_plane_and_t(family):
     if family.kind != "refined":
         raise DomainError("frequency components need a refined line family")
@@ -107,22 +100,12 @@ def _family_plane_and_t(family):
     return family.point_idx // q, family.point_idx % q
 
 
-def t_xi_component(f, xi, family):
-    """(T_xi f)(omega) = (1/q) sum over L_omega of f^(x,y;xi) chi(xi t)."""
-    field = f.field
-    q = field.q
-    xi = field.coerce_index(xi)
-    xy_idx, t_idx = _family_plane_and_t(family)
-    plane = central_fourier(f).table[:, :, xi].reshape(-1)
-    phases = field.np_chi[field.np_mul[xi][t_idx]]
-    return (plane[xy_idx] * phases).sum(axis=1) / q
-
-
 def t_components(f, family):
     """All frequency components at once: array of shape (q, #D_1).
 
-    Row xi equals t_xi_component(f, xi, family) bit for bit.  The result is
-    read-only and memoized on f per family.
+    Row xi is (T_xi f)(omega) = (1/q) sum over L_omega of f^(x,y;xi)
+    chi(xi t), the line sum taken in column order.  The result is read-only
+    and memoized on f per family.
     """
     def build():
         q = f.field.q
@@ -189,23 +172,9 @@ def quadratic_fiber_count(field, xi, rho):
     rho = field.coerce_index(rho)
     if xi == 0:
         raise DomainError("Q_rho needs nonzero xi")
-    counts = [0] * field.q
-    for x in range(field.q):
-        t = field.mul(field.sub(field.mul(xi, x), rho), x)
-        counts[t] += 1
-    return counts
-
-
-def g_rho(f, xi, rho):
-    """G_rho(x) = sum_y f^(x,y;xi) chi(-(xi x - rho) y)."""
-    field = f.field
-    xi = field.coerce_index(xi)
-    rho = field.coerce_index(rho)
-    q = field.q
-    xs = np.arange(q, dtype=np.int64)
-    coeff = field.np_sub.astype(np.int64)[field.np_mul[xi][xs], rho]
-    phases = np.conj(field.np_chi[field.np_mul.astype(np.int64)[coeff[:, None], xs[None, :]]])
-    return (central_fourier(f).table[:, :, xi] * phases).sum(axis=1)
+    x = np.arange(field.q)
+    t = field.np_mul[field.np_sub[field.np_mul[xi, x], rho], x]
+    return np.bincount(t, minlength=field.q).tolist()
 
 
 def split_bound_check(f, family, tol=REL_TOL):

@@ -44,10 +44,11 @@ def check_dimension(field, d, what):
     MAX_POINTS; else DomainError.  The one check of a rank or a dimension."""
     if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
         raise DomainError(f"{what} must be an integer, got {d!r}")
+    d = int(d)   # a numpy integer would wrap in q^d
     if d < 1:
         raise DomainError(f"{what} must be >= 1")
     check_point_count(field, d, f"{what} {d}")
-    return int(d)
+    return d
 
 
 def check_rank(field, n):

@@ -30,22 +30,27 @@ REL_TOL = 1e-9
 def exponent(u):
     """An exponent in [1, infinity]: an exact Fraction, or math.inf.
 
-    Reads a Fraction, an int, a float (to the nearest fraction with
-    denominator at most 10^6) or a string: "inf", "infty", "oo" or a
-    fraction such as "3/2".
+    Reads a Fraction, a Python or numpy integer (bools refused, as in
+    Field.coerce_index and heisenberg.check_dimension), a float (to the
+    nearest fraction with denominator at most 10^6) or a string: "inf",
+    "infty", "oo" or a fraction such as "3/2".  Every refusal, NaN and -inf
+    included, is a DomainError.
     """
-    if isinstance(u, str):
-        u = INF if u in ("inf", "infty", "oo") else Fraction(u)
-    elif isinstance(u, float):
-        if u != INF:
-            u = Fraction(u).limit_denominator(10**6)
-    elif isinstance(u, int):
-        u = Fraction(u)
-    elif not isinstance(u, Fraction):
+    if isinstance(u, bool) or not isinstance(
+            u, (str, float, int, np.integer, Fraction)):
         raise DomainError(f"cannot read exponent from {u!r}")
-    if isinstance(u, Fraction) and u < 1:  # else u is inf
-        raise DomainError(f"exponent must be >= 1, got {u}")
-    return u
+    if u == INF or (isinstance(u, str) and u in ("inf", "infty", "oo")):
+        return INF
+    try:
+        if isinstance(u, float):
+            value = Fraction(u).limit_denominator(10**6)
+        else:
+            value = Fraction(int(u) if isinstance(u, np.integer) else u)
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(f"cannot read exponent from {u!r}") from exc
+    if value < 1:
+        raise DomainError(f"exponent must be >= 1, got {value}")
+    return value
 
 
 def recip(u):
@@ -594,22 +599,7 @@ def offdiag_catalog():
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization
-
-
-def domain_to_json(domain):
-    """The domain header of a document: tag, q, modulus, and n or d."""
-    f = domain.field
-    return {"domain": domain.kind, "q": f.q,
-            "modulus": list(f.modulus) if f.modulus else None,
-            "n" if domain.kind == "heisenberg" else "d": domain.n}
-
-
-def grid_to_json(F):
-    """The domain header, then [re, im] pairs in point order."""
-    return {**domain_to_json(F.domain),
-            "values": [[float(z.real), float(z.imag)]
-                       for z in np.asarray(F.values, dtype=np.complex128)]}
+# JSON documents
 
 
 def _json_int(value, what):

@@ -1,14 +1,20 @@
-"""The definitional oracle: points, directions and lines of H_n(F_q) and
-F_q^d as objects.
+"""The definitional oracle: field arithmetic, points, directions and lines
+of H_n(F_q) and F_q^d as objects, and the Fourier components one frequency
+at a time.
 
-A point of H_n is (x, y, t) under the group law
-(x,y,t)(x',y',t') = (x+x', y+y', t+t'+(x.y'-y.x')); a horizontal line is
-its q points p.(sa, sb, 0); an affine line of F_q^d is {base + s v}.  Each
-is built by the field operations alone, one point at a time.  A direction
-is a projective class held as its canonical representative, scaled by the
-field's inverse.  kakeyalab itself works on rows of point indices and of
-field indices; the tests compare those rows, row for row and column for
-column, with the objects built here.
+The field arithmetic is polynomial arithmetic mod the modulus, built from
+the field's p, k and modulus alone; kakeyalab's np_* tables are checked
+against it and never read by it.  A point of H_n is (x, y, t) under the
+group law (x,y,t)(x',y',t') = (x+x', y+y', t+t'+(x.y'-y.x')); a horizontal
+line is its q points p.(sa, sb, 0); an affine line of F_q^d is
+{base + s v}.  Each is built by that arithmetic alone, one point at a time.
+A direction is a projective class held as its canonical representative,
+scaled by the field's inverse.  kakeyalab itself works on rows of point
+indices and of field indices; the tests compare those rows, row for row and
+column for column, with the objects built here.
+
+Public constructors check their coordinates once; group products and line
+points are then plain index arithmetic over the oracle's list tables.
 
 Point indices are row-major with the last coordinate fastest: for H_n,
 t fastest, then the y block, then the x block.
@@ -16,9 +22,115 @@ t fastest, then the y block, then the x block.
 
 from __future__ import annotations
 
+import functools
+import math
 from itertools import product
 
+import numpy as np
+
+from kakeyalab import fourier as fr
 from kakeyalab.field import DomainError
+from kakeyalab.maximal import Domain, GridFunction
+
+
+# ---------------------------------------------------------------------------
+# field arithmetic
+
+
+class Arithmetic:
+    """F_q = F_p[x]/(modulus), a prime field being F_p[x]/(x).
+
+    Element i is the polynomial sum c_j x^j with i = sum c_j p^j, the
+    encoding of kakeyalab.field.  Sums and products are worked on
+    coefficient lists, reduced mod p and mod the modulus; add_table,
+    sub_table and mul_table hold them as lists of lists.
+    """
+
+    def __init__(self, field):
+        p, k = field.p, field.k
+        modulus = field.modulus or (0, 1)
+        q = p ** k
+        coeffs = [[(i // p**j) % p for j in range(k)] for i in range(q)]
+
+        def index(c):
+            return sum((cj % p) * p**j for j, cj in enumerate(c))
+
+        def times(a, b):
+            prod = [0] * (2 * k - 1)
+            for i, ai in enumerate(a):
+                for j, bj in enumerate(b):
+                    prod[i + j] += ai * bj
+            for d in range(2 * k - 2, k - 1, -1):  # x^d -= lead x^(d-k) m(x)
+                lead = prod[d]
+                for j, mj in enumerate(modulus):
+                    prod[d - k + j] -= lead * mj
+            return index(prod[:k])
+
+        self.q = q
+        self.add_table = [[index(map(int.__add__, a, b)) for b in coeffs]
+                          for a in coeffs]
+        self.sub_table = [[index(map(int.__sub__, a, b)) for b in coeffs]
+                          for a in coeffs]
+        self.mul_table = [[times(a, b) for b in coeffs] for a in coeffs]
+        self.neg_table = [index(-c for c in a) for a in coeffs]
+        self.inv_table = [None] + [row.index(1) for row in self.mul_table[1:]]
+        # Tr(x) = x + x^p + ... + x^(p^(k-1))
+        self.trace_table = []
+        for a in range(q):
+            acc = 0
+            for i in range(k):
+                acc = self.add(acc, self.pow(a, p**i))
+            self.trace_table.append(acc)
+        self.chi_table = [complex(z) for z in np.exp(
+            2j * math.pi * np.array(self.trace_table, dtype=np.float64) / p)]
+
+    def add(self, a, b):
+        return self.add_table[a][b]
+
+    def sub(self, a, b):
+        return self.sub_table[a][b]
+
+    def mul(self, a, b):
+        return self.mul_table[a][b]
+
+    def neg(self, a):
+        return self.neg_table[a]
+
+    def inv(self, a):
+        if a == 0:
+            raise DomainError("inversion of zero")
+        return self.inv_table[a]
+
+    def pow(self, a, e):
+        """a^e by e products; a negative e inverts first."""
+        if e < 0:
+            a, e = self.inv(a), -e
+        out = 1
+        for _ in range(e):
+            out = self.mul_table[out][a]
+        return out
+
+    def trace_int(self, a):
+        return self.trace_table[a]
+
+    def chi(self, a):
+        """The additive character exp(2 pi i Tr(a) / p)."""
+        return self.chi_table[a]
+
+    def squares(self):
+        return frozenset(self.mul_table[a][a] for a in range(self.q))
+
+    def is_square(self, a):
+        if self.q % 2 == 0:
+            raise DomainError("is_square needs odd q: every element of "
+                              "characteristic-2 fields is a square")
+        return a in self.squares()
+
+
+@functools.lru_cache(maxsize=None)
+def arithmetic(field):
+    """The Arithmetic of field, built once per equal field."""
+    return Arithmetic(field)
 
 
 # ---------------------------------------------------------------------------
@@ -28,10 +140,11 @@ from kakeyalab.field import DomainError
 def canonical_direction(field, vec):
     """Scale so the first nonzero coordinate equals 1; DomainError on zero."""
     vec = tuple(field.coerce_index(c) for c in vec)
+    ar = arithmetic(field)
     for c in vec:
         if c:
-            s = field.inv(c)
-            return tuple(field.mul(s, v) for v in vec)
+            s = ar.inv(c)
+            return tuple(ar.mul(s, v) for v in vec)
     raise DomainError("zero vector has no projective class")
 
 
@@ -118,7 +231,9 @@ class RefinedDirection:
         in the slope chart [1:m:gamma], (gamma, 0) in the vertical chart."""
         chart = self.chart()
         gamma = chart[-1]
-        return (0, self.field.neg(gamma)) if chart[0] == "slope" else (gamma, 0)
+        if chart[0] == "slope":
+            return (0, arithmetic(self.field).neg(gamma))
+        return (gamma, 0)
 
     def __eq__(self, other):
         return (isinstance(other, RefinedDirection)
@@ -152,11 +267,15 @@ class HPoint:
         y = tuple(field.coerce_index(c) for c in _as_seq(y))
         if len(x) != len(y):
             raise DomainError("x and y blocks differ in length")
-        self.field = field
-        self.n = len(x)
-        self.x = x
-        self.y = y
+        self.field, self.n, self.x, self.y = field, len(x), x, y
         self.t = field.coerce_index(t)
+
+    @classmethod
+    def _of(cls, field, x, y, t):
+        """The point of index tuples x, y and index t, already checked."""
+        point = cls.__new__(cls)
+        point.field, point.n, point.x, point.y, point.t = field, len(x), x, y, t
+        return point
 
     @classmethod
     def origin(cls, field, n=1):
@@ -171,19 +290,13 @@ class HPoint:
     def __mul__(self, other):
         """Group law (x,y,t)(x',y',t') = (x+x', y+y', t+t'+(x.y'-y.x'))."""
         self._check_compatible(other)
-        f = self.field
-        x = tuple(f.add(a, b) for a, b in zip(self.x, other.x))
-        y = tuple(f.add(a, b) for a, b in zip(self.y, other.y))
-        twist = 0
-        for xi, yi, xpi, ypi in zip(self.x, self.y, other.x, other.y):
-            twist = f.add(twist, f.sub(f.mul(xi, ypi), f.mul(yi, xpi)))
-        t = f.add(f.add(self.t, other.t), twist)
-        return HPoint(self.field, x, y, t)
+        return _group_product(arithmetic(self.field), self,
+                              other.x, other.y, other.t)
 
     def inverse(self):
-        f = self.field
-        return HPoint(f, tuple(f.neg(c) for c in self.x),
-                      tuple(f.neg(c) for c in self.y), f.neg(self.t))
+        neg = arithmetic(self.field).neg_table
+        return HPoint._of(self.field, tuple(neg[c] for c in self.x),
+                          tuple(neg[c] for c in self.y), neg[self.t])
 
     def project(self):
         """Drop t: the point (x, y) of F_q^{2n}."""
@@ -204,6 +317,17 @@ class HPoint:
         if self.n == 1:
             return f"H({self.x[0]},{self.y[0]},{self.t})"
         return f"H({self.x},{self.y},{self.t})"
+
+
+def _group_product(ar, p, x2, y2, t2):
+    """p.(x2, y2, t2) by the group law, over ar's tables."""
+    add, sub, mul = ar.add_table, ar.sub_table, ar.mul_table
+    x = tuple(add[a][b] for a, b in zip(p.x, x2))
+    y = tuple(add[a][b] for a, b in zip(p.y, y2))
+    twist = 0
+    for xi, yi, xpi, ypi in zip(p.x, p.y, x2, y2):
+        twist = add[twist][sub[mul[xi][ypi]][mul[yi][xpi]]]
+    return HPoint._of(p.field, x, y, add[add[p.t][t2]][twist])
 
 
 def _as_seq(c):
@@ -244,10 +368,11 @@ class HorizontalLine:
         self.n = n
         self.base = base
         self.direction = direction
+        ar = arithmetic(f)
         pts = []
         for s in range(f.q):
-            step = tuple(f.mul(s, c) for c in direction.rep)
-            pts.append(base * HPoint(f, step[:n], step[n:], 0))
+            step = tuple(ar.mul_table[s][c] for c in direction.rep)
+            pts.append(_group_product(ar, base, step[:n], step[n:], 0))
         self.points = tuple(pts)
         self._indices = None
 
@@ -260,7 +385,7 @@ class HorizontalLine:
     def t_slope(self):
         """c(L): the t step between consecutive points, x0.b - y0.a by the
         group law, independent of the chosen basepoint."""
-        return self.field.sub(self.points[1].t, self.points[0].t)
+        return arithmetic(self.field).sub(self.points[1].t, self.points[0].t)
 
     def refined_direction(self):
         return RefinedDirection(self.field,
@@ -379,9 +504,11 @@ class AffineLine:
         self.d = len(base)
         self.base = base
         self.direction = direction
+        ar = arithmetic(field)
+        add, mul = ar.add_table, ar.mul_table
         pts = []
         for s in range(field.q):
-            pts.append(tuple(field.add(c, field.mul(s, v))
+            pts.append(tuple(add[c][mul[s][v]]
                              for c, v in zip(base, direction.rep)))
         self.points = tuple(pts)
         self._indices = None
@@ -442,3 +569,39 @@ def project_line(line):
     """pi(L): the affine line of F_q^{2n} below a horizontal line."""
     f = line.field
     return AffineLine(f, line.base.project(), line.direction)
+
+
+# ---------------------------------------------------------------------------
+# the central Fourier transform, one frequency at a time (H_1)
+
+
+def inverse_central_fourier(tab):
+    """f(x,y,t) = (1/q) sum_xi f^(x,y;xi) chi(xi t)."""
+    q = tab.field.q
+    vals = (tab.table @ fr.chi_matrix(tab.field)) / q
+    return GridFunction(Domain.heisenberg(tab.field, 1), vals.reshape(-1))
+
+
+def t_xi_component(f, xi, family):
+    """(T_xi f)(omega) = (1/q) sum over L_omega of f^(x,y;xi) chi(xi t); row
+    xi of fourier.t_components, bit for bit."""
+    field = f.field
+    q = field.q
+    xi = field.coerce_index(xi)
+    xy_idx, t_idx = fr._family_plane_and_t(family)
+    plane = fr.central_fourier(f).table[:, :, xi].reshape(-1)
+    phases = field.np_chi[field.np_mul[xi][t_idx]]
+    return (plane[xy_idx] * phases).sum(axis=1) / q
+
+
+def g_rho(f, xi, rho):
+    """G_rho(x) = sum_y f^(x,y;xi) chi(-(xi x - rho) y)."""
+    field = f.field
+    xi = field.coerce_index(xi)
+    rho = field.coerce_index(rho)
+    q = field.q
+    xs = np.arange(q, dtype=np.int64)
+    coeff = field.np_sub.astype(np.int64)[field.np_mul[xi][xs], rho]
+    phases = np.conj(field.np_chi[
+        field.np_mul.astype(np.int64)[coeff[:, None], xs[None, :]]])
+    return (fr.central_fourier(f).table[:, :, xi] * phases).sum(axis=1)

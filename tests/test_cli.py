@@ -14,6 +14,8 @@ from kakeyalab import maximal as mx
 from kakeyalab import constructions as cn
 from kakeyalab import cli
 
+import documents as docs
+
 
 def small_config(qs=(3, 5), **kw):
     defaults = dict(fields=tuple(Field(q) for q in qs), suites=("census",),
@@ -166,7 +168,7 @@ def test_grid_file_roundtrip(tmp_path):
     f5 = Field(5)
     F = mx.GridFunction.delta(mx.Domain.heisenberg(f5, 1))
     path = tmp_path / "delta.json"
-    path.write_text(json.dumps(mx.grid_to_json(F)))
+    path.write_text(json.dumps(docs.grid_to_json(F)))
     G = cli.load_grid(path)
     assert G.domain == F.domain
     assert np.array_equal(G.values,
@@ -176,8 +178,8 @@ def test_grid_file_roundtrip(tmp_path):
 def test_pointset_file_roundtrip(tmp_path):
     ps = cn.extremal_set("bush", Field(7))
     path = tmp_path / "bush.json"
-    path.write_text(json.dumps(cn.pointset_to_json(ps)))
-    assert cn.pointset_from_json(json.loads(path.read_text())) == ps
+    path.write_text(json.dumps(docs.pointset_to_json(ps)))
+    assert docs.pointset_from_json(json.loads(path.read_text())) == ps
 
 
 def test_maxop_command(tmp_path, capsys):
@@ -185,7 +187,7 @@ def test_maxop_command(tmp_path, capsys):
     F = mx.GridFunction.delta(mx.Domain.heisenberg(f5, 1))
     src = tmp_path / "f.json"
     dst = tmp_path / "out.json"
-    src.write_text(json.dumps(mx.grid_to_json(F)))
+    src.write_text(json.dumps(docs.grid_to_json(F)))
     code = cli.main(["maxop", "--in", str(src), "--op", "refined",
                      "--out", str(dst)])
     assert code == 0
@@ -213,7 +215,7 @@ def test_maxop_directions_are_pinned(tmp_path, capsys, op, domain, want):
     # the directions list is part of the output's bytes: one plain list of
     # canonical representatives per operator, in enumeration order
     src = tmp_path / "f.json"
-    src.write_text(json.dumps(mx.grid_to_json(mx.GridFunction.delta(domain))))
+    src.write_text(json.dumps(docs.grid_to_json(mx.GridFunction.delta(domain))))
     assert cli.main(["maxop", "--in", str(src), "--op", op]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["directions"] == want
@@ -256,7 +258,7 @@ def test_maxop_rank_zero_grid_exits_2(tmp_path, capsys):
 
 
 def test_maxop_one_element_value_pair_exits_2(tmp_path):
-    doc = mx.grid_to_json(mx.GridFunction.delta(
+    doc = docs.grid_to_json(mx.GridFunction.delta(
         mx.Domain.heisenberg(Field(3), 1)))
     doc["values"][0] = [1.0]
     bad = tmp_path / "bad.json"
@@ -293,7 +295,7 @@ def test_q_above_the_cap_exits_2_within_seconds(tmp_path, argv):
         {"domain": "heisenberg", "q": 1000000000039, "values": []}))
     (tmp_path / "rank.json").write_text(json.dumps(
         {"domain": "heisenberg", "q": 2, "n": 100000000000, "values": []}))
-    (tmp_path / "grid.json").write_text(json.dumps(mx.grid_to_json(
+    (tmp_path / "grid.json").write_text(json.dumps(docs.grid_to_json(
         mx.GridFunction.delta(mx.Domain.heisenberg(Field(3), 1)))))
     (tmp_path / "latin1.json").write_bytes(b"\xff\xfe{}")
     (tmp_path / "deep.json").write_text("[" * 100000)
@@ -384,7 +386,7 @@ def test_verify_config_error_writes_nothing_to_stdout(capsys, argv):
 ])
 def test_json_numbers_must_be_integers(tmp_path, doc):
     # int() would read q = 3.9 as 3 and the points [2.7, true] as [2, 1]
-    parse = cn.pointset_from_json if "points" in doc else mx.grid_from_json
+    parse = docs.pointset_from_json if "points" in doc else mx.grid_from_json
     with pytest.raises(DomainError, match="must be an integer"):
         parse(doc)
     path = tmp_path / "doc.json"
@@ -439,7 +441,7 @@ def test_maxop_exits_0_or_2_on_any_document(tmp_path_factory, doc, op):
 @given(doc=_DOCS)
 def test_pointset_from_json_raises_only_domain_errors(doc):
     try:
-        cn.pointset_from_json(json.loads(json.dumps(doc)))
+        docs.pointset_from_json(json.loads(json.dumps(doc)))
     except DomainError:
         pass
 

@@ -10,6 +10,7 @@ from kakeyalab import maximal as mx
 from kakeyalab import constructions as cn
 from kakeyalab import cli
 
+import documents as docs
 import oracle as ol
 
 INF = math.inf
@@ -51,6 +52,7 @@ def test_bush_contains_all_lines_through_center(f5):
 def _object_extremal_set(kind, field, n, eta=None):
     """The extremal supports built from point and line objects at the origin:
     the definitional oracle for the index formulas of extremal_set."""
+    ar = ol.arithmetic(field)
     origin = ol.HPoint.origin(field, n)
     if kind == "point-mass":
         idx = [origin.index]
@@ -64,8 +66,8 @@ def _object_extremal_set(kind, field, n, eta=None):
         idx = {ol.HPoint(field, x, 0, 0).index for x in range(field.q)}
         idx |= {ol.HPoint(field, 0, x, 0).index for x in range(field.q)}
     elif kind == "paraboloid":
-        idx = [ol.HPoint(field, x, y, field.add(
-                   field.mul(x, x), field.mul(eta, field.mul(y, y)))).index
+        idx = [ol.HPoint(field, x, y, ar.add(
+                   ar.mul(x, x), ar.mul(eta, ar.mul(y, y)))).index
                for x in range(field.q) for y in range(field.q)]
     return cn.PointSet(mx.Domain.heisenberg(field, n), idx)
 
@@ -74,6 +76,7 @@ def _object_extremal_set(kind, field, n, eta=None):
 @pytest.mark.parametrize("n", [1, 2])
 def test_extremal_sets_match_object_construction(q, n):
     fld = Field(q)
+    ar = ol.arithmetic(fld)
     kinds = ["point-mass", "single-line", "bush"]
     if n == 1:
         kinds.append("two-lines-blocking")
@@ -81,7 +84,7 @@ def test_extremal_sets_match_object_construction(q, n):
         assert cn.extremal_set(kind, fld, n) == \
             _object_extremal_set(kind, fld, n), kind
     if n == 1 and q % 2:
-        etas = [e for e in range(1, q) if not fld.is_square(fld.neg(e))]
+        etas = [e for e in range(1, q) if not ar.is_square(ar.neg(e))]
         assert cn.extremal_set("paraboloid", fld) == \
             _object_extremal_set("paraboloid", fld, 1, etas[0])
         for eta in etas:
@@ -110,8 +113,9 @@ def test_paraboloid_rejects_isotropic_eta(f7):
 
 def test_paraboloid_eta_matches_paper_for_q_1_mod_4(f5):
     # q = 1 mod 4: anisotropic eta are exactly the nonsquares
+    ar = ol.arithmetic(f5)
     for eta in (2, 3):
-        assert not f5.is_square(eta)
+        assert not ar.is_square(eta)
         ps = cn.extremal_set("paraboloid", f5, eta=eta)
         assert mx.heis_max_op(ps.indicator()).max() <= 2
 
@@ -372,8 +376,9 @@ def test_example_affine_not_refined(q):
 
 def _mu_by_field_ops(fld, rep, x0, y0):
     # the definition: c - (x0 b - y0 a)
+    ar = ol.arithmetic(fld)
     a, b, c = rep
-    return fld.sub(c, fld.sub(fld.mul(x0, b), fld.mul(y0, a)))
+    return ar.sub(c, ar.sub(ar.mul(x0, b), ar.mul(y0, a)))
 
 
 @pytest.mark.parametrize("q", [5, 7, 8, 9])
@@ -412,25 +417,26 @@ def test_best_contained_line_matches_object_scan(q):
 def test_example_11_1_every_line_meets_removed_fiber(f5):
     om0 = ol.RefinedDirection(f5, (1, 2, 3))
     e = cn.example_affine_not_refined(f5, om0.rep)
-    removed = e.complement()
+    removed = cn.PointSet.from_mask(e.domain, ~e.mask)
     for L in ol.lines_with_refined_direction(om0):
         assert any(p.index in removed.indices for p in L.points)
 
 
 def _bent_lines_by_points(fld):
     # the definitional oracle: every point of the example as an HPoint
+    ar = ol.arithmetic(fld)
     q = fld.q
     idx = set()
     for m in range(q):
-        m2 = fld.mul(m, m)
+        m2 = ar.mul(m, m)
         for g in range(q):
             for x in range(q):
-                y = fld.sub(fld.mul(m, x), g)
-                t = fld.add(m2, fld.mul(g, x))
+                y = ar.sub(ar.mul(m, x), g)
+                t = ar.add(m2, ar.mul(g, x))
                 idx.add(ol.HPoint(fld, x, y, t).index)
     for g in range(q):
         for y in range(q):
-            idx.add(ol.HPoint(fld, g, y, fld.mul(g, y)).index)
+            idx.add(ol.HPoint(fld, g, y, ar.mul(g, y)).index)
     return cn.PointSet(h1(fld), idx)
 
 
@@ -459,15 +465,16 @@ def test_example_11_2_rejects_bad_q():
 
 def test_example_11_2_slope_fiber_is_translated_squares(f5):
     # the slope-chart t-values over (x0, y0) form a translate of the squares
-    squares = {f5.mul(s, s) for s in range(5)}
+    ar = ol.arithmetic(f5)
+    squares = {ar.mul(s, s) for s in range(5)}
     for x0 in range(5):
         for y0 in range(5):
             tvals = set()
             for m in range(5):
-                g = f5.sub(f5.mul(m, x0), y0)
-                tvals.add(f5.add(f5.mul(m, m), f5.mul(g, x0)))
+                g = ar.sub(ar.mul(m, x0), y0)
+                tvals.add(ar.add(ar.mul(m, m), ar.mul(g, x0)))
             assert len(tvals) <= 3  # (q+1)/2
-            assert any(tvals == {f5.add(sq, c) for sq in squares}
+            assert any(tvals == {ar.add(sq, c) for sq in squares}
                        for c in range(5))
 
 
@@ -534,55 +541,60 @@ def test_straighten_line_example(f5):
 
 
 def test_straighten_involution(f5):
+    ar = ol.arithmetic(f5)
     line = _line_set(f5, (2, 1, 3), (1, 4, 2))
     k = 3
-    back = cn.straighten(cn.straighten(line, k, "slope"), f5.neg(k), "slope")
+    back = cn.straighten(cn.straighten(line, k, "slope"), ar.neg(k), "slope")
     assert back == line
     ps = cn.extremal_set("bush", f5)
-    back2 = cn.straighten(cn.straighten(ps, k, "vertical"), f5.neg(k),
+    back2 = cn.straighten(cn.straighten(ps, k, "vertical"), ar.neg(k),
                           "vertical")
     assert back2 == ps
 
 
 def test_straighten_shifts_refined_direction(f5):
     # image of a mu = k line is horizontal with direction [1:m:g-k]
+    ar = ol.arithmetic(f5)
     for m in range(5):
         for g in range(5):
             for k in range(1, 5):
                 # base (0, y0) with mu = g - (m*0 - y0) = g + y0 = k
-                y0 = f5.sub(k, g)
+                y0 = ar.sub(k, g)
                 assert cn.mu_parameter(f5, (1, m, g), 0, y0) == k
                 st = cn.straighten(_line_set(f5, (0, y0, 0), (1, m, g)), k,
                                    "slope")
-                image = (1, m, f5.sub(g, k))
+                image = (1, m, ar.sub(g, k))
                 assert st == _line_set(f5, (0, y0, 0), image)
                 assert cn.mu_parameter(f5, image, 0, y0) == 0
 
 
 def test_straighten_vertical_chart(f5):
     # vertical chart: mu = g - x0, straightened by (x,y,t) -> (x,y,t-ky)
+    ar = ol.arithmetic(f5)
     for g in range(5):
         for k in range(1, 5):
-            x0 = f5.sub(g, k)
+            x0 = ar.sub(g, k)
             assert cn.mu_parameter(f5, (0, 1, g), x0, 0) == k
             st = cn.straighten(_line_set(f5, (x0, 0, 0), (0, 1, g)), k,
                                "vertical")
-            image = (0, 1, f5.sub(g, k))
+            image = (0, 1, ar.sub(g, k))
             assert st == _line_set(f5, (x0, 0, 0), image)
             assert cn.mu_parameter(f5, image, x0, 0) == 0
 
 
 def test_straighten_is_bijective_on_sets(f5):
+    ar = ol.arithmetic(f5)
     ps = cn.extremal_set("paraboloid", f5)
     image = cn.straighten(ps, 2, "slope")
     assert len(image) == len(ps)
-    assert cn.straighten(image, f5.neg(2), "slope") == ps
+    assert cn.straighten(image, ar.neg(2), "slope") == ps
 
 
 @pytest.mark.parametrize("q", [4, 5, 9])
 def test_straighten_set_matches_the_point_map(q):
     # oracle: each point's image under the shear, by the field operations
     fld = Field(q)
+    ar = ol.arithmetic(fld)
     rng = mx.seeded_rng(q)
     ps = cn.PointSet.from_mask(h1(fld), rng.random(q**3) < 0.3)
     for chart in ("slope", "vertical"):
@@ -590,7 +602,7 @@ def test_straighten_set_matches_the_point_map(q):
             want = []
             for i in ps.indices:
                 x, y, t = i // (q * q), i // q % q, i % q
-                t = fld.sub(t, fld.mul(k, x if chart == "slope" else y))
+                t = ar.sub(t, ar.mul(k, x if chart == "slope" else y))
                 want.append((x * q + y) * q + t)
             assert cn.straighten(ps, k, chart).indices == sorted(want)
 
@@ -629,6 +641,7 @@ def test_omega_partition_full_space(f5):
 
 
 def test_omega_partition_example_11_1(f5):
+    ar = ol.arithmetic(f5)
     dirs = ol.enumerate_refined_directions(f5, 1)
     om0 = ol.RefinedDirection(f5, (1, 1, 2))
     e = cn.example_affine_not_refined(f5, om0.rep)
@@ -647,10 +660,10 @@ def test_omega_partition_example_11_1(f5):
         mu = cn.mu_parameter(f5, om.rep, x0, y0)
         assert mu != 0 and i in rep.slices[mu]
         chart = om.chart()[0]
-        shear = f5.mul(mu, x0 if chart == "slope" else y0)
-        image = (*om.rep[:2], f5.sub(om.rep[2], mu))
+        shear = ar.mul(mu, x0 if chart == "slope" else y0)
+        image = (*om.rep[:2], ar.sub(om.rep[2], mu))
         assert cn.straighten(line, mu, chart) == \
-            _line_set(f5, (x0, y0, f5.sub(t0, shear)), image)
+            _line_set(f5, (x0, y0, ar.sub(t0, shear)), image)
         assert cn.mu_parameter(f5, image, x0, y0) == 0
     slice_members = [i for oms in rep.slices.values() for i in oms.tolist()]
     assert sorted(slice_members) == \
@@ -829,8 +842,8 @@ def test_moment_rejects_small_s(f5):
 
 def test_pointset_roundtrip(f5):
     ps = cn.extremal_set("bush", f5)
-    doc = json.loads(json.dumps(cn.pointset_to_json(ps)))
-    back = cn.pointset_from_json(doc)
+    doc = json.loads(json.dumps(docs.pointset_to_json(ps)))
+    back = docs.pointset_from_json(doc)
     assert back == ps
     assert doc["points"] == sorted(doc["points"])
 
@@ -839,10 +852,10 @@ def test_pointset_roundtrip(f5):
                                   {"n": "one"}, {"q": 1e400},
                                   {"points": [1e400]}, {"n": 1e400}])
 def test_pointset_json_value_errors_are_domain_errors(f5, edit):
-    doc = cn.pointset_to_json(cn.extremal_set("bush", f5))
+    doc = docs.pointset_to_json(cn.extremal_set("bush", f5))
     doc.update(edit)
     with pytest.raises(DomainError, match="malformed"):
-        cn.pointset_from_json(doc)
+        docs.pointset_from_json(doc)
 
 
 def test_pointset_rejects_bad_index(f5):

@@ -1,10 +1,13 @@
 import cmath
+import math
 from collections import OrderedDict
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kakeyalab
 from kakeyalab import cli
 from kakeyalab import constructions as cn
 from kakeyalab import field as fd
@@ -25,24 +28,24 @@ def fields():
 
 def test_prime_field_arithmetic():
     f = Field(5)
-    assert f.add(3, 4) == 2
-    assert f.inv(2) == 3
-    assert f.mul(2, f.inv(2)) == 1
+    assert f.np_add[3, 4] == 2
+    assert f.np_inv[2] == 3
+    assert f.np_mul[2, f.np_inv[2]] == 1
 
 
 def test_extension_multiplication_forced_by_modulus():
     # q=9 with modulus x^2 + 1: the generator squares to -1 = 2
     f = Field(9)
     x = 3  # coefficient vector (0, 1)
-    assert f.mul(x, x) == 2
+    assert f.np_mul[x, x] == ol.arithmetic(f).mul(x, x) == 2
 
 
 def test_inversion_of_zero_rejected():
-    f = Field(7)
+    ar = ol.arithmetic(Field(7))
     with pytest.raises(DomainError):
-        f.inv(0)
+        ar.inv(0)
     with pytest.raises(DomainError):
-        f.pow(0, -1)
+        ar.pow(0, -1)
 
 
 @pytest.mark.parametrize("q", ALL_Q)
@@ -51,7 +54,7 @@ def test_field_axioms_exhaustive(fields, q):
     add, mul = f.np_add, f.np_mul
     rng = range(q)
     for a in rng:
-        assert mul[a, f.inv(a)] == 1 if a else True
+        assert mul[a, f.np_inv[a]] == 1 if a else True
         for b in rng:
             assert add[a, b] == add[b, a]
             assert mul[a, b] == mul[b, a]
@@ -61,49 +64,78 @@ def test_field_axioms_exhaustive(fields, q):
                 assert mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]
 
 
+@pytest.mark.parametrize("q,modulus", [
+    *(pytest.param(q, None, id=str(q)) for q in ALL_Q),
+    pytest.param(9, (2, 1, 1), id="9-other-modulus"),
+])
+def test_tables_match_polynomial_arithmetic(q, modulus):
+    # element by element against arithmetic mod the modulus, which reads
+    # none of the tables it is compared with
+    f = Field(q, modulus=modulus)
+    ar = ol.arithmetic(f)
+    assert f.np_add.tolist() == ar.add_table
+    assert f.np_sub.tolist() == ar.sub_table
+    assert f.np_mul.tolist() == ar.mul_table
+    assert f.np_neg.tolist() == ar.neg_table
+    assert f.np_inv.tolist() == [0] + [ar.inv(a) for a in range(1, q)]
+    assert f.np_trace.tolist() == [ar.trace_int(a) for a in range(q)]
+
+
+def test_field_is_its_tables():
+    # the scalar arithmetic is the oracle's; the package keeps the tables
+    for name in ("add", "sub", "mul", "neg", "inv", "pow", "trace_int", "chi",
+                 "is_square", "squares", "_pow_int", "_squares"):
+        assert not hasattr(Field(9), name), name
+    for name in ("g_rho", "inverse_central_fourier", "t_xi_component",
+                 "grid_to_json", "domain_to_json", "pointset_to_json",
+                 "pointset_from_json"):
+        assert not any(hasattr(mod, name) for mod in (
+            kakeyalab, fr, mx, cn)), name
+    assert not hasattr(cn.PointSet, "complement")
+
+
 @pytest.mark.parametrize("q", ALL_Q)
 def test_inverses_and_negation(fields, q):
     f = fields[q]
     for a in range(q):
-        assert f.add(a, f.neg(a)) == 0
+        assert f.np_add[a, f.np_neg[a]] == 0
         if a:
-            assert f.mul(a, f.inv(a)) == 1
+            assert f.np_mul[a, f.np_inv[a]] == 1
 
 
 def test_trace_is_identity_on_prime_fields():
-    f = Field(13)
-    for a in range(13):
-        assert f.trace_int(a) == a
+    assert Field(13).np_trace.tolist() == list(range(13))
 
 
 def test_trace_q4_zero():
-    assert Field(4).trace_int(0) == 0
+    assert Field(4).np_trace[0] == 0
 
 
 def test_trace_q9_against_power_oracle():
     # oracle: Tr(x) = x + x^3 by direct power evaluation
     f = Field(9)
+    ar = ol.arithmetic(f)
     for a in range(9):
-        oracle = f.add(a, f.mul(a, f.mul(a, a)))
-        assert f.trace_int(a) == oracle
+        oracle = ar.add(a, ar.mul(a, ar.mul(a, a)))
+        assert f.np_trace[a] == oracle
         assert oracle < 3  # lands in the prime subfield
 
 
 @pytest.mark.parametrize("q", ALL_Q)
 def test_trace_additive_and_into_prime_subfield(fields, q):
     f = fields[q]
+    trace = f.np_trace
     for a in range(q):
-        assert f.trace_int(a) < f.p
+        assert trace[a] < f.p
         for b in range(q):
-            assert f.trace_int(f.add(a, b)) == \
-                (f.trace_int(a) + f.trace_int(b)) % f.p
+            assert trace[f.np_add[a, b]] == (trace[a] + trace[b]) % f.p
 
 
 def test_character_basics():
-    f = Field(5)
-    assert f.chi(0) == 1
-    assert cmath.isclose(f.chi(1), cmath.exp(2j * cmath.pi / 5))
-    assert abs(sum(f.chi(i) for i in range(5))) < 1e-12
+    chi = Field(5).np_chi
+    assert chi[0] == 1
+    assert cmath.isclose(chi[1], cmath.exp(2j * cmath.pi / 5))
+    assert abs(chi.sum()) < 1e-12
 
 
 @pytest.mark.parametrize("q", ALL_Q)
@@ -111,7 +143,7 @@ def test_character_orthogonality(fields, q):
     # sum_x chi(ax) = q if a = 0 else 0
     f = fields[q]
     for a in range(q):
-        s = sum(f.chi(f.mul(a, x)) for x in range(q))
+        s = sum(f.np_chi[f.np_mul[a, x]] for x in range(q))
         target = q if a == 0 else 0
         assert abs(s - target) < 1e-9
 
@@ -119,35 +151,36 @@ def test_character_orthogonality(fields, q):
 @pytest.mark.parametrize("q", ALL_Q)
 def test_character_is_multiplicative_in_addition(fields, q):
     f = fields[q]
+    chi = f.np_chi
     for a in range(q):
         for b in range(q):
-            assert cmath.isclose(f.chi(f.add(a, b)), f.chi(a) * f.chi(b),
+            assert cmath.isclose(chi[f.np_add[a, b]], chi[a] * chi[b],
                                  abs_tol=1e-12)
 
 
 def test_squares_q5():
-    f = Field(5)
-    assert f.squares() == {0, 1, 4}
-    assert not f.is_square(2)
-    assert f.is_square(0)
+    ar = ol.arithmetic(Field(5))
+    assert ar.squares() == {0, 1, 4}
+    assert not ar.is_square(2)
+    assert ar.is_square(0)
 
 
 def test_square_count_q7():
-    f = Field(7)
-    assert sum(f.is_square(i) for i in range(7)) == 4  # (q+1)/2
+    ar = ol.arithmetic(Field(7))
+    assert sum(ar.is_square(i) for i in range(7)) == 4  # (q+1)/2
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27])
 def test_square_classes_partition(fields, q):
-    f = fields[q]
-    squares = [i for i in range(1, q) if f.is_square(i)]
-    nonsquares = [i for i in range(1, q) if not f.is_square(i)]
+    ar = ol.arithmetic(fields[q])
+    squares = [i for i in range(1, q) if ar.is_square(i)]
+    nonsquares = [i for i in range(1, q) if not ar.is_square(i)]
     assert len(squares) == len(nonsquares) == (q - 1) // 2
 
 
 def test_is_square_rejected_for_even_q():
     with pytest.raises(DomainError):
-        Field(4).is_square(1)
+        ol.arithmetic(Field(4)).is_square(1)
 
 
 def test_builtin_moduli_are_verified_not_trusted():
@@ -182,7 +215,7 @@ def test_explicit_modulus_accepted():
     # x^2 + x + 2 is irreducible over F_3 (no roots)
     f = Field(9, modulus=(2, 1, 1))
     x = 3
-    assert f.mul(x, x) == f.add(f.neg(2), f.neg(x))  # x^2 = -x - 2
+    assert f.np_mul[x, x] == f.np_add[f.np_neg[2], f.np_neg[x]]  # -x - 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -191,9 +224,9 @@ def test_subtraction_and_division_roundtrip(q, data):
     f = Field(q)
     a = data.draw(st.integers(0, q - 1))
     b = data.draw(st.integers(0, q - 1))
-    assert f.sub(f.add(a, b), b) == a
+    assert f.np_sub[f.np_add[a, b], b] == a
     if b:
-        assert f.mul(f.mul(a, b), f.inv(b)) == a
+        assert f.np_mul[f.np_mul[a, b], f.np_inv[b]] == a
 
 
 @settings(max_examples=40, deadline=None)
@@ -202,7 +235,7 @@ def test_frobenius_fixes_trace(q, data):
     # Tr(x^p) = Tr(x): the trace is Frobenius-invariant
     f = Field(q)
     a = data.draw(st.integers(0, q - 1))
-    assert f.trace_int(f.pow(a, f.p)) == f.trace_int(a)
+    assert f.np_trace[ol.arithmetic(f).pow(a, f.p)] == f.np_trace[a]
 
 
 # -- the per-field table cache ---------------------------------------------
@@ -380,3 +413,39 @@ def test_coerce_index_accepts_python_and_numpy_integers():
         f5.coerce_index(np.int64(5))
     with pytest.raises(DomainError):   # once read as the point (1, 0, 4)
         ol.HPoint(f5, 1.9, 0.5, 4.99)
+
+
+_INTEGERS = st.integers(-40, 40)
+_SCALARS = st.one_of(
+    _INTEGERS, _INTEGERS.map(np.int64), _INTEGERS.map(np.int16),
+    st.integers(0, 40).map(np.uint8), st.booleans(), st.booleans().map(np.bool_),
+    st.floats(), st.fractions(), st.none(), st.text(max_size=6),
+    st.sampled_from(["inf", "-inf", " inf", "nan", "oo", "3/2", "1/0", "7"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SCALARS)
+def test_scalar_checkers_share_one_contract(x):
+    # bools refused, Python and numpy integers read by value, and every
+    # refusal a DomainError, whichever checker reads x
+    f5 = Field(5)
+    checkers = {
+        "exponent": (mx.exponent, lambda i: i >= 1, Fraction),
+        "dimension": (lambda d: hz.check_dimension(f5, d, "dimension"),
+                      lambda i: 1 <= i and 5 ** i <= fd.MAX_POINTS, int),
+        "index": (f5.coerce_index, lambda i: 0 <= i < 5, int),
+    }
+    for name, (check, valid, kind) in checkers.items():
+        try:
+            got = check(x)
+        except DomainError:
+            got = None
+        if isinstance(x, (bool, np.bool_)):
+            assert got is None, name
+        elif isinstance(x, (int, np.integer)):
+            want = kind(int(x)) if valid(int(x)) else None
+            assert got == want and type(got) is type(want), name
+        elif name == "exponent":
+            assert got is None or got == math.inf or got >= 1
+        else:
+            assert got is None, name

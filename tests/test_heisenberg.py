@@ -408,10 +408,11 @@ def test_omega_to_planar_line_bijection():
 
 def test_planar_line_equation(f5):
     # l_[a:b:c] = {bx - ay = c}, parallel to [a:b]
+    ar = ol.arithmetic(f5)
     for om in ol.enumerate_refined_directions(f5, 1):
         a, b, c = om.rep
         for (x, y) in ol.planar_line_of(om).points:
-            assert f5.sub(f5.mul(b, x), f5.mul(a, y)) == c
+            assert ar.sub(ar.mul(b, x), ar.mul(a, y)) == c
 
 
 # -- bulk line tables --------------------------------------------------------
