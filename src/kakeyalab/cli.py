@@ -82,10 +82,11 @@ def report_row(suite, rep, trial=""):
                     rep.lhs, rep.rhs, rep.holds, trial)
 
 
-def rows_to_csv(rows):
+def rows_to_csv(rows, header=True):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+    if header:
+        writer.writerow(CSV_HEADER)
     for r in rows:
         writer.writerow([_fmt(r[k]) for k in CSV_HEADER])
     return buf.getvalue()
@@ -175,25 +176,36 @@ def _structured_h1(fld):
 
 
 def _bound_rows(cfg, suite, fld, specs, trials):
+    """Every spec on its operator's inputs: the structured ones, then one
+    random grid per trial; rows spec by spec, input by input.
+
+    A trial's three grids (heis, refined, affine, drawn in that order from
+    its generator) go through every spec of their operator before the next
+    trial's are drawn, so one trial's inputs are alive at a time.
+    """
     dom_h = mx.Domain.heisenberg(fld, 1)
     dom_a = mx.Domain.affine(fld, 2)
-    inputs = {"heis": [], "refined": [], "affine": []}
-    for tag, F in _structured_h1(fld):
-        inputs["heis"].append((tag, F))
-        inputs["refined"].append((tag, F))
-    inputs["affine"].append(("plane-ones", mx.GridFunction.constant(dom_a)))
-    inputs["affine"].append(("plane-delta", mx.GridFunction.delta(dom_a)))
+    structured = _structured_h1(fld)
+    fixed = {"heis": structured, "refined": structured,
+             "affine": [("plane-ones", mx.GridFunction.constant(dom_a)),
+                        ("plane-delta", mx.GridFunction.delta(dom_a))]}
+    cells = [[] for _ in specs]  # the rows of specs[i], input by input
+
+    def check(operator, tag, F):
+        for spec, cell in zip(specs, cells):
+            if spec.operator == operator:
+                rep = mx.verify_bound(spec, F, tol=cfg.tol)
+                cell.append(report_row(suite, rep, trial=tag))
+
+    for operator, inputs in fixed.items():
+        for tag, F in inputs:
+            check(operator, tag, F)
     for trial in range(trials):
         rng = _rng(cfg, suite, fld.q, trial)
-        inputs["heis"].append((trial, mx.random_complex_grid(dom_h, rng)))
-        inputs["refined"].append((trial, mx.random_complex_grid(dom_h, rng)))
-        inputs["affine"].append((trial, mx.random_complex_grid(dom_a, rng)))
-    rows = []
-    for spec in specs:
-        for tag, F in inputs[spec.operator]:
-            rep = mx.verify_bound(spec, F, tol=cfg.tol)
-            rows.append(report_row(suite, rep, trial=tag))
-    return rows
+        for operator, dom in (("heis", dom_h), ("refined", dom_h),
+                              ("affine", dom_a)):
+            check(operator, trial, mx.random_complex_grid(dom, rng))
+    return [row for cell in cells for row in cell]
 
 
 def suite_diag(cfg):
@@ -529,34 +541,67 @@ def _out_writer(path):
             os.remove(path)
 
 
-def run_suite(cfg):
-    """Run the configured suites; returns (rows, exit_status).
+def _stamp(rows, seed, violated):
+    """Stamp the seed on each row and add the text of each row that fails
+    to violated; returns the number of rows that hold."""
+    held = 0
+    for r in rows:
+        r["seed"] = seed
+        if r["holds"]:
+            held += 1
+        else:
+            violated.append(",".join(_fmt(r[k]) for k in CSV_HEADER))
+    return held
 
-    The rows' CSV goes to cfg.out, which is opened before the first suite
-    runs (_out_writer); a status-2 run leaves no file there.
+
+@dataclass
+class RunReport:
+    """A run's outcome: its exit status, CSV text and verdict counts."""
+
+    status: int
+    csv: str = ""   # the header and every row; empty on status 2
+    checks: int = 0
+    held: int = 0
+    qs: list = None  # the rows' q values, first appearance first, "" left out
+
+
+def run_suite(cfg):
+    """Run the configured suites; returns their RunReport.
+
+    Each suite's rows leave as CSV text when the suite returns: the seed is
+    stamped on them, their verdicts are counted and their VIOLATED lines
+    kept, and the dicts are dropped, so one suite's rows are alive at a
+    time.  The VIOLATED lines go to stderr, in row order, once every suite
+    has run.  The CSV goes to cfg.out, which is opened before the first
+    suite runs (_out_writer); a status-2 run leaves no file there.
     """
-    rows = []
     for name in cfg.suites:
         if name not in SUITES:
             print(f"unknown suite: {name}", file=sys.stderr)
-            return rows, 2
+            return RunReport(2)
+    chunks = [rows_to_csv(())]
+    violated = []
+    checks = held = 0
+    qs = {}
     with _out_writer(cfg.out) as write:
         try:
             for name in cfg.suites:
-                rows.extend(SUITES[name](cfg))
+                rows = SUITES[name](cfg)
+                checks += len(rows)
+                held += _stamp(rows, cfg.seed, violated)
+                qs.update(dict.fromkeys(r["q"] for r in rows))
+                chunks.append(rows_to_csv(rows, header=False))
+                del rows  # the dicts go before the next suite runs
         except DomainError as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
-            return rows, 2
-        status = 0
-        for r in rows:
-            r["seed"] = cfg.seed
-            if not r["holds"]:
-                print("VIOLATED: " + ",".join(_fmt(r[k]) for k in CSV_HEADER),
-                      file=sys.stderr)
-                status = 1
+            return RunReport(2)
+        for line in violated:
+            print("VIOLATED: " + line, file=sys.stderr)
+        report = RunReport(1 if violated else 0, "".join(chunks), checks,
+                           held, [q for q in qs if q != ""])
         if cfg.out:
-            write(rows_to_csv(rows))
-    return rows, status
+            write(report.csv)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -655,24 +700,22 @@ def cmd_suite(args):
     """census and examples: run the one suite the subparser binds and print
     its CSV."""
     cfg = _config_from(args, default_qs=args.default_qs, suites=(args.suite,))
-    rows, status = run_suite(cfg)
-    _emit(rows_to_csv(rows))
-    return status
+    report = run_suite(cfg)
+    _emit(report.csv)
+    return report.status
 
 
 def cmd_verify(args):
     suites = tuple(args.suite.split(",")) if args.suite else ALL_SUITES
     cfg = _config_from(args, suites=suites)
-    rows, status = run_suite(cfg)
-    if status == 2:  # bad config: the error is on stderr, stdout stays empty
-        return status
-    ok = sum(1 for r in rows if r["holds"])
-    # the q values the rows cover: exponents sweeps its own q window
-    qs = [q for q in dict.fromkeys(r["q"] for r in rows) if q != ""]
-    _emit(f"{ok}/{len(rows)} checks hold across q={qs}\n")
+    report = run_suite(cfg)
+    if report.status == 2:  # bad config: the error is on stderr, stdout empty
+        return 2
+    # report.qs: the q values the rows cover; exponents sweeps its own window
+    _emit(f"{report.held}/{report.checks} checks hold across q={report.qs}\n")
     if not cfg.out:
-        _emit(rows_to_csv(rows))
-    return status
+        _emit(report.csv)
+    return report.status
 
 
 def cmd_sweep(args):

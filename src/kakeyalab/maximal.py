@@ -316,9 +316,26 @@ def _build_refined(field):
     return dirs, table
 
 
+# The most bytes of gathered values that one block of _line_sums holds
+# (2^17 float64 values).
+GATHER_BYTES = 1 << 20
+
+
+def _line_sums(absvals, table):
+    """The sum of absvals over each line of an (m, lines, q) index table.
+
+    The gather absvals[table] runs over a block of direction rows at a time,
+    at most GATHER_BYTES of values unless one row alone is larger; a table
+    within one block is one gather.  Each line sums along its own contiguous
+    axis as in the whole gather, so every sum has the same bits.
+    """
+    rows = max(1, GATHER_BYTES // (absvals.itemsize * table[0].size))
+    return np.concatenate([absvals[table[i:i + rows]].sum(axis=2)
+                           for i in range(0, len(table), rows)])
+
+
 def _max_over_table(absvals, table):
-    sums = absvals[table].sum(axis=2)
-    return sums.max(axis=1)
+    return _line_sums(absvals, table).max(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +443,7 @@ def linearize(kind, field, *, for_function=None, rng=None):
     if for_function is not None:
         if for_function.domain != domain:
             raise DomainError("function domain does not match the family")
-        sums = np.abs(for_function.values)[table].sum(axis=2)
+        sums = _line_sums(np.abs(for_function.values), table)
         choice = sums.argmax(axis=1)  # first maximum: enumeration-order ties
     elif rng is not None:
         choice = rng.integers(table.shape[1], size=table.shape[0])

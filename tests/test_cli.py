@@ -1,8 +1,11 @@
+import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -33,15 +36,21 @@ def resolved_config(monkeypatch, argv, suite="census"):
     return cfg
 
 
+def csv_rows(report):
+    """The rows of a RunReport's CSV, as dicts of strings."""
+    return list(csv.DictReader(io.StringIO(report.csv)))
+
+
 def test_run_suite_census_ok():
-    rows, status = cli.run_suite(small_config())
-    assert status == 0
-    assert rows and all(r["holds"] for r in rows)
+    report = cli.run_suite(small_config())
+    assert report.status == 0
+    assert report.checks == report.held == len(csv_rows(report)) > 0
+    assert all(r["holds"] == "true" for r in csv_rows(report))
 
 
 def test_run_suite_unknown_suite():
-    rows, status = cli.run_suite(small_config(suites=("nope",)))
-    assert status == 2
+    report = cli.run_suite(small_config(suites=("nope",)))
+    assert report.status == 2
 
 
 def test_violated_row_gives_exit_1(monkeypatch, capsys):
@@ -49,17 +58,16 @@ def test_violated_row_gives_exit_1(monkeypatch, capsys):
         return [cli.make_row("bad", "always-false", 3, 1, 2, 2, 2.0, 1.0,
                              False)]
     monkeypatch.setitem(cli.SUITES, "census", bad_suite)
-    rows, status = cli.run_suite(small_config())
-    assert status == 1
+    report = cli.run_suite(small_config())
+    assert report.status == 1
+    assert (report.checks, report.held) == (1, 0)
     assert "VIOLATED" in capsys.readouterr().err
 
 
 def test_csv_format_and_determinism():
     cfg = small_config(suites=("ttstar", "planar-l2"), trials=3)
-    rows1, _ = cli.run_suite(cfg)
-    rows2, _ = cli.run_suite(cfg)
-    csv1 = cli.rows_to_csv(rows1)
-    csv2 = cli.rows_to_csv(rows2)
+    csv1 = cli.run_suite(cfg).csv
+    csv2 = cli.run_suite(cfg).csv
     assert csv1 == csv2
     header = csv1.splitlines()[0]
     assert header == "suite,bound,q,n,u,v,lhs,rhs,ratio,holds,seed,trial"
@@ -68,9 +76,7 @@ def test_csv_format_and_determinism():
 def test_seed_changes_rows():
     cfg1 = small_config(suites=("rd-l2",), trials=3, seed=1)
     cfg2 = small_config(suites=("rd-l2",), trials=3, seed=2)
-    csv1 = cli.rows_to_csv(cli.run_suite(cfg1)[0])
-    csv2 = cli.rows_to_csv(cli.run_suite(cfg2)[0])
-    assert csv1 != csv2
+    assert cli.run_suite(cfg1).csv != cli.run_suite(cfg2).csv
 
 
 def test_main_census_exit_zero(capsys):
@@ -80,9 +86,9 @@ def test_main_census_exit_zero(capsys):
 
 
 def test_census_covers_both_ranks():
-    rows, status = cli.run_suite(small_config(qs=(3,)))
-    assert status == 0
-    assert {r["n"] for r in rows} == {1, 2}
+    report = cli.run_suite(small_config(qs=(3,)))
+    assert report.status == 0
+    assert {r["n"] for r in csv_rows(report)} == {"1", "2"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -348,6 +354,128 @@ def test_status_2_run_leaves_no_file_at_out(monkeypatch, capsys, tmp_path):
                      "--out", str(out)]) == 1
     assert out.read_text().splitlines()[-1].startswith(
         "examples,always-false")
+
+
+def test_domain_error_after_violated_rows_exits_2_quietly(monkeypatch,
+                                                          capsys, tmp_path):
+    # the earlier suite's rows are already CSV text when the later one
+    # raises: no row reaches stdout or --out, and stderr holds only the error
+    monkeypatch.setitem(cli.SUITES, "census", lambda cfg: [cli.make_row(
+        "census", "always-false", 3, 1, "", "", 2.0, 1.0, False)])
+
+    def late_error(cfg):
+        raise DomainError("raised after a suite returned rows")
+    monkeypatch.setitem(cli.SUITES, "examples", late_error)
+    out = tmp_path / "x.csv"
+    for extra in ([], ["--out", str(out)]):
+        assert cli.main(["verify", "--q", "3", "--suite", "census,examples",
+                         *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("configuration error: raised after a suite "
+                                "returned rows\n")
+    assert not out.exists()
+
+
+def test_violated_lines_keep_row_order(monkeypatch, capsys):
+    def suite(name, verdicts):
+        return lambda cfg: [cli.make_row(name, f"b{i}", 3, 1, 2, 2, 1.0, 1.0,
+                                         holds, trial=i)
+                            for i, holds in enumerate(verdicts)]
+    monkeypatch.setitem(cli.SUITES, "census",
+                        suite("first", [False, True, False]))
+    monkeypatch.setitem(cli.SUITES, "diag", suite("second", [True, False]))
+    assert cli.main(["verify", "--q", "3", "--suite", "census,diag"]) == 1
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()[2:]  # after the summary and the header
+    assert captured.out.splitlines()[0] == "2/5 checks hold across q=[3]"
+    assert captured.err.splitlines() == [
+        "VIOLATED: " + r for r in rows if ",false," in r]
+    assert [r.split(",")[:2] for r in rows if ",false," in r] == [
+        ["first", "b0"], ["first", "b2"], ["second", "b1"]]
+
+
+def test_verify_stdout_csv_equals_its_out_bytes(capsys, tmp_path):
+    argv = ["verify", "--q", "3,4", "--trials", "2",
+            "--suite", "census,ttstar,diag,exponents"]
+    out = tmp_path / "x.csv"
+    status = cli.main([*argv, "--out", str(out)])
+    summary = capsys.readouterr().out
+    assert cli.main(argv) == status
+    printed = capsys.readouterr().out
+    assert printed == summary + out.read_text()
+    assert summary.count("\n") == 1
+
+
+def _bound_rows_all_inputs_first(cfg, suite, fld, specs, trials):
+    """_bound_rows as it was: every input of a q built before any check."""
+    dom_h = mx.Domain.heisenberg(fld, 1)
+    dom_a = mx.Domain.affine(fld, 2)
+    inputs = {"heis": [], "refined": [], "affine": []}
+    for tag, F in cli._structured_h1(fld):
+        inputs["heis"].append((tag, F))
+        inputs["refined"].append((tag, F))
+    inputs["affine"].append(("plane-ones", mx.GridFunction.constant(dom_a)))
+    inputs["affine"].append(("plane-delta", mx.GridFunction.delta(dom_a)))
+    for trial in range(trials):
+        rng = cli._rng(cfg, suite, fld.q, trial)
+        inputs["heis"].append((trial, mx.random_complex_grid(dom_h, rng)))
+        inputs["refined"].append((trial, mx.random_complex_grid(dom_h, rng)))
+        inputs["affine"].append((trial, mx.random_complex_grid(dom_a, rng)))
+    rows = []
+    for spec in specs:
+        for tag, F in inputs[spec.operator]:
+            rep = mx.verify_bound(spec, F, tol=cfg.tol)
+            rows.append(cli.report_row(suite, rep, trial=tag))
+    return rows
+
+
+@pytest.mark.parametrize("suite", ["diag", "offdiag"])
+@pytest.mark.parametrize("q", [3, 5])
+def test_bound_rows_keep_one_trials_inputs_alive(monkeypatch, suite, q):
+    fld = Field(q)
+    cfg = small_config(qs=(q,), suites=(suite,), trials=3)
+    specs = ([s for s in mx.bound_catalog(q) if s.name != "rd-l2-sharp"]
+             if suite == "diag" else mx.offdiag_catalog())
+    want = _bound_rows_all_inputs_first(cfg, suite, fld, specs, 3)
+    drawn = []
+    alive_at_draw = []
+    draw = mx.random_complex_grid
+
+    def tracked(domain, rng):
+        F = draw(domain, rng)
+        drawn.append(weakref.ref(F.values))
+        alive_at_draw.append(sum(r() is not None for r in drawn))
+        return F
+
+    monkeypatch.setattr(mx, "random_complex_grid", tracked)
+    got = cli.SUITES[suite](cfg)
+    assert len(drawn) == 9
+    assert max(alive_at_draw) <= 3
+    assert got == want
+
+
+class _Row(dict):
+    """A row dict that a weak reference can follow."""
+
+
+def test_one_suites_rows_are_alive_at_a_time(monkeypatch):
+    refs = []
+
+    def suite(name):
+        def run(cfg):
+            assert [r for r in refs if r() is not None] == []
+            rows = [_Row(cli.make_row(name, "b", 3, 1, 2, 2, 1.0, 1.0, True))
+                    for _ in range(3)]
+            refs.extend(weakref.ref(r) for r in rows)
+            return rows
+        return run
+
+    for name in ("census", "diag", "fourier"):
+        monkeypatch.setitem(cli.SUITES, name, suite(name))
+    report = cli.run_suite(small_config(suites=("census", "diag", "fourier")))
+    assert report.status == 0 and report.checks == 9 and len(refs) == 9
+    assert [r for r in refs if r() is not None] == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -304,6 +304,59 @@ def test_heis_max_op_invariant_under_translation_and_dilation(q, n):
         assert np.array_equal(mx.heis_max_op(_pulled_back(F, dilate)), want)
 
 
+def _transvection(field, w, lam):
+    """z -> z + lam.omega(w, z).w on F_q^{2n}, omega(w, z) = w_x.z_y - w_y.z_x:
+    a symplectic transvection, so (z, t) -> (A z, t) is an automorphism."""
+    ar = ol.arithmetic(field)
+    n = len(w) // 2
+
+    def apply(z):
+        om = 0
+        for wx, wy, zx, zy in zip(w[:n], w[n:], z[:n], z[n:]):
+            om = ar.add(om, ar.sub(ar.mul(wx, zy), ar.mul(wy, zx)))
+        s = ar.mul(lam, om)
+        return tuple(ar.add(c, ar.mul(s, wc)) for c, wc in zip(z, w))
+
+    return apply
+
+
+@pytest.mark.parametrize("q,n", [(3, 1), (4, 1), (5, 1), (7, 1), (9, 1),
+                                 (3, 2)])
+def test_heis_max_op_permuted_by_symplectic_transvections(q, n):
+    # (x, y, t) -> (A(x, y), t) maps the lines of direction v onto the lines
+    # of direction A v, so on integer inputs the values are permuted exactly
+    f = Field(q)
+    rng = mx.seeded_rng(q, n, 11)
+    dom = mx.Domain.heisenberg(f, n)
+    kinds = ["point-mass", "single-line", "bush", "constant"]
+    if n == 1:
+        kinds.append("two-lines-blocking")
+        if q % 2:
+            kinds.append("paraboloid")
+    inputs = [cn.extremal_set(kind, f, n).indicator() for kind in kinds]
+    inputs += [mx.GridFunction(dom, rng.integers(0, 2, dom.size))
+               for _ in range(3)]
+    basis = [tuple(int(i == j) for j in range(2 * n)) for i in range(2 * n)]
+    w = tuple(int(c) for c in rng.integers(0, q, 2 * n))
+    w = w if any(w) else basis[0]
+    maps = [(e, 1) for e in basis] + [(w, int(rng.integers(1, q)))]
+    dirs = hz.enumerate_projective_directions(f, n).tolist()
+    pos = {tuple(rep): i for i, rep in enumerate(dirs)}
+    for w, lam in maps:
+        A = _transvection(f, w, lam)
+        image = [pos[ol.canonical_direction(f, A(v))] for v in dirs]
+        assert sorted(image) == list(range(len(dirs)))
+
+        def phi(p):
+            z = A(p.x + p.y)
+            return ol.HPoint(f, z[:n], z[n:], p.t)
+
+        for F in inputs:
+            want = mx.heis_max_op(F)
+            got = mx.heis_max_op(_pulled_back(F, phi))
+            assert np.array_equal(got, want[image])
+
+
 @pytest.mark.parametrize("q", [5, 9])
 def test_refined_max_op_permuted_by_left_translation(q):
     # g.L has t-slope c(L) + w(g, v), w(g, [a:b]) = g_x b - g_y a
@@ -536,6 +589,59 @@ def test_narrow_f3_table_equals_the_native_width_build(q):
     assert len(dirs) == len(table) == q * q + q + 1
     for v, block in zip(dirs, table):
         assert np.array_equal(block, hz._coset_table(f, v))
+
+
+class _RecordedGathers(np.ndarray):
+    """An array that records the bytes of every gather taken from it."""
+
+    def __getitem__(self, index):
+        out = np.asarray(super().__getitem__(index))
+        self.gathers.append(out.nbytes)
+        return out
+
+
+def _recorded(values):
+    rec = np.asarray(values).view(_RecordedGathers)
+    rec.gathers = []
+    return rec
+
+
+@pytest.mark.parametrize("small", [False, True])
+@pytest.mark.parametrize("q", [3, 4, 5, 8, 9, 16, 25, 27])
+def test_block_gather_equals_the_whole_gather(monkeypatch, q, small):
+    # a small block splits even the q = 3 tables: two heis1 rows of 8 q^3
+    # bytes, and an uneven count of refined and planar rows
+    block_bytes = 16 * q**3 + 8 if small else mx.GATHER_BYTES
+    monkeypatch.setattr(mx, "GATHER_BYTES", block_bytes)
+    f = Field(q)
+    rng = mx.seeded_rng(q, 23)
+    h1_inputs = [np.abs(mx.random_complex_grid(h1(f), rng).values),
+                 rng.integers(0, 2, q**3).astype(np.int64)]
+    plane_inputs = [np.abs(mx.random_complex_grid(
+        mx.Domain.affine(f, 2), rng).values),
+        rng.integers(0, 2, q * q).astype(np.int64)]
+    tables = [(mx.refined_incidence(f)[1], h1_inputs),
+              (mx.heis1_incidence(f)[1], h1_inputs),
+              (mx.affine_incidence(f, 2)[1], plane_inputs)]
+    for table, inputs in tables:
+        for absvals in inputs:
+            whole = absvals[table].sum(axis=2)
+            rec = _recorded(absvals)
+            got = mx._line_sums(rec, table)
+            assert got.dtype == whole.dtype
+            assert got.tobytes() == whole.tobytes()
+            assert max(rec.gathers) <= block_bytes
+            if whole.nbytes * q <= block_bytes:  # one block: one gather
+                assert len(rec.gathers) == 1
+            else:
+                assert len(rec.gathers) > 1
+    for kind, dom in (("refined", h1(f)), ("planar", mx.Domain.affine(f, 2))):
+        F = mx.random_complex_grid(dom, rng)
+        table = mx._candidate_tables(kind, f)[1]
+        choice = np.abs(F.values)[table].sum(axis=2).argmax(axis=1)
+        fam = mx.linearize(kind, f, for_function=F)
+        assert np.array_equal(fam.point_idx,
+                              table[np.arange(len(table)), choice])
 
 
 # -- TT* and operator norms ------------------------------------------------------
