@@ -9,13 +9,17 @@ input and on a file that cannot be read or written.
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
 import io
 import json
 import math
 import os
+import pickle
+import subprocess
 import sys
-from contextlib import contextmanager
+import threading
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -277,7 +281,7 @@ def suite_fourier(cfg):
                                      trial=trial))
             for rep in fr.split_bound_check(f, fam, tol=cfg.tol):
                 rows.append(report_row("fourier", rep, trial=trial))
-            if trial == 0 and cfg.dump_fourier:
+            if trial == 0 and cfg.dump_fourier and fld is cfg.fields[-1]:
                 _dump_fourier(cfg.dump_fourier, f)
         fiber_max = 0
         for xi in range(1, q):
@@ -541,17 +545,22 @@ def _out_writer(path):
             os.remove(path)
 
 
-def _stamp(rows, seed, violated):
-    """Stamp the seed on each row and add the text of each row that fails
-    to violated; returns the number of rows that hold."""
+def _suite_digest(cfg, name):
+    """One suite's rows as run_suite keeps them: (CSV text without header,
+    row count, rows that hold, VIOLATED lines, q values in first-appearance
+    order).  The seed is stamped on the rows, and the row dicts die when
+    this returns, so one suite's rows are alive at a time per process."""
+    rows = SUITES[name](cfg)
+    violated = []
     held = 0
     for r in rows:
-        r["seed"] = seed
+        r["seed"] = cfg.seed
         if r["holds"]:
             held += 1
         else:
             violated.append(",".join(_fmt(r[k]) for k in CSV_HEADER))
-    return held
+    return (rows_to_csv(rows, header=False), len(rows), held, violated,
+            list(dict.fromkeys(r["q"] for r in rows)))
 
 
 @dataclass
@@ -565,36 +574,195 @@ class RunReport:
     qs: list = None  # the rows' q values, first appearance first, "" left out
 
 
+# What a helper interpreter runs; _Pool puts the directory that holds the
+# package first on its PYTHONPATH, so it imports the parent's copy.
+_HELPER = "from kakeyalab.cli import _serve; _serve()"
+
+
+def _cpus():
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _serve():
+    """A helper's loop: read the run's config fields from stdin, then run
+    each suite named there and write back its digest, or the DomainError or
+    OSError it raised, until stdin closes.  The first message written says
+    that the imports are done."""
+    inp, out = sys.stdin.buffer, sys.stdout.buffer
+    cfg = SuiteConfig(**pickle.load(inp))
+    result = None
+    while True:
+        pickle.dump(result, out)
+        out.flush()
+        try:
+            name = pickle.load(inp)
+        except EOFError:
+            return
+        try:
+            result = _suite_digest(cfg, name)
+        except (DomainError, OSError) as exc:
+            result = exc
+
+
+class _Pool:
+    """The suites of one run, on this process and on helper interpreters.
+
+    This process and up to (CPUs - 1) helpers take whole suites from the
+    front of the suite list; a suite of a finer grain would keep several
+    fields' tables alive in one process.  A helper imports the package
+    afresh, so it takes only suites whose SUITES entry is code from this
+    file; a replaced entry (a test double, a tracer's wrapper) runs here
+    with the whole config.  A suite whose helper dies without a result
+    runs here too.  A DomainError or OSError in suite i stops the hand-out
+    of the suites after i, and the run reports the first failing suite in
+    suite order, as a serial run does.
+    """
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        codes = [getattr(SUITES[n], "__code__", None) for n in cfg.suites]
+        self.portable = [c is not None and c.co_filename == __file__
+                         for c in codes]
+        self.results = [None] * len(cfg.suites)  # a digest or an exception
+        self.pending = list(range(len(cfg.suites)))
+        self.stop = len(cfg.suites)  # no suite from here on is handed out
+        self.cond = threading.Condition()
+
+    def _take(self, helper):
+        """The first pending suite before stop that the taker may run,
+        moved out of pending (under cond); None if there is none."""
+        for i in self.pending:
+            if i >= self.stop:
+                break
+            if self.portable[i] or not helper:
+                self.pending.remove(i)
+                return i
+        return None
+
+    def _finish(self, i, result):
+        """Keep suite i's result (under cond)."""
+        self.results[i] = result
+        if isinstance(result, Exception):
+            self.stop = min(self.stop, i)
+        self.cond.notify_all()
+
+    def _feed(self, proc, config):
+        """Hand suites to one helper until none is left that it may run."""
+        i = None
+        try:
+            proc.stdin.write(config)
+            proc.stdin.flush()
+            pickle.load(proc.stdout)  # its imports are done
+            while True:
+                with self.cond:
+                    i = self._take(helper=True)
+                if i is None:
+                    return
+                pickle.dump(self.cfg.suites[i], proc.stdin)
+                proc.stdin.flush()
+                result = pickle.load(proc.stdout)
+                with self.cond:
+                    self._finish(i, result)
+                i = None
+        except (OSError, EOFError, pickle.UnpicklingError):
+            pass  # the helper died, or run() killed it
+        finally:
+            if i is not None:  # it holds suite i: this process runs it
+                with self.cond:
+                    self.portable[i] = False
+                    bisect.insort(self.pending, i)
+                    self.cond.notify_all()
+
+    def run(self):
+        """Every suite's result, in suite order."""
+        cfg = self.cfg
+        # plain fields: under `python -m`, SuiteConfig is __main__'s class,
+        # which a helper cannot unpickle; one pickle keeps the window's
+        # fields the same objects as the run's
+        config = pickle.dumps(vars(cfg))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(os.path.abspath(__file__)))]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        # this process takes the first suite before any helper is ready
+        helpers = min(_cpus() - 1, sum(self.portable[1:]))
+        procs, threads = [], []
+        try:
+            for _ in range(helpers):
+                try:  # a new session: Ctrl-C reaches this process alone
+                    proc = subprocess.Popen(
+                        [sys.executable, "-c", _HELPER], env=env,
+                        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                        start_new_session=True)
+                except OSError:  # no process to spare: fewer helpers
+                    break
+                procs.append(proc)
+                threads.append(threading.Thread(
+                    target=self._feed, args=(proc, config), daemon=True))
+                threads[-1].start()
+            while True:
+                with self.cond:
+                    while (i := self._take(helper=False)) is None:
+                        # each suite before stop is done or a helper's
+                        if None not in self.results[:self.stop]:
+                            return self.results
+                        self.cond.wait()
+                try:
+                    result = _suite_digest(cfg, cfg.suites[i])
+                except (DomainError, OSError) as exc:
+                    result = exc
+                with self.cond:
+                    self._finish(i, result)
+        finally:
+            # a helper still booting, idle, or running a suite after a
+            # failing one is not waited for
+            for proc in procs:
+                proc.kill()
+            for thread in threads:
+                thread.join()
+            for proc in procs:
+                for pipe in (proc.stdin, proc.stdout):
+                    with suppress(OSError):  # data left buffered for it
+                        pipe.close()
+                proc.wait()
+
+
 def run_suite(cfg):
     """Run the configured suites; returns their RunReport.
 
-    Each suite's rows leave as CSV text when the suite returns: the seed is
-    stamped on them, their verdicts are counted and their VIOLATED lines
-    kept, and the dicts are dropped, so one suite's rows are alive at a
-    time.  The VIOLATED lines go to stderr, in row order, once every suite
-    has run.  The CSV goes to cfg.out, which is opened before the first
-    suite runs (_out_writer); a status-2 run leaves no file there.
+    The suites run in parallel (_Pool); each leaves as its digest
+    (_suite_digest), and the digests are joined in suite order.  The
+    VIOLATED lines go to stderr, in row order, once every suite has run.
+    The CSV goes to cfg.out, which is opened before the first suite runs
+    (_out_writer); a status-2 run leaves no file there.  A run whose first
+    failing suite raised OSError raises it.
     """
     for name in cfg.suites:
         if name not in SUITES:
             print(f"unknown suite: {name}", file=sys.stderr)
             return RunReport(2)
-    chunks = [rows_to_csv(())]
-    violated = []
-    checks = held = 0
-    qs = {}
     with _out_writer(cfg.out) as write:
-        try:
-            for name in cfg.suites:
-                rows = SUITES[name](cfg)
-                checks += len(rows)
-                held += _stamp(rows, cfg.seed, violated)
-                qs.update(dict.fromkeys(r["q"] for r in rows))
-                chunks.append(rows_to_csv(rows, header=False))
-                del rows  # the dicts go before the next suite runs
-        except DomainError as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return RunReport(2)
+        results = _Pool(cfg).run()
+        chunks = [rows_to_csv(())]
+        violated = []
+        checks = held = 0
+        qs = {}
+        for result in results:
+            if isinstance(result, DomainError):
+                print(f"configuration error: {result}", file=sys.stderr)
+                return RunReport(2)
+            if isinstance(result, OSError):
+                raise result
+            text, n, h, v, q = result
+            chunks.append(text)
+            checks += n
+            held += h
+            violated += v
+            qs.update(dict.fromkeys(q))
         for line in violated:
             print("VIOLATED: " + line, file=sys.stderr)
         report = RunReport(1 if violated else 0, "".join(chunks), checks,

@@ -364,10 +364,12 @@ def heis_max_op(F):
 def heis_max_op_many(field, n, absrows):
     """Batched horizontal maximal operator for rank n >= 2.
 
-    absrows has shape (k, q^{2n+1}); returns (k, #directions).
+    absrows has shape (k, q^{2n+1}); returns (k, #directions) in the dtype
+    of the line sums, so an integer input gives integer values as at n = 1.
     """
     dirs = hz.enumerate_projective_directions(field, n)
-    out = np.empty((absrows.shape[0], len(dirs)))
+    out = np.empty((absrows.shape[0], len(dirs)),
+                   dtype=absrows[:, :1].sum(axis=1).dtype)
     for di, v in enumerate(dirs):
         table = hz.line_table_for_direction(field, v)
         out[:, di] = absrows[:, table].sum(axis=2).max(axis=1)

@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -613,6 +615,8 @@ def test_each_field_is_built_once_per_run(monkeypatch, suites, qs):
         init(self, q, *args, **kw)
 
     monkeypatch.setattr(Field, "__init__", counting_init)
+    # one CPU: every suite runs in this process, where the count is taken
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     # a three-q window may miss a slope by more than 0.1: exit 1, not 2
     assert cli.main(["verify", "--q", "3,5,7", "--trials", "1",
                      "--suite", suites]) in (0, 1)
@@ -627,6 +631,22 @@ def test_dump_fourier(tmp_path):
     doc = json.loads(dump.read_text())
     assert doc["q"] == 3
     assert set(doc["u_tables"]) == {"1", "2"}
+
+
+def test_dump_fourier_is_written_once_with_the_last_field(monkeypatch,
+                                                          tmp_path):
+    written = []
+    dump_fourier = cli._dump_fourier
+
+    def counting(path, f):
+        written.append(f.field.q)
+        dump_fourier(path, f)
+    monkeypatch.setattr(cli, "_dump_fourier", counting)
+    dump = tmp_path / "fourier.json"
+    assert cli.main(["verify", "--suite", "fourier", "--q", "3,5",
+                     "--trials", "1", "--dump-fourier", str(dump)]) == 0
+    assert written == [5]
+    assert json.loads(dump.read_text())["q"] == 5
 
 
 @pytest.mark.parametrize("argv", [
@@ -650,8 +670,10 @@ def test_closed_stdout_keeps_the_status_of_the_rows(argv):
 
 
 _PROBE = """
-import json, sys
+import json, os, sys
 from kakeyalab import cli
+# one CPU: every suite runs in this process, whose modules are probed
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 status = cli.main(sys.argv[1:])
 defined = sorted(f"{name}.{cls}" for name, mod in sys.modules.items()
                  if name.split(".")[0] == "kakeyalab"
@@ -680,3 +702,194 @@ def test_production_builds_no_line_objects(tmp_path):
     suites = {row.split(",")[0] for row in
               (tmp_path / "run.csv").read_text().splitlines()[1:]}
     assert suites == set(cli.ALL_SUITES)
+
+
+# ---------------------------------------------------------------------------
+# the suite pool: helper interpreters, CPU affinity, every exit path
+
+POOL_ARGV = ["verify", "--q", "3,5", "--trials", "1", "--seed", "2",
+             "--suite", "census,diag,offdiag,rd-l2,fourier,examples"]
+
+
+def run_main(argv, timeout=120):
+    """cli.main(argv) on a daemon thread joined with a timeout; returns its
+    status, or raises what it raised."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append((True, cli.main(argv)))
+        except BaseException as exc:  # handed to the test's thread below
+            outcome.append((False, exc))
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"{argv} still running after {timeout} s"
+    ok, value = outcome[0]
+    if not ok:
+        raise value
+    return value
+
+
+def assert_no_child_left():
+    # every helper was reaped: this process has no child, live or zombie
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def set_cpus(monkeypatch, cpus):
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+
+
+def mark_in_helpers(monkeypatch, marks, then="return run(cfg)",
+                    suites=None):
+    """Helpers wrap their own SUITES entries, those named or all, so that a
+    suite first leaves a file named after it under marks, then runs the
+    statement then (run is the entry it wraps)."""
+    code = ("import os, time\nfrom kakeyalab import cli\n"
+            "def wrap(name, run):\n"
+            "    def suite(cfg):\n"
+            f"        open(os.path.join({str(marks)!r}, name), 'w').close()\n"
+            f"        {then}\n"
+            "    return suite\n"
+            "for name, run in list(cli.SUITES.items()):\n"
+            f"    if {suites!r} is None or name in {suites!r}:\n"
+            "        cli.SUITES[name] = wrap(name, run)\n"
+            "cli._serve()")
+    monkeypatch.setattr(cli, "_HELPER", code)
+
+
+def wait_for_marks(marks, count, timeout=60):
+    deadline = time.monotonic() + timeout
+    while len(list(marks.iterdir())) < count:
+        assert time.monotonic() < deadline, f"{count} marks never appeared"
+        time.sleep(0.01)
+
+
+def census_after_marks(monkeypatch, marks, count):
+    """census runs here once count helpers have each taken a suite."""
+    census = cli.SUITES["census"]
+
+    def waiting(cfg):
+        wait_for_marks(marks, count)
+        return census(cfg)
+    monkeypatch.setitem(cli.SUITES, "census", waiting)
+
+
+def run_outputs(capsys, tmp_path, argv, tag):
+    """(status, stdout, stderr, --out bytes, --dump-fourier bytes)."""
+    out, dump = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json"
+    status = run_main([*argv, "--out", str(out), "--dump-fourier", str(dump)])
+    captured = capsys.readouterr()
+    assert_no_child_left()
+    return (status, captured.out, captured.err,
+            out.read_bytes() if out.exists() else None,
+            dump.read_bytes() if dump.exists() else None)
+
+
+@pytest.mark.parametrize("tol,status", [("1e-9", 0), ("0", 1)])
+@pytest.mark.parametrize("cpus", [1, None, 4])
+def test_pool_output_is_byte_identical_on_any_cpu_count(
+        monkeypatch, capsys, tmp_path, cpus, tol, status):
+    # tol 0 fails float rows of diag and fourier: status 1 and VIOLATED
+    # lines from suites that helpers run.  None is this machine's CPU set;
+    # 4 CPUs start 3 helpers whatever the machine has.  census runs here
+    # and waits until every helper has taken a suite of its own.
+    argv = [*POOL_ARGV, "--tol", tol]
+    with monkeypatch.context() as m:
+        set_cpus(m, 1)
+        want = run_outputs(capsys, tmp_path, argv, "serial")
+    assert want[0] == status and want[3] and want[4]
+    assert (want[2] == "") == (status == 0)
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    set_cpus(monkeypatch, cpus)
+    helpers = min(cli._cpus() - 1, 5)
+    mark_in_helpers(monkeypatch, marks)
+    census_after_marks(monkeypatch, marks, helpers)
+    assert run_outputs(capsys, tmp_path, argv, "pool") == want
+    assert len(list(marks.iterdir())) >= helpers
+
+
+def test_domain_error_in_this_process_stops_a_helper_holding_a_suite(
+        monkeypatch, capsys, tmp_path):
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    mark_in_helpers(monkeypatch, marks, then="time.sleep(600)")
+
+    def late_error(cfg):
+        wait_for_marks(marks, 1)  # a helper now holds diag
+        raise DomainError("raised while a helper holds a suite")
+    monkeypatch.setitem(cli.SUITES, "census", late_error)
+    set_cpus(monkeypatch, 2)
+    out = tmp_path / "x.csv"
+    start = time.monotonic()
+    assert run_main(["verify", "--q", "3", "--suite", "census,diag",
+                     "--out", str(out)]) == 2
+    assert time.monotonic() - start < 60  # the helper was not waited for
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("configuration error: raised while a helper "
+                            "holds a suite\n")
+    assert not out.exists()
+    assert_no_child_left()
+
+
+def test_suite_of_a_helper_that_dies_runs_in_this_process(monkeypatch,
+                                                          capsys, tmp_path):
+    argv = ["verify", "--q", "3,5", "--trials", "1",
+            "--suite", "census,diag,offdiag"]
+    with monkeypatch.context() as m:
+        set_cpus(m, 1)
+        want = run_outputs(capsys, tmp_path, argv, "serial")
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    # the helper exits without a result on the first suite it takes
+    mark_in_helpers(monkeypatch, marks, then="os._exit(0)")
+    census_after_marks(monkeypatch, marks, 1)
+    set_cpus(monkeypatch, 2)
+    assert run_outputs(capsys, tmp_path, argv, "died") == want
+    assert [p.name for p in marks.iterdir()] == ["diag"]
+
+
+def test_replaced_suite_runs_once_in_this_process(monkeypatch, capsys,
+                                                  tmp_path):
+    calls = []
+
+    def recording(cfg):
+        calls.append((os.getpid(), cfg))
+        return [cli.make_row("diag", "replaced", 3, 1, "", "", 1.0, 1.0,
+                             True)]
+    monkeypatch.setitem(cli.SUITES, "diag", recording)
+    set_cpus(monkeypatch, 4)
+    out = tmp_path / "x.csv"
+    assert run_main(["verify", "--q", "3", "--trials", "1", "--suite",
+                     "census,diag,offdiag", "--out", str(out)]) == 0
+    ((pid, cfg),) = calls
+    assert pid == os.getpid()
+    assert cfg.suites == ("census", "diag", "offdiag")
+    assert cfg.out == str(out) and cfg.trials == 1
+    assert [f.q for f in cfg.fields] == [3]
+    assert ",replaced," in out.read_text()
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("a bug"), KeyboardInterrupt()])
+def test_no_helper_outlives_an_exception(monkeypatch, tmp_path, exc):
+    # a bug, or Ctrl-C, in a suite this process runs while a helper holds
+    # another: the exception leaves cli.main and every helper is reaped
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    mark_in_helpers(monkeypatch, marks, then="time.sleep(600)")
+
+    def interrupted(cfg):
+        wait_for_marks(marks, 1)
+        raise exc
+    monkeypatch.setitem(cli.SUITES, "census", interrupted)
+    set_cpus(monkeypatch, 2)
+    with pytest.raises(type(exc)):
+        run_main(["verify", "--q", "3", "--suite", "census,diag"])
+    assert_no_child_left()

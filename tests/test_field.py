@@ -1,5 +1,6 @@
 import cmath
 import math
+import os
 from collections import OrderedDict
 from fractions import Fraction
 
@@ -389,6 +390,8 @@ def test_h1_tables_of_every_default_and_big_field_fit_the_budget(
         dropped.append(before - len(cache))
 
     monkeypatch.setattr(fd, "_evict_for", counting_evict)
+    # one CPU: every suite runs in this process, against this cache
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert cli.main(["verify", "--big", "--trials", "1", "--suite",
                      "planar-l2,ttstar,diag,offdiag,rd-l2,fourier",
                      "--out", str(tmp_path / "h1.csv")]) == 0

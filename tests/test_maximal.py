@@ -226,6 +226,20 @@ def test_heis_max_op_line_indicator(f5):
     assert vals[dirs.index(v)] == 5
 
 
+@pytest.mark.parametrize("q,n", [(3, 1), (5, 1), (3, 2), (5, 2)])
+def test_heis_max_op_keeps_an_integer_input_integer(q, n):
+    # an exact count has the same dtype at every rank, and the values of
+    # the same input as floats
+    f = Field(q)
+    for kind in ("point-mass", "single-line", "bush"):
+        F = cn.extremal_set(kind, f, n).indicator()
+        assert F.values.dtype == np.int64
+        got = mx.heis_max_op(F)
+        assert got.dtype == np.int64
+        as_float = mx.GridFunction(F.domain, F.values.astype(np.float64))
+        assert np.array_equal(got, mx.heis_max_op(as_float))
+
+
 def test_refined_max_op_delta(f3):
     F = mx.GridFunction.delta(h1(f3))
     vals = mx.refined_max_op(F)
