@@ -1,9 +1,9 @@
 """Central-variable Fourier apparatus on H_1(F_q).
 
 Transforms only the t variable: f^(x, y; xi) = sum_t f(x,y,t) chi(-xi t).
-A linearization T then splits exactly as T = sum_xi T_xi, the nonzero
-frequencies factor through the U tables, and the whole l2 theory reduces
-to quadratic fiber counting.
+A linearization T splits exactly as T = sum_xi T_xi, each T_xi is read off
+the U tables of the input, built once, and the whole l2 theory reduces to
+quadratic fiber counting.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .field import DomainError, field_table
 from .maximal import (VerifyReport, affine_incidence, apply_linearized,
-                      lp_norm, REL_TOL)
+                      lp_norm, refined_incidence, REL_TOL)
 
 
 def chi_matrix(field):
@@ -27,7 +27,7 @@ def _u_plane_index(field):
 
     These are the planar lines of direction [1:m], the first q blocks of the
     affine table, whose row -g starts at (0, -g).  The copy is C-ordered:
-    u_tables sums the gather along x, and its bits depend on the layout.
+    _u_rows sums the gather along x, and its bits depend on the layout.
     """
     _, table = affine_incidence(field, 2)
     return np.ascontiguousarray(table[:field.q, field.np_neg])
@@ -81,7 +81,7 @@ def central_fourier(F):
 def _planes(F):
     """The (q, q*q) array whose row xi is f^(., .; xi) flattened.
 
-    A read-only C-ordered copy memoized on F: u_tables sums its gather in
+    A read-only C-ordered copy memoized on F: _u_rows sums its gather in
     memory order, so the bits depend on the layout.
     """
     def build():
@@ -93,28 +93,44 @@ def _planes(F):
     return F.memo("fourier-planes", build)
 
 
-def _family_plane_and_t(family):
-    if family.kind != "refined":
-        raise DomainError("frequency components need a refined line family")
-    q = family.field.q
-    return family.point_idx // q, family.point_idx % q
+def _u_rows(F):
+    """Read-only (q, q*q + q) array memoized on F: row xi holds U_xi(m, g) at
+    m*q + g, then U_xi^inf(g) at q*q + g, as enumerate_refined_directions."""
+    def build():
+        q = F.field.q
+        index = field_table(F.field, "u-plane-index", _u_plane_index)
+        phases = field_table(F.field, "u-phases", _u_phases)   # [xi, g, x]
+        rows = np.empty((q, q * q + q), dtype=np.complex128)
+        for plane, phase, row in zip(_planes(F), phases, rows):
+            row[:q * q] = (plane[index] * phase[None]).sum(axis=2).ravel()
+            # U_inf(g) = sum_y f^(g, y; xi) chi(xi g y): the phase with y for x
+            row[q * q:] = (plane.reshape(q, q) * phase).sum(axis=1)
+        rows.flags.writeable = False
+        return rows
+    return F.memo("u-rows", build)
+
+
+def _family_tau(f, family):
+    """tau_i per row i: row tau_i of block i of refined_incidence, or raise."""
+    _, table = refined_incidence(f.field)
+    tau = family.point_idx[:, 0] % f.field.q
+    if family.domain != f.domain or len(tau) != len(table) or not \
+            np.array_equal(family.point_idx, table[np.arange(len(tau)), tau]):
+        raise DomainError("each row i must be a line of refined direction i")
+    return tau
 
 
 def t_components(f, family):
     """All frequency components at once: array of shape (q, #D_1).
 
-    Row xi is (T_xi f)(omega) = (1/q) sum over L_omega of f^(x,y;xi)
-    chi(xi t), the line sum taken in column order.  The result is read-only
-    and memoized on f per family.
+    Row xi is (T_xi f)(omega) = (1/q) sum over L_omega of f^(x,y;xi) chi(xi t)
+    = chi(xi tau) U_xi / q, as chi(xi (tau + g x)) = chi(xi tau) chi(xi g x) on
+    L_{[1:m:g],tau} = {(x, mx-g, tau+gx)}, and likewise on L_{[0:1:g],tau}.
+    The result is read-only and memoized on f per family.
     """
     def build():
-        q = f.field.q
-        xy_idx, t_idx = _family_plane_and_t(family)
-        chi = chi_matrix(f.field)
-        planes = _planes(f)
-        comps = np.empty((q, len(family)), dtype=np.complex128)
-        for xi in range(q):
-            comps[xi] = (planes[xi][xy_idx] * chi[xi][t_idx]).sum(axis=1) / q
+        tau = _family_tau(f, family)    # checked before any U row is built
+        comps = chi_matrix(f.field)[:, tau] * _u_rows(f) / f.field.q
         comps.flags.writeable = False
         return comps
     return f.memo(("t-components", family), build)
@@ -133,19 +149,13 @@ class UTable:
 
 
 def u_tables(f, xi):
-    """U_xi(m,g) = sum_x f^(x, mx-g; xi) chi(xi g x); xi must be nonzero."""
+    """U_xi(m,g) = sum_x f^(x, mx-g; xi) chi(xi g x), read-only; xi nonzero."""
     field = f.field
     xi = field.coerce_index(xi)
     if xi == 0:
         raise DomainError("U tables are defined for nonzero xi")
-    q = field.q
-    index = field_table(field, "u-plane-index", _u_plane_index)
-    phase = field_table(field, "u-phases", _u_phases)[xi]       # [g, x]
-    plane = _planes(f)[xi]                                      # [x*q + y]
-    u = (plane[index] * phase[None, :, :]).sum(axis=2)
-    # U_inf(g) = sum_y f^(g, y; xi) chi(xi g y); same phase table with y for x
-    u_inf = (plane.reshape(q, q) * phase).sum(axis=1)
-    return UTable(field, xi, u, u_inf)
+    row, q = _u_rows(f)[xi], field.q                      # views of one row
+    return UTable(field, xi, row[:q * q].reshape(q, q), row[q * q:])
 
 
 def key_counting_check(f, xi, tol=REL_TOL):
@@ -195,7 +205,7 @@ def split_bound_check(f, family, tol=REL_TOL):
 
 
 def decomposition_defect(f, family):
-    """Relative gap between T f and sum_xi T_xi f on the family."""
+    """Relative gap of T f from sum_xi chi(xi tau) U_xi / q on the family."""
     direct = apply_linearized(family, f)
     summed = t_components(f, family).sum(axis=0)
     scale = max(float(np.abs(direct).max()), float(np.abs(summed).max()), 1e-300)

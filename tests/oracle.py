@@ -582,13 +582,22 @@ def inverse_central_fourier(tab):
     return GridFunction(Domain.heisenberg(tab.field, 1), vals.reshape(-1))
 
 
+def _family_plane_and_t(family):
+    """(plane index x*q + y, t) of each point of a refined family's lines."""
+    if family.kind != "refined":
+        raise DomainError("frequency components need a refined line family")
+    q = family.field.q
+    return family.point_idx // q, family.point_idx % q
+
+
 def t_xi_component(f, xi, family):
-    """(T_xi f)(omega) = (1/q) sum over L_omega of f^(x,y;xi) chi(xi t); row
-    xi of fourier.t_components, bit for bit."""
+    """(T_xi f)(omega) = (1/q) sum over L_omega of f^(x,y;xi) chi(xi t), the
+    definition, summed along each line; fourier.t_components reads row xi
+    off the U tables instead, so they agree to rounding."""
     field = f.field
     q = field.q
     xi = field.coerce_index(xi)
-    xy_idx, t_idx = fr._family_plane_and_t(family)
+    xy_idx, t_idx = _family_plane_and_t(family)
     plane = fr.central_fourier(f).table[:, :, xi].reshape(-1)
     phases = field.np_chi[field.np_mul[xi][t_idx]]
     return (plane[xy_idx] * phases).sum(axis=1) / q

@@ -7,6 +7,7 @@ from kakeyalab import maximal as mx
 from kakeyalab import fourier as fr
 
 import oracle as ol
+from test_field import ALL_Q
 
 
 @pytest.fixture(scope="module")
@@ -303,18 +304,74 @@ def test_split_bounds_random_q11():
 # -- shared tables and components ---------------------------------------------
 
 
+def assert_components_factor(f, fam):
+    # row 0 bit for bit against the definition; row xi >= 1 bit for bit
+    # against chi(xi tau) U_xi / q, and within 1e-13 of its maximum against
+    # the definition, which sums in another order
+    q = f.field.q
+    comps = fr.t_components(f, fam)
+    assert np.array_equal(comps[0], ol.t_xi_component(f, 0, fam))
+    chi = fr.chi_matrix(f.field)
+    tau = ol._family_plane_and_t(fam)[1][:, 0]
+    for xi in range(1, q):
+        ut = fr.u_tables(f, xi)
+        u = np.concatenate([ut.u.reshape(-1), ut.u_inf])
+        assert np.array_equal(comps[xi], chi[xi, tau] * u / q)
+        want = ol.t_xi_component(f, xi, fam)
+        assert np.abs(comps[xi] - want).max() <= 1e-13 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("q", [5, 16, 27])
 def test_t_components_equal_per_frequency_oracle(q):
     fld = Field(q)
     f = random_f(fld, 20, q)
-    fam = mx.linearize("refined", fld, for_function=f)
-    comps = fr.t_components(f, fam)
-    oracle = np.stack([ol.t_xi_component(f, xi, fam) for xi in range(q)])
-    assert np.array_equal(comps, oracle)  # bit for bit, not approximately
-    other = mx.linearize("refined", fld)
-    assert np.array_equal(
-        fr.t_components(f, other),
-        np.stack([ol.t_xi_component(f, xi, other) for xi in range(q)]))
+    assert_components_factor(f, mx.linearize("refined", fld, for_function=f))
+    assert_components_factor(f, mx.linearize("refined", fld))
+
+
+@pytest.mark.parametrize("q", ALL_Q)
+def test_frequency_components_factor_through_u_tables(q):
+    fld = Field(q)
+    f = random_f(fld, 22, q)
+    for fam in (mx.linearize("refined", fld, for_function=f),
+                mx.linearize("refined", fld, rng=mx.seeded_rng(23, q)),
+                mx.linearize("refined", fld)):
+        assert_components_factor(f, fam)
+
+
+def test_u_rows_built_once_per_input(f7, monkeypatch):
+    # t_components and all q - 1 u_tables calls read one build of the rows
+    asked = []
+    table = fr.field_table
+
+    def counting_table(fld, name, build):
+        asked.append(name)
+        return table(fld, name, build)
+
+    monkeypatch.setattr(fr, "field_table", counting_table)
+    f = random_f(f7, 24)
+    fr.t_components(f, mx.linearize("refined", f7, for_function=f))
+    uts = [fr.u_tables(f, xi) for xi in range(1, 7)]
+    assert asked.count("u-plane-index") == 1
+    assert asked.count("u-phases") == 1
+    rows = fr._u_rows(f)
+    for ut in uts:
+        assert np.shares_memory(ut.u, rows) and np.shares_memory(ut.u_inf, rows)
+        assert not ut.u.flags.writeable and not ut.u_inf.flags.writeable
+
+
+def test_t_components_reject_a_family_off_the_normal_form(f7):
+    f = random_f(f7, 25)
+    fam = mx.linearize("refined", f7, rng=mx.seeded_rng(26))
+    swapped = fam.point_idx.copy()
+    swapped[[0, 1]] = swapped[[1, 0]]
+    bad = mx.LineFamily("refined", f7, fam.directions, swapped, fam.domain)
+    with pytest.raises(DomainError):
+        fr.t_components(f, bad)
+    with pytest.raises(DomainError):
+        fr.t_components(f, mx.linearize("planar", f7))
+    assert np.array_equal(fr.t_components(f, fam)[0],
+                          ol.t_xi_component(f, 0, fam))
 
 
 @pytest.mark.parametrize("q", [4, 5])
@@ -323,8 +380,8 @@ def test_fourier_gathers_use_native_width_indices(q):
     index = fr.field_table(f, "u-plane-index", fr._u_plane_index)
     assert index.dtype == np.intp and not index.flags.writeable
     fam = mx.linearize("refined", f, rng=mx.seeded_rng(q))
-    for idx in fr._family_plane_and_t(fam):
-        assert idx.dtype == np.intp
+    g = mx.GridFunction.delta(h1(f))
+    assert fr._family_tau(g, fam).dtype == np.intp
 
 
 def test_table_and_components_are_shared_per_input(f7):
