@@ -9,7 +9,6 @@ input and on a file that cannot be read or written.
 from __future__ import annotations
 
 import argparse
-import bisect
 import csv
 import io
 import json
@@ -20,7 +19,7 @@ import subprocess
 import sys
 import threading
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 
@@ -545,11 +544,18 @@ def _out_writer(path):
             os.remove(path)
 
 
-def _suite_digest(cfg, name):
-    """One suite's rows as run_suite keeps them: (CSV text without header,
+def _task_digest(cfg, name, fields):
+    """One task's rows as run_suite keeps them: (CSV text without header,
     row count, rows that hold, VIOLATED lines, q values in first-appearance
-    order).  The seed is stamped on the rows, and the row dicts die when
-    this returns, so one suite's rows are alive at a time per process."""
+    order).  The task runs suite name on the fields at the indices fields;
+    only the task that holds the run's last field keeps the --dump-fourier
+    path, so one process writes the dump, once.  The seed is stamped on the
+    rows, and the row dicts die when this returns, so one task's rows are
+    alive at a time per process."""
+    if len(fields) < len(cfg.fields):
+        cfg = replace(cfg, fields=tuple(cfg.fields[i] for i in fields),
+                      dump_fourier=cfg.dump_fourier
+                      if len(cfg.fields) - 1 in fields else None)
     rows = SUITES[name](cfg)
     violated = []
     held = 0
@@ -589,9 +595,9 @@ def _cpus():
 
 def _serve():
     """A helper's loop: read the run's config fields from stdin, then run
-    each suite named there and write back its digest, or the DomainError or
-    OSError it raised, until stdin closes.  The first message written says
-    that the imports are done."""
+    each task named there, a (suite name, field indices) pair, and write
+    back its digest, or the DomainError or OSError it raised, until stdin
+    closes.  The first message written says that the imports are done."""
     inp, out = sys.stdin.buffer, sys.stdout.buffer
     cfg = SuiteConfig(**pickle.load(inp))
     result = None
@@ -599,59 +605,80 @@ def _serve():
         pickle.dump(result, out)
         out.flush()
         try:
-            name = pickle.load(inp)
+            name, fields = pickle.load(inp)
         except EOFError:
             return
         try:
-            result = _suite_digest(cfg, name)
+            result = _task_digest(cfg, name, fields)
         except (DomainError, OSError) as exc:
             result = exc
 
 
 class _Pool:
-    """The suites of one run, on this process and on helper interpreters.
+    """The tasks of one run, on this process and on helper interpreters.
 
-    This process and up to (CPUs - 1) helpers take whole suites from the
-    front of the suite list; a suite of a finer grain would keep several
-    fields' tables alive in one process.  A helper imports the package
-    afresh, so it takes only suites whose SUITES entry is code from this
-    file; a replaced entry (a test double, a tracer's wrapper) runs here
-    with the whole config.  A suite whose helper dies without a result
-    runs here too.  A DomainError or OSError in suite i stops the hand-out
-    of the suites after i, and the run reports the first failing suite in
-    suite order, as a serial run does.
+    A task is a suite name and a tuple of indices into cfg.fields.  A suite
+    whose SUITES entry is code from this file is one task per field.  Two
+    kinds are one task over every field: exponents, which fits over its own
+    window, and a replaced entry (a test double, a tracer's wrapper).  A
+    helper imports the package afresh, so it takes only tasks of code from
+    this file; a replaced entry runs here with the whole config, and so
+    does a task whose helper dies without a result.
+
+    Tasks are handed out in suite order, each suite's fields largest q
+    first: cost grows with q, so the small fields fill the tail.  This
+    process and up to min(CPUs - 1, suites - 1) helpers take them; only
+    suites of code from this file count after the first.  Results are kept
+    in output order: suite order, then the run's field order.  A
+    DomainError or OSError in the task at output position i stops the
+    hand-out of every task after i, and the run reports the first failing
+    task in output order, as a serial run does.
     """
 
     def __init__(self, cfg):
         self.cfg = cfg
-        codes = [getattr(SUITES[n], "__code__", None) for n in cfg.suites]
-        self.portable = [c is not None and c.co_filename == __file__
-                         for c in codes]
-        self.results = [None] * len(cfg.suites)  # a digest or an exception
-        self.pending = list(range(len(cfg.suites)))
-        self.stop = len(cfg.suites)  # no suite from here on is handed out
+        self.tasks = []     # (suite name, field indices), in output order
+        self.portable = []  # per task: a helper may run it
+        self.pending = []   # output positions not yet handed out, in order
+        every = tuple(range(len(cfg.fields)))
+        movable = []        # per suite: its SUITES entry is code from here
+        for name in cfg.suites:
+            code = getattr(SUITES[name], "__code__", None)
+            portable = code is not None and code.co_filename == __file__
+            movable.append(portable)
+            first = len(self.tasks)
+            if portable and name != "exponents":
+                self.tasks += [(name, (i,)) for i in every]
+                self.pending += sorted(range(first, len(self.tasks)),
+                                       key=lambda t: -cfg.fields[t - first].q)
+            else:
+                self.tasks.append((name, every))
+                self.pending.append(first)
+            self.portable += [portable] * (len(self.tasks) - first)
+        self.spare = sum(movable[1:])  # the most helpers the suites can use
+        self.results = [None] * len(self.tasks)  # a digest or an exception
+        self.stop = len(self.tasks)  # no task from here on is handed out
         self.cond = threading.Condition()
 
     def _take(self, helper):
-        """The first pending suite before stop that the taker may run,
-        moved out of pending (under cond); None if there is none."""
+        """The first pending task before stop that the taker may run, moved
+        out of pending (under cond); None if there is none.  Hand-out order
+        is not output order, so a task at or after stop is skipped."""
         for i in self.pending:
-            if i >= self.stop:
-                break
-            if self.portable[i] or not helper:
+            if i < self.stop and (self.portable[i] or not helper):
                 self.pending.remove(i)
                 return i
         return None
 
     def _finish(self, i, result):
-        """Keep suite i's result (under cond)."""
+        """Keep task i's result (under cond)."""
         self.results[i] = result
         if isinstance(result, Exception):
             self.stop = min(self.stop, i)
         self.cond.notify_all()
 
     def _feed(self, proc, config):
-        """Hand suites to one helper until none is left that it may run."""
+        """Hand tasks to one helper until none is left that it may run."""
         i = None
         try:
             proc.stdin.write(config)
@@ -662,7 +689,7 @@ class _Pool:
                     i = self._take(helper=True)
                 if i is None:
                     return
-                pickle.dump(self.cfg.suites[i], proc.stdin)
+                pickle.dump(self.tasks[i], proc.stdin)
                 proc.stdin.flush()
                 result = pickle.load(proc.stdout)
                 with self.cond:
@@ -671,14 +698,14 @@ class _Pool:
         except (OSError, EOFError, pickle.UnpicklingError):
             pass  # the helper died, or run() killed it
         finally:
-            if i is not None:  # it holds suite i: this process runs it
+            if i is not None:  # it holds task i: this process runs it next
                 with self.cond:
                     self.portable[i] = False
-                    bisect.insort(self.pending, i)
+                    self.pending.insert(0, i)
                     self.cond.notify_all()
 
     def run(self):
-        """Every suite's result, in suite order."""
+        """Every task's result, in output order."""
         cfg = self.cfg
         # plain fields: under `python -m`, SuiteConfig is __main__'s class,
         # which a helper cannot unpickle; one pickle keeps the window's
@@ -688,8 +715,8 @@ class _Pool:
         env["PYTHONPATH"] = os.pathsep.join(
             [os.path.dirname(os.path.dirname(os.path.abspath(__file__)))]
             + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        # this process takes the first suite before any helper is ready
-        helpers = min(_cpus() - 1, sum(self.portable[1:]))
+        # this process takes the first task before any helper is ready
+        helpers = min(_cpus() - 1, self.spare)
         procs, threads = [], []
         try:
             for _ in range(helpers):
@@ -707,18 +734,18 @@ class _Pool:
             while True:
                 with self.cond:
                     while (i := self._take(helper=False)) is None:
-                        # each suite before stop is done or a helper's
+                        # each task before stop is done or a helper's
                         if None not in self.results[:self.stop]:
                             return self.results
                         self.cond.wait()
                 try:
-                    result = _suite_digest(cfg, cfg.suites[i])
+                    result = _task_digest(cfg, *self.tasks[i])
                 except (DomainError, OSError) as exc:
                     result = exc
                 with self.cond:
                     self._finish(i, result)
         finally:
-            # a helper still booting, idle, or running a suite after a
+            # a helper still booting, idle, or running a task after a
             # failing one is not waited for
             for proc in procs:
                 proc.kill()
@@ -734,12 +761,14 @@ class _Pool:
 def run_suite(cfg):
     """Run the configured suites; returns their RunReport.
 
-    The suites run in parallel (_Pool); each leaves as its digest
-    (_suite_digest), and the digests are joined in suite order.  The
-    VIOLATED lines go to stderr, in row order, once every suite has run.
-    The CSV goes to cfg.out, which is opened before the first suite runs
-    (_out_writer); a status-2 run leaves no file there.  A run whose first
-    failing suite raised OSError raises it.
+    The suites run in parallel as (suite, field) tasks (_Pool); each task
+    leaves as its digest (_task_digest), and the digests are joined in
+    output order, suite order then the run's field order, so every byte is
+    the one a serial run writes.  The VIOLATED lines go to stderr, in row
+    order, once every task has run.  The CSV goes to cfg.out, which is
+    opened before the first task runs (_out_writer); a status-2 run leaves
+    no file there.  A run whose first failing task raised OSError raises
+    it.
     """
     for name in cfg.suites:
         if name not in SUITES:

@@ -480,6 +480,34 @@ def test_one_suites_rows_are_alive_at_a_time(monkeypatch):
     assert [r for r in refs if r() is not None] == []
 
 
+def test_one_tasks_rows_are_alive_at_a_time(monkeypatch):
+    # real suites on one CPU: a task is one suite on one field, handed out
+    # largest q first, and its rows die before the next task starts
+    refs = []
+    make_row = cli.make_row
+
+    def weak_row(*args, **kw):
+        row = _Row(make_row(*args, **kw))
+        refs.append(weakref.ref(row))
+        return row
+    monkeypatch.setattr(cli, "make_row", weak_row)
+    started = []
+    task_digest = cli._task_digest
+
+    def checked(cfg, name, fields):
+        assert [r for r in refs if r() is not None] == []
+        started.append((name, fields))
+        return task_digest(cfg, name, fields)
+    monkeypatch.setattr(cli, "_task_digest", checked)
+    set_cpus(monkeypatch, 1)
+    report = cli.run_suite(small_config(
+        qs=(3, 5), suites=("census", "diag", "fourier"), trials=1))
+    assert report.status == 0 and report.checks == len(refs) > 0
+    assert started == [(name, (i,)) for name in ("census", "diag", "fourier")
+                       for i in (1, 0)]
+    assert [r for r in refs if r() is not None] == []
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--q", "1000003", "--suite", "census"],
     ["verify", "--q", "9", "--modulus", "1,0,0", "--suite", "ttstar,census"],
@@ -648,6 +676,40 @@ def test_dump_fourier_is_written_once_with_the_last_field(monkeypatch,
     assert written == [5]
     assert json.loads(dump.read_text())["q"] == 5
 
+    # with helpers: census waits here until each has taken a task, so one
+    # of them takes fourier at q = 7, the first task handed out to them, and
+    # writes the dump there; helpers leave a file under dumps per write
+    argv = ["verify", "--suite", "census,fourier,ttstar,moments",
+            "--q", "3,5,7", "--trials", "1", "--dump-fourier", str(dump)]
+    with monkeypatch.context() as m:
+        set_cpus(m, 1)
+        written.clear()
+        assert run_main(argv) == 0
+    assert written == [7]
+    want = dump.read_bytes()
+    for cpus in (2, 4):
+        dump.unlink()
+        written.clear()
+        marks, dumps = tmp_path / f"marks-{cpus}", tmp_path / f"dumps-{cpus}"
+        marks.mkdir()
+        dumps.mkdir()
+        extra = ("import tempfile\n"
+                 "dump = cli._dump_fourier\n"
+                 "def counting(path, f):\n"
+                 "    os.close(tempfile.mkstemp(prefix=f'{f.field.q}-', "
+                 f"dir={str(dumps)!r})[0])\n"
+                 "    dump(path, f)\n"
+                 "cli._dump_fourier = counting\n")
+        with monkeypatch.context() as m:
+            set_cpus(m, cpus)
+            mark_in_helpers(m, marks, extra=extra)
+            census_after_marks(m, marks, cpus - 1)
+            assert run_main(argv) == 0
+        assert_no_child_left()
+        assert written == []
+        assert [p.name.split("-")[0] for p in dumps.iterdir()] == ["7"]
+        assert dump.read_bytes() == want
+
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--q", "3", "--trials", "1", "--suite", "census,diag"],
@@ -745,19 +807,22 @@ def set_cpus(monkeypatch, cpus):
 
 
 def mark_in_helpers(monkeypatch, marks, then="return run(cfg)",
-                    suites=None):
+                    suites=None, extra=""):
     """Helpers wrap their own SUITES entries, those named or all, so that a
-    suite first leaves a file named after it under marks, then runs the
-    statement then (run is the entry it wraps)."""
+    task first leaves a file named after its suite and first q under marks
+    ("diag-5"), then runs the statement then (run is the entry it wraps).
+    The code extra runs in each helper before it serves."""
     code = ("import os, time\nfrom kakeyalab import cli\n"
             "def wrap(name, run):\n"
             "    def suite(cfg):\n"
-            f"        open(os.path.join({str(marks)!r}, name), 'w').close()\n"
+            "        mark = f'{name}-{cfg.fields[0].q}'\n"
+            f"        open(os.path.join({str(marks)!r}, mark), 'w').close()\n"
             f"        {then}\n"
             "    return suite\n"
             "for name, run in list(cli.SUITES.items()):\n"
             f"    if {suites!r} is None or name in {suites!r}:\n"
             "        cli.SUITES[name] = wrap(name, run)\n"
+            f"{extra}"
             "cli._serve()")
     monkeypatch.setattr(cli, "_HELPER", code)
 
@@ -770,7 +835,7 @@ def wait_for_marks(marks, count, timeout=60):
 
 
 def census_after_marks(monkeypatch, marks, count):
-    """census runs here once count helpers have each taken a suite."""
+    """census runs here once count helpers have each taken a task."""
     census = cli.SUITES["census"]
 
     def waiting(cfg):
@@ -838,6 +903,37 @@ def test_domain_error_in_this_process_stops_a_helper_holding_a_suite(
     assert_no_child_left()
 
 
+def test_first_failing_field_in_output_order_is_reported(monkeypatch,
+                                                           capsys, tmp_path):
+    # census fails at q = 3 and at q = 5, with different errors.  q = 5 is
+    # handed out first, to this process, which raises once the helper has
+    # taken q = 3; the run reports q = 3, the first field in output order,
+    # as a serial run does
+    marks = tmp_path / "marks"
+    marks.mkdir()
+
+    def failing(wait):
+        def census(fld, n):
+            if wait:
+                wait_for_marks(marks, 1)
+            raise DomainError(f"census fails at q={fld.q}")
+        return census
+    argv = ["verify", "--q", "3,5", "--trials", "1",
+            "--suite", "census,ttstar"]
+    with monkeypatch.context() as m:
+        set_cpus(m, 1)
+        m.setattr(cli.hz, "census", failing(False))
+        want = run_outputs(capsys, tmp_path, argv, "serial")
+    assert want == (2, "", "configuration error: census fails at q=3\n",
+                    None, None)
+    mark_in_helpers(monkeypatch, marks, suites=["census"], then=(
+        "raise cli.DomainError(f'census fails at q={cfg.fields[0].q}')"))
+    monkeypatch.setattr(cli.hz, "census", failing(True))
+    set_cpus(monkeypatch, 2)
+    assert run_outputs(capsys, tmp_path, argv, "pool") == want
+    assert [p.name for p in marks.iterdir()] == ["census-3"]
+
+
 def test_suite_of_a_helper_that_dies_runs_in_this_process(monkeypatch,
                                                           capsys, tmp_path):
     argv = ["verify", "--q", "3,5", "--trials", "1",
@@ -852,7 +948,7 @@ def test_suite_of_a_helper_that_dies_runs_in_this_process(monkeypatch,
     census_after_marks(monkeypatch, marks, 1)
     set_cpus(monkeypatch, 2)
     assert run_outputs(capsys, tmp_path, argv, "died") == want
-    assert [p.name for p in marks.iterdir()] == ["diag"]
+    assert [p.name for p in marks.iterdir()] == ["diag-5"]
 
 
 def test_replaced_suite_runs_once_in_this_process(monkeypatch, capsys,
@@ -866,13 +962,14 @@ def test_replaced_suite_runs_once_in_this_process(monkeypatch, capsys,
     monkeypatch.setitem(cli.SUITES, "diag", recording)
     set_cpus(monkeypatch, 4)
     out = tmp_path / "x.csv"
-    assert run_main(["verify", "--q", "3", "--trials", "1", "--suite",
+    assert run_main(["verify", "--q", "3,5", "--trials", "1", "--suite",
                      "census,diag,offdiag", "--out", str(out)]) == 0
+    # one task over both fields, where a suite of cli.py has one per field
     ((pid, cfg),) = calls
     assert pid == os.getpid()
     assert cfg.suites == ("census", "diag", "offdiag")
     assert cfg.out == str(out) and cfg.trials == 1
-    assert [f.q for f in cfg.fields] == [3]
+    assert [f.q for f in cfg.fields] == [3, 5]
     assert ",replaced," in out.read_text()
     assert_no_child_left()
 
