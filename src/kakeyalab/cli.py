@@ -1,6 +1,6 @@
 """Command-line harness: verification suites across q, CSV/JSON reports.
 
-Commands: census, verify, sweep, maxop, examples.  Identical config and
+Commands: census, verify, maxop, examples.  Identical config and
 seed produce byte-identical CSV output; exit status is 0 when every
 checked bound holds, 1 when at least one fails, 2 on bad configuration or
 input and on a file that cannot be read or written.
@@ -18,10 +18,10 @@ import pickle
 import subprocess
 import sys
 import threading
+from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
 
 import numpy as np
 
@@ -33,8 +33,6 @@ from . import constructions as cn
 
 DEFAULT_QS = (3, 5, 7, 9, 11, 13)
 BIG_QS = (16, 25, 27)
-SWEEP_QS = (5, 7, 9, 11, 13, 25)
-N2_SWEEP_QS = (3, 5, 7, 9)
 
 CSV_HEADER = ("suite", "bound", "q", "n", "u", "v", "lhs", "rhs", "ratio",
               "holds", "seed", "trial")
@@ -47,7 +45,6 @@ ALL_SUITES = ("census", "planar-l2", "ttstar", "diag", "offdiag", "rd-l2",
 @dataclass
 class SuiteConfig:
     fields: tuple = ()      # the run's fields, each built once (_config_from)
-    window: dict = None     # rank -> the built-in fields exponents fits over
     suites: tuple = ALL_SUITES
     seed: int = 0
     trials: int = None      # None: per-suite default
@@ -346,7 +343,7 @@ def suite_lowerbounds(cfg):
 
 
 SLOPE_PLAN = (
-    # label, operator, n, kind, u, v; each fits over the rank-n window
+    # label, operator, n, kind, u, v; rank 2 runs at q <= 9
     ("heis1-point-mass", "heis", 1, "point-mass", 2, 1),
     ("heis1-single-line", "heis", 1, "single-line", 4, 4),
     ("heis1-bush", "heis", 1, "bush", 2, 2),
@@ -361,39 +358,30 @@ SLOPE_PLAN = (
 )
 
 
-def _fit_slope(qs, ratios):
-    lq = np.log(np.array(qs, dtype=np.float64))
-    lr = np.log(np.array(ratios, dtype=np.float64))
-    lq -= lq.mean()
-    return float((lq * (lr - lr.mean())).sum() / (lq * lq).sum())
+def suite_exponents(cfg):
+    """Per entry and field: the certified ratio, and its exact exponent.
 
-
-def sweep_rows(window, suite_name="exponents"):
-    """Ratio-by-q rows plus a log-log slope row per test-function family.
-
-    window maps the rank n to its fields, at least three of them.
+    The exponent row holds iff the operator-value histogram equals its
+    closed form (cn.EXTREMAL_PROFILES) at q and the closed form's leading
+    degree in q equals the term exactly.
     """
     rows = []
-    for label, operator, n, kind, u, v in SLOPE_PLAN:
-        fields = window[n]
-        ratios = []
-        term = None
-        for fld in fields:
+    for fld in cfg.fields:
+        for label, operator, n, kind, u, v in SLOPE_PLAN:
+            if n == 2 and fld.q > 9:
+                continue
             rep = cn.lower_bound_ratio(kind, fld, u, v, n=n, operator=operator)
-            term = rep.term
-            ratios.append(rep.ratio)
-            rows.append(make_row(suite_name, f"{label}-ratio", fld.q, n,
+            rows.append(make_row("exponents", f"{label}-ratio", fld.q, n,
                                  rep.u, rep.v, rep.ratio,
-                                 mx.q_pow(fld.q, term), rep.cert_holds))
-        slope = _fit_slope([fld.q for fld in fields], ratios)
-        rows.append(make_row(suite_name, f"{label}-slope", "", n, u, v,
-                             slope, float(term),
-                             abs(slope - float(term)) <= 0.1))
+                                 mx.q_pow(fld.q, rep.term), rep.cert_holds))
+            opvals, support = cn._extremal_op_values(kind, fld, n, operator)
+            exact = (Counter(opvals.tolist()), support) == cn.profile_at(
+                operator, kind, n, fld.q)
+            degree = cn.profile_degree(operator, kind, n, rep.u, rep.v)
+            rows.append(make_row("exponents", f"{label}-exponent", fld.q, n,
+                                 rep.u, rep.v, degree, rep.term,
+                                 exact and degree == rep.term))
     return rows
-
-
-def suite_exponents(cfg):
-    return sweep_rows(cfg.window, "exponents")
 
 
 def suite_examples(cfg):
@@ -546,12 +534,12 @@ def _out_writer(path):
 
 def _task_digest(cfg, name, fields):
     """One task's rows as run_suite keeps them: (CSV text without header,
-    row count, rows that hold, VIOLATED lines, q values in first-appearance
-    order).  The task runs suite name on the fields at the indices fields;
-    only the task that holds the run's last field keeps the --dump-fourier
-    path, so one process writes the dump, once.  The seed is stamped on the
-    rows, and the row dicts die when this returns, so one task's rows are
-    alive at a time per process."""
+    row count, rows that hold, VIOLATED lines).  The task runs suite name
+    on the fields at the indices fields; only the task that holds the
+    run's last field keeps the --dump-fourier path, so one process writes
+    the dump, once.  The seed is stamped on the rows, and the row dicts die
+    when this returns, so one task's rows are alive at a time per
+    process."""
     if len(fields) < len(cfg.fields):
         cfg = replace(cfg, fields=tuple(cfg.fields[i] for i in fields),
                       dump_fourier=cfg.dump_fourier
@@ -565,8 +553,7 @@ def _task_digest(cfg, name, fields):
             held += 1
         else:
             violated.append(",".join(_fmt(r[k]) for k in CSV_HEADER))
-    return (rows_to_csv(rows, header=False), len(rows), held, violated,
-            list(dict.fromkeys(r["q"] for r in rows)))
+    return rows_to_csv(rows, header=False), len(rows), held, violated
 
 
 @dataclass
@@ -577,7 +564,6 @@ class RunReport:
     csv: str = ""   # the header and every row; empty on status 2
     checks: int = 0
     held: int = 0
-    qs: list = None  # the rows' q values, first appearance first, "" left out
 
 
 # What a helper interpreter runs; _Pool puts the directory that holds the
@@ -618,12 +604,11 @@ class _Pool:
     """The tasks of one run, on this process and on helper interpreters.
 
     A task is a suite name and a tuple of indices into cfg.fields.  A suite
-    whose SUITES entry is code from this file is one task per field.  Two
-    kinds are one task over every field: exponents, which fits over its own
-    window, and a replaced entry (a test double, a tracer's wrapper).  A
-    helper imports the package afresh, so it takes only tasks of code from
-    this file; a replaced entry runs here with the whole config, and so
-    does a task whose helper dies without a result.
+    whose SUITES entry is code from this file is one task per field; a
+    replaced entry (a test double, a tracer's wrapper) is one task over
+    every field.  A helper imports the package afresh, so it takes only
+    tasks of code from this file; a replaced entry runs here with the whole
+    config, and so does a task whose helper dies without a result.
 
     Tasks are handed out in suite order, each suite's fields largest q
     first: cost grows with q, so the small fields fill the tail.  This
@@ -647,7 +632,7 @@ class _Pool:
             portable = code is not None and code.co_filename == __file__
             movable.append(portable)
             first = len(self.tasks)
-            if portable and name != "exponents":
+            if portable:
                 self.tasks += [(name, (i,)) for i in every]
                 self.pending += sorted(range(first, len(self.tasks)),
                                        key=lambda t: -cfg.fields[t - first].q)
@@ -708,8 +693,7 @@ class _Pool:
         """Every task's result, in output order."""
         cfg = self.cfg
         # plain fields: under `python -m`, SuiteConfig is __main__'s class,
-        # which a helper cannot unpickle; one pickle keeps the window's
-        # fields the same objects as the run's
+        # which a helper cannot unpickle
         config = pickle.dumps(vars(cfg))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -779,23 +763,21 @@ def run_suite(cfg):
         chunks = [rows_to_csv(())]
         violated = []
         checks = held = 0
-        qs = {}
         for result in results:
             if isinstance(result, DomainError):
                 print(f"configuration error: {result}", file=sys.stderr)
                 return RunReport(2)
             if isinstance(result, OSError):
                 raise result
-            text, n, h, v, q = result
+            text, n, h, v = result
             chunks.append(text)
             checks += n
             held += h
             violated += v
-            qs.update(dict.fromkeys(q))
         for line in violated:
             print("VIOLATED: " + line, file=sys.stderr)
         report = RunReport(1 if violated else 0, "".join(chunks), checks,
-                           held, [q for q in qs if q != ""])
+                           held)
         if cfg.out:
             write(report.csv)
     return report
@@ -849,10 +831,7 @@ def _config_from(args, default_qs=DEFAULT_QS, suites=ALL_SUITES):
     runs, so that a bad q or modulus raises DomainError whatever the suite.
 
     fields: the --q list, --modulus applied to its single q, then the q
-    values --big adds.  window (exponents only): the --q list if it has at
-    least three values, else SWEEP_QS, and N2_SWEEP_QS at rank 2, always
-    over the built-in fields; slope fits need q where lower-order terms
-    have decayed.
+    values --big adds.
     """
     qs = _parse_qs(args.q) if args.q else tuple(default_qs)
     if args.trials is not None and args.trials < 1:
@@ -861,7 +840,6 @@ def _config_from(args, default_qs=DEFAULT_QS, suites=ALL_SUITES):
         raise DomainError("--seed must be at least 0")
     if not 0 <= args.tol < math.inf:  # nan fails both comparisons
         raise DomainError("--tol must be finite and at least 0")
-    field = cache(Field)  # one built-in field per q for the whole run
     if args.modulus:
         try:
             modulus = tuple(int(c) for c in args.modulus.split(","))
@@ -871,14 +849,10 @@ def _config_from(args, default_qs=DEFAULT_QS, suites=ALL_SUITES):
             raise DomainError("--modulus needs a single q")
         fields = (Field(qs[0], modulus=modulus),)
     else:
-        fields = tuple(field(q) for q in qs)
+        fields = tuple(map(Field, qs))
     if args.big:
-        fields += tuple(field(q) for q in BIG_QS if q not in qs)
-    window = None
-    if "exponents" in suites:
-        n1 = qs if args.q and len(qs) >= 3 else SWEEP_QS
-        window = {1: tuple(map(field, n1)), 2: tuple(map(field, N2_SWEEP_QS))}
-    return SuiteConfig(fields=fields, window=window, suites=suites,
+        fields += tuple(Field(q) for q in BIG_QS if q not in qs)
+    return SuiteConfig(fields=fields, suites=suites,
                        seed=args.seed, trials=args.trials, tol=args.tol,
                        out=args.out, dump_fourier=args.dump_fourier)
 
@@ -908,26 +882,11 @@ def cmd_verify(args):
     report = run_suite(cfg)
     if report.status == 2:  # bad config: the error is on stderr, stdout empty
         return 2
-    # report.qs: the q values the rows cover; exponents sweeps its own window
-    _emit(f"{report.held}/{report.checks} checks hold across q={report.qs}\n")
+    qs = list(dict.fromkeys(f.q for f in cfg.fields))
+    _emit(f"{report.held}/{report.checks} checks hold across q={qs}\n")
     if not cfg.out:
         _emit(report.csv)
     return report.status
-
-
-def cmd_sweep(args):
-    args.big = False  # the sweep fits over the --q list alone
-    cfg = _config_from(args, default_qs=SWEEP_QS, suites=("exponents",))
-    if len(cfg.fields) < 3:
-        print("sweep needs at least 3 q values", file=sys.stderr)
-        return 2
-    # three or more q values: the rank-1 window is the fields themselves
-    with _out_writer(cfg.out) as write:
-        rows = sweep_rows(cfg.window, "sweep")
-        csv_text = rows_to_csv(rows)
-        write(csv_text)
-    _emit(csv_text)
-    return 0 if all(r["holds"] for r in rows) else 1
 
 
 def cmd_maxop(args):
@@ -969,10 +928,6 @@ def main(argv=None):
                    help=f"comma-separated subset of {','.join(ALL_SUITES)}")
     _add_common(p)
     p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("sweep", help="empirical exponent slopes across q")
-    _add_common(p)
-    p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("maxop", help="apply a maximal operator to a grid file")
     p.add_argument("--in", dest="infile", required=True)

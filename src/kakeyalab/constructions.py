@@ -197,6 +197,48 @@ def _extremal_op_values(kind, field, n, operator):
     return field_table(field, ("extremal-op-values", n, kind, operator), build)
 
 
+# The closed form of each _extremal_op_values, keyed by (operator, kind):
+# n -> ({value: count}, support size).  Each is a polynomial in q, its
+# integer coefficients lowest degree first; P = 1 + q + ... + q^(2n-1).
+EXTREMAL_PROFILES = {
+    ("heis", "point-mass"): lambda n: ({(1,): (1,) * 2 * n}, (1,)),
+    ("heis", "single-line"):
+        lambda n: ({(0, 1): (1,), (1,): (0,) + (1,) * (2 * n - 1)}, (0, 1)),
+    ("heis", "bush"): lambda n: ({(0, 1): (1,) * 2 * n}, (0,) * 2 * n + (1,)),
+    ("refined", "point-mass"):
+        lambda n: ({(1,): (1, 1), (0,): (-1, 0, 1)}, (1,)),
+    ("refined", "single-line"):
+        lambda n: ({(0, 1): (1,), (1,): (0, 0, 1), (0,): (-1, 1)}, (0, 1)),
+    ("refined", "two-lines-blocking"):
+        lambda n: ({(0, 1): (2,), (1,): (-2, 1, 1)}, (-1, 2)),
+    ("refined", "constant"): lambda n: ({(0, 1): (0, 1, 1)}, (0, 0, 0, 1)),
+}
+
+
+def _at(poly, q):
+    return sum(c * q**i for i, c in enumerate(poly))
+
+
+def _deg(poly):
+    return max(i for i, c in enumerate(poly) if c)
+
+
+def profile_at(operator, kind, n, q):
+    """The closed-form {operator value: count} and support size at q."""
+    hist, support = EXTREMAL_PROFILES[operator, kind](n)
+    return {_at(v, q): _at(c, q) for v, c in hist.items()}, _at(support, q)
+
+
+def profile_degree(operator, kind, n, u, v):
+    """The exact leading degree in q of lower_bound_ratio's ratio, a
+    Fraction: max over nonzero values of deg(count)/v + deg(value), less
+    deg(support)/u."""
+    hist, support = EXTREMAL_PROFILES[operator, kind](n)
+    ru, rv = recip(u), recip(v)
+    return max(_deg(c) * rv + _deg(val) for val, c in hist.items()
+               if any(val)) - _deg(support) * ru
+
+
 def lower_bound_ratio(kind, field, u, v, *, n=1, operator="refined"):
     """Evaluate a designated test function and certify its exponent term.
 

@@ -133,13 +133,12 @@ def test_criterion_5_exponent_formulas():
     ok &= mx.exponent_A(1, INF, 1) == 2
     ok &= mx.exponent_A(2, 4, 4) == Fraction(3, 4)
     ok &= mx.exponent_Ard(3, 3) == Fraction(2, 3)
-    # slope fits across the sweep windows, within 0.1 each
-    window = {1: tuple(map(field, cli.SWEEP_QS)),
-              2: tuple(map(field, cli.N2_SWEEP_QS))}
-    for row in cli.sweep_rows(window):
+    # exact exponents at q in {3, 5, 7, 9, 11, 13, 25}, rank 2 at q <= 9
+    cfg = cli.SuiteConfig(fields=tuple(map(field, (3, 5, 7, 9, 11, 13, 25))))
+    for row in cli.suite_exponents(cfg):
         if not row["holds"]:
             ok = False
-    outcome(5, "exponent-term-certificates-and-slopes", ok)
+    outcome(5, "exponent-term-certificates-and-exact-exponents", ok)
 
 
 def test_criterion_6_upper_bound_suite():

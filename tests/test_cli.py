@@ -114,16 +114,16 @@ def test_main_verify_writes_csv(tmp_path):
     assert "ttstar-two-eigenvalues" in text
 
 
-def test_verify_summary_names_the_q_values_of_its_rows(monkeypatch, capsys):
-    # a suite may cover other q than --q, as exponents does with its window
-    def window_suite(cfg):
+def test_verify_summary_names_the_q_values_of_its_fields(monkeypatch, capsys):
+    # the q values of the run's fields, each once, whatever q the rows carry
+    def suite(cfg):
         return [cli.make_row("w", "ratio", q, 1, 2, 2, 1.0, 1.0, True)
-                for q in (7, 3, 7)] + [
-            cli.make_row("w", "slope", "", 1, 2, 2, 1.0, 1.0, True)]
-    monkeypatch.setitem(cli.SUITES, "census", window_suite)
-    assert cli.main(["verify", "--q", "9", "--suite", "census"]) == 0
+                for q in (7, "")]
+    monkeypatch.setitem(cli.SUITES, "census", suite)
+    assert cli.main(["verify", "--q", "9,3,9", "--big",
+                     "--suite", "census"]) == 0
     assert capsys.readouterr().out.splitlines()[0] \
-        == "4/4 checks hold across q=[7, 3]"
+        == "2/2 checks hold across q=[9, 3, 16, 25, 27]"
 
 
 def test_main_examples(capsys):
@@ -141,27 +141,12 @@ def test_main_bad_q_exit_2():
     assert cli.main(["verify", "--q", "6"]) == 2
 
 
-def test_sweep_needs_three_qs():
-    assert cli.main(["sweep", "--q", "3,5"]) == 2
-    # --big does not count towards the sweep's q values
-    assert cli.main(["sweep", "--q", "3,5", "--big"]) == 2
-
-
-def test_sweep_default_passes(tmp_path, capsys):
-    out = tmp_path / "sweep.csv"
-    code = cli.main(["sweep", "--out", str(out)])
-    assert code == 0
-    text = out.read_text()
-    assert "rd-constant-slope" in text and "heis2-bush-slope" in text
-
-
 def test_modulus_flag_requires_single_q():
     assert cli.main(["census", "--q", "9,25", "--modulus", "1,0,1"]) == 2
     assert cli.main(["census", "--q", "9", "--modulus", "1,0,1"]) == 0
 
 
 def test_bad_modulus_exits_2_for_every_suite():
-    # exponents sweeps its own q window, yet must still reject the flag
     for suite in ("census", "exponents"):
         assert cli.main(["verify", "--q", "9", "--modulus", "1,0,0",
                          "--suite", suite]) == 2
@@ -291,7 +276,8 @@ def test_maxop_overflowing_number_exits_2(tmp_path, text):
     ["maxop", "--in", "rank.json"],
     # a file that cannot be read or written: exit 2 and one line on stderr
     ["verify", "--q", "3", "--suite", "census", "--out", "no-dir/x.csv"],
-    ["sweep", "--q", "3,5,7", "--out", "no-dir/x.csv"],
+    ["verify", "--q", "3,5,7", "--suite", "exponents", "--out",
+     "no-dir/x.csv"],
     ["maxop", "--in", "grid.json", "--out", "no-dir/x.json"],
     ["verify", "--q", "3", "--suite", "fourier", "--trials", "1",
      "--dump-fourier", "no-dir/f.json"],
@@ -326,13 +312,12 @@ def _refuse(*args, **kw):
     ["verify", "--q", "3", "--suite", "census,examples"],
     ["census", "--q", "3"],
     ["examples", "--q", "5"],
-    ["sweep", "--q", "3,5,7"],
+    ["verify", "--q", "3,5,7", "--suite", "exponents"],
 ])
 def test_unwritable_out_exits_2_before_any_suite_runs(monkeypatch, capsys,
                                                       tmp_path, argv):
     for name in cli.SUITES:
         monkeypatch.setitem(cli.SUITES, name, _refuse)
-    monkeypatch.setattr(cli, "sweep_rows", _refuse)
     out = tmp_path / "no-dir" / "x.csv"
     assert cli.main([*argv, "--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -613,26 +598,22 @@ def test_modulus_with_big_applies_to_the_given_q_only(monkeypatch):
     assert cfg.fields[1].modulus == Field(16).modulus
 
 
-@pytest.mark.parametrize("argv,n1", [
-    ([], cli.SWEEP_QS),
-    (["--q", "3,5"], cli.SWEEP_QS),
-    (["--q", "9", "--modulus", "2,1,1"], cli.SWEEP_QS),
-    (["--q", "3,5,7", "--big"], (3, 5, 7)),
-])
-def test_exponents_window_is_resolved_with_the_fields(monkeypatch, argv, n1):
-    cfg = resolved_config(monkeypatch, argv, suite="exponents")
-    assert [f.q for f in cfg.window[1]] == list(n1)
-    assert [f.q for f in cfg.window[2]] == list(cli.N2_SWEEP_QS)
-    # the window always uses the built-in fields, shared with the run's
-    builtin = [f for f in cfg.fields if f.modulus == Field(f.q).modulus]
-    for f in cfg.window[1] + cfg.window[2]:
-        assert f.modulus == Field(f.q).modulus
-        assert all(g is f for g in builtin if g.q == f.q)
+def test_exponents_rows_are_the_same_under_another_modulus(capsys):
+    # F_9 built from another irreducible modulus has the same closed-form
+    # operator-value histograms, so the same rows, byte for byte
+    assert Field(9).modulus != (2, 1, 1)
+    printed = []
+    for extra in ([], ["--modulus", "2,1,1"]):
+        assert cli.main(["verify", "--q", "9", *extra,
+                         "--suite", "exponents"]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert ",heis2-bush-exponent,9,2," in printed[0]
 
 
 @pytest.mark.parametrize("suites,qs", [
     ("census,diag", [3, 5, 7]),
-    ("census,exponents", [3, 5, 7, 9]),  # the rank-2 window adds q = 9
+    ("census,exponents", [3, 5, 7]),
 ])
 def test_each_field_is_built_once_per_run(monkeypatch, suites, qs):
     built = []
@@ -645,9 +626,8 @@ def test_each_field_is_built_once_per_run(monkeypatch, suites, qs):
     monkeypatch.setattr(Field, "__init__", counting_init)
     # one CPU: every suite runs in this process, where the count is taken
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    # a three-q window may miss a slope by more than 0.1: exit 1, not 2
     assert cli.main(["verify", "--q", "3,5,7", "--trials", "1",
-                     "--suite", suites]) in (0, 1)
+                     "--suite", suites]) == 0
     assert sorted(built) == qs
 
 

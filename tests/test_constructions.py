@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -255,6 +256,72 @@ def test_cert_inequality_matches_ladder_on_every_plan_pair(q):
             want = _ladder(A, B, q, term, u, v, two)
             assert cn._cert_inequality(A, B, q, term, u, v, two) == want, \
                 (operator, n, kind, u, v, A, B)
+
+
+# -- closed-form operator-value profiles -------------------------------------------
+
+
+def _oracle_profile(operator, kind, field, n):
+    """{operator value: count} of the kind's indicator, each value the most
+    points of the set on one oracle line of the direction."""
+    mask = cn.extremal_set(kind, field, n).mask
+    if operator == "refined":
+        families = [ol.lines_with_refined_direction(om)
+                    for om in ol.enumerate_refined_directions(field, n)]
+    else:
+        families = [ol.lines_with_direction(field, n, v)
+                    for v in ol.enumerate_projective_directions(field, n)]
+    return Counter(max(int(mask[list(L.point_indices)].sum()) for L in fam)
+                   for fam in families), int(mask.sum())
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (3, 1), (4, 1), (5, 1),
+                                 (2, 2), (3, 2)])
+def test_extremal_profiles_match_the_oracle_lines(q, n):
+    fld = Field(q)
+    for operator, kind in cn.EXTREMAL_PROFILES:
+        if operator == "refined" and n != 1:
+            continue
+        assert _oracle_profile(operator, kind, fld, n) \
+            == cn.profile_at(operator, kind, n, q), (operator, kind)
+
+
+@pytest.mark.parametrize("q", [8, 9, 16])
+def test_extremal_profiles_match_the_operator_values(q):
+    fld = Field(q)
+    for operator, kind in cn.EXTREMAL_PROFILES:
+        vals, support = cn._extremal_op_values(kind, fld, 1, operator)
+        assert (Counter(vals.tolist()), support) \
+            == cn.profile_at(operator, kind, 1, q), (operator, kind)
+
+
+def test_extremal_profiles_have_positive_leading_coefficients():
+    # so each sum of count value^v grows exactly at its leading degree
+    for profile in cn.EXTREMAL_PROFILES.values():
+        for n in (1, 2):
+            hist, support = profile(n)
+            for poly in [support, *hist, *hist.values()]:
+                if any(poly):
+                    assert poly[cn._deg(poly)] > 0
+
+
+def _terms(operator):
+    return mx._REFINED_TERMS if operator == "refined" else mx._HEIS_TERMS
+
+
+def test_profile_degree_is_the_term_of_every_slope_plan_entry():
+    for _, operator, n, kind, u, v in cli.SLOPE_PLAN:
+        term = _terms(operator)[kind](n, mx.recip(u), mx.recip(v))
+        assert cn.profile_degree(operator, kind, n, u, v) == term, kind
+
+
+def test_profile_degree_clears_every_lower_bound_term():
+    for operator, n, kind, pairs in cli.LOWER_BOUND_PLAN:
+        for u, v in pairs:
+            term = _terms(operator)[kind](n, mx.recip(u), mx.recip(v))
+            degree = cn.profile_degree(operator, kind, n, u, v)
+            assert isinstance(degree, Fraction)
+            assert degree >= term, (operator, n, kind, u, v)
 
 
 E = mx.exponent
