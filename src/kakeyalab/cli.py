@@ -809,6 +809,10 @@ def _parse_qs(text):
         raise DomainError(f"bad q list {text!r}") from exc
     if not qs:
         raise DomainError("empty q list")
+    repeated = sorted({q for q in qs if qs.count(q) > 1})
+    if repeated:  # each suite would run twice on the same field
+        raise DomainError(f"q list {text!r} repeats q = "
+                          f"{', '.join(map(str, repeated))}")
     return qs
 
 
@@ -882,7 +886,7 @@ def cmd_verify(args):
     report = run_suite(cfg)
     if report.status == 2:  # bad config: the error is on stderr, stdout empty
         return 2
-    qs = list(dict.fromkeys(f.q for f in cfg.fields))
+    qs = [f.q for f in cfg.fields]
     _emit(f"{report.held}/{report.checks} checks hold across q={qs}\n")
     if not cfg.out:
         _emit(report.csv)

@@ -296,6 +296,16 @@ def is_affine_kakeya(ps):
     return True, None
 
 
+def _holds_a_line(mask, table):
+    """Per direction of an (m, lines, q) index table: does mask hold one of
+    its lines whole?  An AND of mask.take over the q columns of the table,
+    so no table-sized gather is built."""
+    inside = mask.take(table[..., 0])
+    for x in range(1, table.shape[2]):
+        inside &= mask.take(table[..., x])
+    return inside.any(axis=1)
+
+
 def is_full_refined_kakeya(ps):
     """Does the set contain a horizontal line of every refined direction?
 
@@ -304,7 +314,7 @@ def is_full_refined_kakeya(ps):
     if ps.domain.kind != "heisenberg" or ps.domain.n != 1:
         raise DomainError("refined Kakeya predicate lives on H_1")
     dirs, table = refined_incidence(ps.domain.field)
-    missing = np.flatnonzero(~ps.mask[table].all(axis=2).any(axis=1))
+    missing = np.flatnonzero(~_holds_a_line(ps.mask, table))
     if missing.size:
         return False, tuple(dirs[missing[0]].tolist())
     return True, None
@@ -450,7 +460,7 @@ def omega_partition(ps):
     field = ps.domain.field
     q = field.q
     dirs, table = refined_incidence(field)
-    contained = ps.mask[table].all(axis=2).any(axis=1)
+    contained = _holds_a_line(ps.mask, table)
     omega1 = np.flatnonzero(contained)
     omega2 = np.flatnonzero(~contained)
 

@@ -232,7 +232,7 @@ class Field:
 
 
 # The most bytes the per-field table cache keeps across fields.  The H_1
-# tables of every default and --big field fit together (10.1 MB); one
+# tables of every default and --big field fit together (2.2 MB); one
 # F_q^3 incidence table from q = 25 on does not.
 TABLE_BUDGET = 16 * 2**20
 

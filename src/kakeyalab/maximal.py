@@ -210,8 +210,12 @@ class GridFunction:
 
     @classmethod
     def constant(cls, domain, value=1):
+        """int64 for an integral value, complex otherwise; a value that is
+        not finite, or integral but outside int64, is a DomainError."""
         exact = isinstance(value, int) or (isinstance(value, float)
-                                           and value == int(value))
+                                           and value.is_integer())
+        if exact and not -2**63 <= value < 2**63:
+            raise DomainError(f"constant {value!r} does not fit in int64")
         dtype = np.int64 if exact else np.complex128
         return cls(domain, np.full(domain.size, value, dtype=dtype))
 
@@ -262,11 +266,11 @@ def affine_incidence(field, d):
     """(directions, array (#dirs, q^{d-1}, q) of point indices).
 
     Each direction's block holds its parallel lines in transversal order.
-    The planar table (d = 2) is np.intp, so the operators and the U tables
-    gather from it without an index cast.  From d = 3 on it has the
-    narrowest dtype that holds q^d - 1: the F_q^3 table has q^2 (q^2+q+1) q
-    entries (15M at q = 27), only the set predicates read it, and as uint16
-    (7 <= q <= MAX_Q) it takes a quarter of its native-width bytes.
+    The planar table (d = 2) is np.intp, and the U-table index is a
+    C-ordered copy of part of it.  From d = 3 on it has the narrowest dtype
+    that holds q^d - 1: the F_q^3 table has q^2 (q^2+q+1) q entries (15M at
+    q = 27), only the set predicates read it, and as uint16 (7 <= q <=
+    MAX_Q) it takes a quarter of its native-width bytes.
     """
     return field_table(field, ("affine-incidence", d),
                        lambda f: _build_affine(f, d))
@@ -286,7 +290,7 @@ def heis1_incidence(field):
     """(directions, (q+1, q^2, q) point-index table) for H_1.
 
     The q^2 lines of direction [a:b] are exactly the refined lines of
-    [a:b:c] over all c, so this is a reshape of the refined table.
+    [a:b:c] over all c, so this is a reshape view of the refined table.
     """
     return field_table(field, "heis1-incidence", _build_heis1)
 
@@ -302,7 +306,11 @@ def refined_incidence(field):
     """(refined directions, (q^2+q, q, q) point-index table) for H_1.
 
     Row (omega, tau) holds the normal-form line L_{omega,tau}; block omega
-    is heisenberg.lines_with_refined_direction(field, omega).
+    is heisenberg.lines_with_refined_direction(field, omega).  The table is
+    a view [omega, tau, x] of one x-major buffer [x, omega, tau], so column
+    table[..., x] of every block of rows is contiguous, and its dtype is the
+    narrowest that holds q^3 - 1: uint8 for q <= 5, uint16 for 7 <= q <=
+    MAX_Q, a quarter of the np.intp bytes from q = 7 on.
     """
     return field_table(field, "refined-incidence", _build_refined)
 
@@ -310,28 +318,51 @@ def refined_incidence(field):
 def _build_refined(field):
     q = field.q
     dirs = hz.enumerate_refined_directions(field, 1)
-    table = np.empty((len(dirs), q, q), dtype=np.intp)
+    columns = np.empty((q, len(dirs), q), dtype=np.min_scalar_type(q**3 - 1))
     for i, v in enumerate(hz.enumerate_projective_directions(field, 1)):
-        table[i * q:(i + 1) * q] = hz._refined_blocks(field, v)
-    return dirs, table
+        columns[:, i * q:(i + 1) * q] = \
+            hz._refined_blocks(field, v).transpose(2, 0, 1)
+    columns.flags.writeable = False
+    return dirs, columns.transpose(1, 2, 0)
 
 
-# The most bytes of gathered values that one block of _line_sums holds
-# (2^17 float64 values).
+# The most bytes of line sums that one block of _line_sums keeps live: its
+# running sums and the column being added (2^17 float64 values).
 GATHER_BYTES = 1 << 20
 
 
 def _line_sums(absvals, table):
     """The sum of absvals over each line of an (m, lines, q) index table.
 
-    The gather absvals[table] runs over a block of direction rows at a time,
-    at most GATHER_BYTES of values unless one row alone is larger; a table
-    within one block is one gather.  Each line sums along its own contiguous
-    axis as in the whole gather, so every sum has the same bits.
+    A block of direction rows at a time, column x of the block is gathered
+    with absvals.take, and the q columns are added in the order numpy's
+    add.reduce sums a contiguous axis of at most 128 terms: eight running
+    sums over the columns, then ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then
+    the remaining q % 8 columns one at a time; below q = 8, one running
+    sum.  So every sum has the bits of absvals[t].sum(axis=2) for a
+    C-ordered copy t of the table.  A block's running sums and the column
+    in flight stay within GATHER_BYTES unless one row alone is larger.
     """
-    rows = max(1, GATHER_BYTES // (absvals.itemsize * table[0].size))
-    return np.concatenate([absvals[table[i:i + rows]].sum(axis=2)
-                           for i in range(0, len(table), rows)])
+    m, lines, q = table.shape
+    # the dtype sum gives: int64 for bools and narrower integers
+    absvals = absvals.astype(absvals[:0].sum().dtype, copy=False)
+    width = 8 if q >= 8 else 1
+    head = q - q % width
+    rows = max(1, GATHER_BYTES // ((width + 1) * lines * absvals.itemsize))
+    out = np.empty((m, lines), dtype=absvals.dtype)
+    for i in range(0, m, rows):
+        block = table[i:i + rows]
+        sums = [absvals.take(block[..., x]) for x in range(width)]
+        for x in range(width, head):
+            sums[x % width] += absvals.take(block[..., x])
+        if width == 8:  # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), in place
+            for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6),
+                         (0, 4)):
+                sums[a] += sums[b]
+        for x in range(head, q):
+            sums[0] += absvals.take(block[..., x])
+        out[i:i + rows] = sums[0]
+    return out
 
 
 def _max_over_table(absvals, table):

@@ -115,15 +115,48 @@ def test_main_verify_writes_csv(tmp_path):
 
 
 def test_verify_summary_names_the_q_values_of_its_fields(monkeypatch, capsys):
-    # the q values of the run's fields, each once, whatever q the rows carry
+    # the q values of the run's fields, each once (--big adds no q the list
+    # names), whatever q the rows carry
     def suite(cfg):
         return [cli.make_row("w", "ratio", q, 1, 2, 2, 1.0, 1.0, True)
                 for q in (7, "")]
     monkeypatch.setitem(cli.SUITES, "census", suite)
-    assert cli.main(["verify", "--q", "9,3,9", "--big",
+    assert cli.main(["verify", "--q", "9,3,16", "--big",
                      "--suite", "census"]) == 0
     assert capsys.readouterr().out.splitlines()[0] \
         == "2/2 checks hold across q=[9, 3, 16, 25, 27]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--q", "3,3", "--suite", "census"],
+    ["verify", "--q", "5,3,5,16", "--big"],
+    ["census", "--q", "3,5,3"],
+    ["examples", "--q", "5,5"],
+])
+def test_repeated_q_exits_2_and_writes_nothing(monkeypatch, capsys, tmp_path,
+                                               argv):
+    # every suite would run twice on the repeated field
+    for name in cli.SUITES:
+        monkeypatch.setitem(cli.SUITES, name, _refuse)
+    out = tmp_path / "x.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"configuration error: q list {argv[2]!r} repeats q = "
+        f"{argv[2].split(',')[0]}"]
+    assert not out.exists()
+
+
+def test_big_runs_each_field_once(monkeypatch):
+    calls = []
+    monkeypatch.setitem(cli.SUITES, "census",
+                        lambda cfg: calls.extend(f.q for f in cfg.fields)
+                        or [])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert cli.main(["verify", "--q", "16", "--big", "--suite",
+                     "census"]) == 0
+    assert sorted(calls) == [16, 25, 27]
 
 
 def test_main_examples(capsys):

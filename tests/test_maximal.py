@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kakeyalab.field import DomainError, Field
+from kakeyalab.field import DomainError, Field, field_table
 from kakeyalab import constructions as cn
+from kakeyalab import fourier as fr
 from kakeyalab import heisenberg as hz
 from kakeyalab import maximal as mx
 
@@ -572,16 +573,34 @@ def test_linearized_below_maximal_exhaustive(f3):
 # -- index tables ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("q", [4, 5])
-def test_gathered_tables_are_native_width_and_read_only(q):
-    # the operators gather from these once per input; a narrower index
-    # dtype would be cast to np.intp on every gather
+def _c_ordered(table):
+    """A C-ordered np.intp copy: a gather from it sums each line along a
+    contiguous axis, the order the line kernel reproduces.  A gather from
+    the x-major refined view would sum in another order."""
+    return np.ascontiguousarray(table, dtype=np.intp)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 25, 27])
+def test_gathered_tables_are_narrow_or_native_width_and_read_only(q):
     f = Field(q)
-    cached = [mx.refined_incidence(f)[1], mx.heis1_incidence(f)[1],
-              mx.affine_incidence(f, 2)[1]]
+    rtable, htable = mx.refined_incidence(f)[1], mx.heis1_incidence(f)[1]
+    # the H_1 tables are the narrowest dtype that holds q^3 - 1, and one
+    # x-major buffer: every column table[..., x] is a contiguous slab
+    assert rtable.dtype == np.min_scalar_type(q**3 - 1)
+    assert rtable.dtype == (np.uint8 if q < 7 else np.uint16)
+    assert htable.dtype == rtable.dtype
+    assert np.shares_memory(htable, rtable)
+    for table in (rtable, htable):
+        assert not table.flags.writeable
+        for x in (0, q - 1):
+            assert table[..., x].flags.c_contiguous
+    # the planar table, the U-table index, a family's point_idx and the
+    # rank-n direction tables stay np.intp
+    native = [mx.affine_incidence(f, 2)[1],
+              field_table(f, "u-plane-index", fr._u_plane_index)]
     for kind in ("planar", "refined"):
-        cached.append(mx.linearize(kind, f, rng=mx.seeded_rng(q)).point_idx)
-    for table in cached:
+        native.append(mx.linearize(kind, f, rng=mx.seeded_rng(q)).point_idx)
+    for table in native:
         assert table.dtype == np.intp
         assert not table.flags.writeable
     for n in (1, 2):
@@ -592,6 +611,33 @@ def test_gathered_tables_are_native_width_and_read_only(q):
     f3_table = mx.affine_incidence(f, 3)[1]
     assert f3_table.dtype == np.min_scalar_type(q**3 - 1)
     assert not f3_table.flags.writeable
+
+
+@pytest.mark.parametrize("q", [25, 27])
+def test_column_and_predicates_equal_the_whole_gather(q):
+    # is_full_refined_kakeya and omega_partition AND mask.take over the q
+    # columns; the reference gathers the whole C-ordered table at once
+    f = Field(q)
+    dom = h1(f)
+    table = _c_ordered(mx.refined_incidence(f)[1])
+    rng = mx.seeded_rng(q, 29)
+    # one line of every refined direction, a line of half of them, and
+    # the first set less the first, a middle and the last point of the
+    # lines of its first three directions
+    every = table[np.arange(len(table)), rng.integers(q, size=len(table))]
+    half = every[rng.random(len(table)) < 0.5]
+    sets = [cn.PointSet(dom, every.ravel()), cn.PointSet(dom, half.ravel())]
+    dropped = every[[0, 1, 2], [0, q // 2, q - 1]]
+    sets.append(cn.PointSet.from_mask(
+        dom, sets[0].mask & ~np.isin(np.arange(q**3), dropped)))
+    for ps in sets:
+        contained = ps.mask[table].all(axis=2).any(axis=1)
+        assert cn.is_full_refined_kakeya(ps)[0] == contained.all()
+        assert np.array_equal(cn.omega_partition(ps).omega1,
+                              np.flatnonzero(contained))
+    assert cn.is_full_refined_kakeya(sets[0])[0]
+    assert not cn.is_full_refined_kakeya(sets[1])[0]
+    assert not np.isin([0, 1, 2], cn.omega_partition(sets[2]).omega1).any()
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 16, 25, 27])
@@ -605,32 +651,42 @@ def test_narrow_f3_table_equals_the_native_width_build(q):
         assert np.array_equal(block, hz._coset_table(f, v))
 
 
-class _RecordedGathers(np.ndarray):
-    """An array that records the bytes of every gather taken from it."""
+class _RecordedTakes(np.ndarray):
+    """An array that records the bytes of every take from it, or from an
+    array made from it (the kernel's cast to the dtype sum gives)."""
 
-    def __getitem__(self, index):
-        out = np.asarray(super().__getitem__(index))
-        self.gathers.append(out.nbytes)
+    def __array_finalize__(self, obj):
+        self.takes = getattr(obj, "takes", None)
+
+    def take(self, indices, *args, **kw):
+        out = np.asarray(super().take(indices, *args, **kw))
+        self.takes.append(out.nbytes)
         return out
 
 
 def _recorded(values):
-    rec = np.asarray(values).view(_RecordedGathers)
-    rec.gathers = []
+    rec = np.asarray(values).view(_RecordedTakes)
+    rec.takes = []
     return rec
 
 
 @pytest.mark.parametrize("small", [False, True])
-@pytest.mark.parametrize("q", [3, 4, 5, 8, 9, 16, 25, 27])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32])
 def test_block_gather_equals_the_whole_gather(monkeypatch, q, small):
-    # a small block splits even the q = 3 tables: two heis1 rows of 8 q^3
-    # bytes, and an uneven count of refined and planar rows
-    block_bytes = 16 * q**3 + 8 if small else mx.GATHER_BYTES
+    # the kernel keeps eight running sums from q = 8 on, one below, and
+    # the column in flight
+    live = 9 if q >= 8 else 2
+    # a small block splits the heis1 table two rows at a time, and the
+    # refined table into blocks of 2q rows, an uneven count at even q
+    block_bytes = live * 8 * 2 * q * q + 8 if small else mx.GATHER_BYTES
     monkeypatch.setattr(mx, "GATHER_BYTES", block_bytes)
-    f = Field(q)
+    f = Field(q, modulus=[1, 0, 1, 0, 0, 1]) if q == 32 else Field(q)
     rng = mx.seeded_rng(q, 23)
-    h1_inputs = [np.abs(mx.random_complex_grid(h1(f), rng).values),
-                 rng.integers(0, 2, q**3).astype(np.int64)]
+    # bools and narrow integers add in the dtype sum promotes them to, so a
+    # 0/1 table counts points rather than OR-ing them
+    h1_inputs = [np.abs(mx.random_complex_grid(h1(f), rng).values)] + [
+        rng.integers(0, 2, q**3).astype(dtype)
+        for dtype in (np.int64, bool, np.int32, np.float32)]
     plane_inputs = [np.abs(mx.random_complex_grid(
         mx.Domain.affine(f, 2), rng).values),
         rng.integers(0, 2, q * q).astype(np.int64)]
@@ -639,20 +695,23 @@ def test_block_gather_equals_the_whole_gather(monkeypatch, q, small):
               (mx.affine_incidence(f, 2)[1], plane_inputs)]
     for table, inputs in tables:
         for absvals in inputs:
-            whole = absvals[table].sum(axis=2)
+            whole = absvals[_c_ordered(table)].sum(axis=2)
             rec = _recorded(absvals)
             got = mx._line_sums(rec, table)
             assert got.dtype == whole.dtype
             assert got.tobytes() == whole.tobytes()
-            assert max(rec.gathers) <= block_bytes
-            if whole.nbytes * q <= block_bytes:  # one block: one gather
-                assert len(rec.gathers) == 1
+            # one take per column of each block, each block's live sums
+            # within the bound
+            assert len(rec.takes) % q == 0
+            assert live * max(rec.takes) <= block_bytes
+            if live * whole.nbytes <= block_bytes:  # one block
+                assert len(rec.takes) == q
             else:
-                assert len(rec.gathers) > 1
+                assert len(rec.takes) > q
     for kind, dom in (("refined", h1(f)), ("planar", mx.Domain.affine(f, 2))):
         F = mx.random_complex_grid(dom, rng)
         table = mx._candidate_tables(kind, f)[1]
-        choice = np.abs(F.values)[table].sum(axis=2).argmax(axis=1)
+        choice = np.abs(F.values)[_c_ordered(table)].sum(axis=2).argmax(axis=1)
         fam = mx.linearize(kind, f, for_function=F)
         assert np.array_equal(fam.point_idx,
                               table[np.arange(len(table)), choice])
@@ -943,3 +1002,24 @@ def test_grid_function_validates_shape(f3):
         mx.GridFunction(h1(f3), np.zeros(26))
     with pytest.raises(DomainError):
         mx.GridFunction(h1(f3), np.full(27, np.nan))
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 1e300,
+                                   2.0**63, 2**63, -2**63 - 1,
+                                   complex(math.inf, 0)])
+def test_constant_refuses_non_finite_and_unrepresentable_values(f3, value):
+    # a DomainError (exit 2 at the CLI), never an OverflowError, a
+    # ValueError or a silent wrap to int64
+    with pytest.raises(DomainError):
+        mx.GridFunction.constant(h1(f3), value)
+
+
+@pytest.mark.parametrize("value,dtype", [
+    (3, np.int64), (3.0, np.int64), (-2**63, np.int64),
+    (2**63 - 1, np.int64), (True, np.int64), (0.5, np.complex128),
+    (1 + 2j, np.complex128)])
+def test_constant_is_exact_for_integral_values(f3, value, dtype):
+    F = mx.GridFunction.constant(h1(f3), value)
+    assert F.values.dtype == dtype
+    assert np.all(F.values == value)
+
