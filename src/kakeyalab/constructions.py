@@ -284,8 +284,9 @@ def is_affine_kakeya(ps):
     """Does the set contain a full affine line in every ambient direction?
 
     Returns (answer, witness) where witness is the rep tuple of the first
-    missing direction or None.  The table is reduced one direction block at
-    a time, so no table-sized temporary is built.
+    missing direction or None.  The blocks are built and reduced one
+    direction at a time, up to the first missing one, so no table-sized
+    array is built.
     """
     if ps.domain.kind != "affine":
         raise DomainError("affine Kakeya predicate needs an affine point set")
@@ -453,7 +454,9 @@ def omega_partition(ps):
     direction in Omega_2 are block i of affine_incidence(field, 3).  Of those
     contained in the set, the one of smallest mu (first in row order on ties)
     is chosen and kept as its row of q point indices; its mu is necessarily
-    nonzero and indexes the straightening slice the direction joins.
+    nonzero and indexes the straightening slice the direction joins.  The
+    blocks are read one direction at a time, and each keeps only its
+    containment row, its mu row and its chosen line.
     """
     if ps.domain.kind != "heisenberg" or ps.domain.n != 1:
         raise DomainError("the partition is defined for H_1 sets")
@@ -464,16 +467,21 @@ def omega_partition(ps):
     omega1 = np.flatnonzero(contained)
     omega2 = np.flatnonzero(~contained)
 
-    _, atable = affine_incidence(field, 3)
-    # one direction block at a time, so no table-sized temporary is built
-    inside = np.array([ps.mask[atable[i]].all(axis=1) for i in omega2],
-                      dtype=bool).reshape(len(omega2), q * q)
-    bases = atable[omega2, :, 0]
-    mus = mu_parameter(field, dirs[omega2].T[:, :, None],
-                       bases // (q * q), bases // q % q)
-    best = np.where(inside, mus, q).argmin(axis=1)
-    witnessed = inside.any(axis=1)
-    mu = mus[np.arange(len(omega2)), best][witnessed]
+    _, blocks = affine_incidence(field, 3)
+    witnessed = np.zeros(len(omega2), dtype=bool)
+    mu, lines = [], []
+    for k, i in enumerate(omega2):
+        block = blocks[i]
+        inside = ps.mask[block].all(axis=1)
+        if not inside.any():
+            continue
+        bases = block[:, 0]
+        mus = mu_parameter(field, dirs[i], bases // (q * q), bases // q % q)
+        best = np.where(inside, mus, q).argmin()
+        witnessed[k] = True
+        mu.append(mus[best])
+        lines.append(block[best].copy())  # a view would keep the block
+    mu = np.array(mu, dtype=np.intp)
     if (mu == 0).any():
         raise AssertionError("a non-horizontal direction produced mu = 0")
     chosen = omega2[witnessed]
@@ -482,8 +490,7 @@ def omega_partition(ps):
     return KakeyaReport(
         q=q, size=len(ps), omega1=omega1, omega2=omega2,
         slices={int(k): chosen[mu == k] for k in np.unique(mu)},
-        chosen_lines=dict(zip(chosen.tolist(),
-                              atable[chosen, best[witnessed]])),
+        chosen_lines=dict(zip(chosen.tolist(), lines)),
         unwitnessed=omega2[~witnessed],
         max_values=mvals, m=int(mvals.min()),
         omega1_bound=q * len(omega1) / 25.0,

@@ -232,8 +232,9 @@ class Field:
 
 
 # The most bytes the per-field table cache keeps across fields.  The H_1
-# tables of every default and --big field fit together (2.2 MB); one
-# F_q^3 incidence table from q = 25 on does not.
+# tables of every default and --big field fit together (2.2 MB); an F_q^d
+# incidence entry from d = 3 on keeps only its direction array (18 KB for
+# F_27^3), since its blocks are built when read.
 TABLE_BUDGET = 16 * 2**20
 
 # (field, key) -> value, least recently used first; keyed by field

@@ -169,9 +169,9 @@ def _coset_table(field, rep, horizontal=False):
     a broadcast sum of one (base coordinate, s) table per coordinate.
 
     The dtype is numpy's native index width, so a gather values[table]
-    indexes without first casting the table; the H_1 incidence table and
-    those of F_q^d, d >= 3, narrow their copy (see maximal.refined_incidence
-    and maximal.affine_incidence).
+    indexes without first casting the table; the H_1 incidence table
+    narrows its copy (see maximal.refined_incidence), and the F_q^d blocks,
+    d >= 3, are built here whenever they are read (maximal.affine_incidence).
     """
     q = field.q
     add = field.np_add.astype(np.intp)

@@ -244,7 +244,8 @@ class GridFunction:
 
 
 def random_complex_grid(domain, rng):
-    """Independent standard complex Gaussian entries via Box-Muller."""
+    """Independent complex Gaussian entries via Box-Muller: real and
+    imaginary parts independent N(0, 1), so E|z|^2 = 2."""
     n = domain.size
     u1 = rng.random(n)
     u2 = rng.random(n)
@@ -263,27 +264,53 @@ def seeded_rng(*key):
 
 
 def affine_incidence(field, d):
-    """(directions, array (#dirs, q^{d-1}, q) of point indices).
+    """(directions, (#dirs, q^{d-1}, q) point-index table).
 
     Each direction's block holds its parallel lines in transversal order.
-    The planar table (d = 2) is np.intp, and the U-table index is a
-    C-ordered copy of part of it.  From d = 3 on it has the narrowest dtype
-    that holds q^d - 1: the F_q^3 table has q^2 (q^2+q+1) q entries (15M at
-    q = 27), only the set predicates read it, and as uint16 (7 <= q <=
-    MAX_Q) it takes a quarter of its native-width bytes.
+    The planar table (d = 2) is an np.intp array, and the U-table index is
+    a C-ordered copy of part of it.  From d = 3 on the table is a
+    _CosetBlocks, which builds a block when it is read: the F_q^3 table has
+    q^2 (q^2+q+1) q entries (15M at q = 27), and its readers, the set
+    predicates and affine_max_op, need a block or a few at a time, so the
+    cache keeps only the direction array.
     """
     return field_table(field, ("affine-incidence", d),
                        lambda f: _build_affine(f, d))
 
 
 def _build_affine(field, d):
-    q = field.q
     dirs = hz.enumerate_directions(field, d)
-    dtype = np.intp if d == 2 else np.min_scalar_type(q ** d - 1)
-    table = np.empty((len(dirs), q ** (d - 1), q), dtype=dtype)
-    for i, v in enumerate(dirs):
-        table[i] = hz._coset_table(field, v)
-    return dirs, table
+    blocks = _CosetBlocks(field, dirs)
+    return dirs, (blocks[:] if d == 2 else blocks)
+
+
+class _CosetBlocks:
+    """The affine lines of F_q^d as a read-only sequence of direction blocks,
+    shape (#dirs, q^{d-1}, q): blocks[i] is direction i's np.intp block from
+    heisenberg._coset_table, and blocks[i:j] the stack of blocks i to j-1.
+    Each read builds what it returns; nothing table-sized is kept."""
+
+    __slots__ = ("_field", "_dirs")
+
+    def __init__(self, field, dirs):
+        self._field, self._dirs = field, dirs
+
+    @property
+    def shape(self):
+        (m, d), q = self._dirs.shape, self._field.q
+        return m, q ** (d - 1), q
+
+    def __len__(self):
+        return len(self._dirs)
+
+    def __getitem__(self, i):
+        if not isinstance(i, slice):
+            return hz._coset_table(self._field, self._dirs[i])
+        rows = range(*i.indices(len(self)))
+        out = np.empty((len(rows),) + self.shape[1:], dtype=np.intp)
+        for k, j in enumerate(rows):
+            out[k] = self[j]
+        return out
 
 
 def heis1_incidence(field):
@@ -326,8 +353,9 @@ def _build_refined(field):
     return dirs, columns.transpose(1, 2, 0)
 
 
-# The most bytes of line sums that one block of _line_sums keeps live: its
-# running sums and the column being added (2^17 float64 values).
+# The most bytes (2^17 float64 values) that one block of _line_sums keeps
+# live: its running sums, the column being added and, for a table built on
+# reading (_CosetBlocks), the block's stacked indices.
 GATHER_BYTES = 1 << 20
 
 
@@ -340,15 +368,19 @@ def _line_sums(absvals, table):
     sums over the columns, then ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then
     the remaining q % 8 columns one at a time; below q = 8, one running
     sum.  So every sum has the bits of absvals[t].sum(axis=2) for a
-    C-ordered copy t of the table.  A block's running sums and the column
-    in flight stay within GATHER_BYTES unless one row alone is larger.
+    C-ordered copy t of the table.  A block's running sums, the column in
+    flight and, when slicing builds the block, its indices stay within
+    GATHER_BYTES unless one row alone is larger.
     """
     m, lines, q = table.shape
     # the dtype sum gives: int64 for bools and narrower integers
     absvals = absvals.astype(absvals[:0].sum().dtype, copy=False)
     width = 8 if q >= 8 else 1
     head = q - q % width
-    rows = max(1, GATHER_BYTES // ((width + 1) * lines * absvals.itemsize))
+    row_bytes = (width + 1) * lines * absvals.itemsize
+    if not isinstance(table, np.ndarray):  # a slice is a new stacked block
+        row_bytes += lines * q * np.dtype(np.intp).itemsize
+    rows = max(1, GATHER_BYTES // row_bytes)
     out = np.empty((m, lines), dtype=absvals.dtype)
     for i in range(0, m, rows):
         block = table[i:i + rows]

@@ -1,12 +1,15 @@
 import json
 import math
-from collections import Counter
+import tracemalloc
+from collections import Counter, OrderedDict
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from kakeyalab.field import DomainError, Field
+from kakeyalab import field as fd
+from kakeyalab import heisenberg as hz
 from kakeyalab import maximal as mx
 from kakeyalab import constructions as cn
 from kakeyalab import cli
@@ -386,9 +389,10 @@ def test_full_space_is_both(f5):
 
 
 def _first_missing_by_whole_table(ps):
-    # the whole-table reduction is_affine_kakeya replaced
+    # the whole-table reduction is_affine_kakeya replaced, over the stack
+    # of every block
     dirs, table = mx.affine_incidence(ps.domain.field, ps.domain.n)
-    contained = ps.mask[table].all(axis=2).any(axis=1)
+    contained = ps.mask[table[:]].all(axis=2).any(axis=1)
     for i, ok in enumerate(contained):
         if not ok:
             return False, tuple(dirs[i].tolist())
@@ -401,6 +405,7 @@ def test_affine_kakeya_matches_whole_table_reduction(d, q):
     f = Field(q)
     dom = mx.Domain.affine(f, d)
     dirs, table = mx.affine_incidence(f, d)
+    table = table[:]  # the stacked blocks when d = 3
     rows = np.arange(table.shape[1])
     for target in (0, len(dirs) // 2, len(dirs) - 1):
         # drop one point of every line of the target direction; the seeds
@@ -418,6 +423,36 @@ def test_affine_kakeya_matches_whole_table_reduction(d, q):
         assert cn.is_affine_kakeya(ps) == want
     full = cn.PointSet.full(dom)
     assert cn.is_affine_kakeya(full) == _first_missing_by_whole_table(full)
+
+
+def _traced_peak(call):
+    """(call(), tracemalloc's peak bytes during it)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_f3_set_checks_hold_no_table_sized_array(monkeypatch):
+    # at q = 27 the stored F_q^3 table took 29.8 MB as uint16; the checks
+    # read it a block (157 KB as np.intp) at a time, from an empty cache
+    f = Field(27)
+    d1 = len(hz.enumerate_refined_directions(f, 1))
+    para = cn.extremal_set("paraboloid", f)  # Omega_2 all of D_1
+    bent = cn.straighten(cn.example_refined_not_affine(f), 1, "slope")
+    e1 = cn.example_affine_not_refined(f, (1, 0, 0))
+    for ps, omega2, witnessed in ((para, d1, 0), (bent, 728, 728),
+                                  (e1, 28, 28)):
+        monkeypatch.setattr(fd, "_FIELD_TABLES", OrderedDict())
+        _, peak = _traced_peak(lambda: cn.is_affine_kakeya(
+            cn.as_affine_set(ps)))
+        assert peak < 4e6
+        monkeypatch.setattr(fd, "_FIELD_TABLES", OrderedDict())
+        rep, peak = _traced_peak(lambda: cn.omega_partition(ps))
+        assert peak < 4e6
+        assert len(rep.omega2) == omega2
+        assert len(rep.chosen_lines) == witnessed
 
 
 def test_affine_kakeya_needs_affine_domain(f5):

@@ -297,10 +297,19 @@ def _entries_of(fld):
             if f == fld}
 
 
+def _read(part):
+    """An array, or the stack of an F_q^d block sequence, as (dtype, shape,
+    bytes); any other part as itself."""
+    if isinstance(part, mx._CosetBlocks):
+        part = part[:]
+    if isinstance(part, np.ndarray):
+        return part.dtype, part.shape, part.tobytes()
+    return part
+
+
 def _snapshot(entries):
-    """Per key, the value with every array read as (dtype, shape, bytes)."""
-    return {key: [(a.dtype, a.shape, a.tobytes())
-                  if isinstance(a, np.ndarray) else a
+    """Per key, the value with every part read by _read."""
+    return {key: [_read(a)
                   for a in (value if isinstance(value, tuple) else (value,))]
             for key, value in entries.items()}
 
@@ -329,11 +338,18 @@ def test_a_build_never_evicts_its_own_fields_entries(cache, monkeypatch):
     f5 = Field(5)
     _fill_every_table(f5)  # nested builds (heis1 reads refined) included
     assert list(_entries_of(f5)) == [key for _, key in cache]
-    # as in the examples suite: the e1 and e2 checks and the build between
-    # them share one F_q^3 table
-    table = mx.affine_incidence(f5, 3)[1]
+    # as in the examples suite: the refined checks of e1 and e2 and the
+    # build between them share one refined table
+    table = mx.refined_incidence(f5)[1]
     cn.lower_bound_ratio("constant", f5, 3, 3, operator="refined")
-    assert mx.affine_incidence(f5, 3)[1] is table
+    assert mx.refined_incidence(f5)[1] is table
+
+
+def test_the_f3_entry_holds_only_its_directions(cache):
+    f27 = Field(27)
+    dirs, blocks = mx.affine_incidence(f27, 3)
+    assert fd.table_bytes(_entries_of(f27).values()) == dirs.nbytes
+    assert len(blocks) == len(dirs) == 27**2 + 27 + 1
 
 
 def test_a_build_leaves_at_most_the_budget_besides_its_field(cache,

@@ -606,11 +606,12 @@ def test_gathered_tables_are_narrow_or_native_width_and_read_only(q):
     for n in (1, 2):
         v = hz.enumerate_projective_directions(f, n)[-1]
         assert hz.line_table_for_direction(f, v).dtype == np.intp
-    # the F_q^3 table is as narrow as its largest index: only the set
-    # predicates read it
-    f3_table = mx.affine_incidence(f, 3)[1]
-    assert f3_table.dtype == np.min_scalar_type(q**3 - 1)
-    assert not f3_table.flags.writeable
+    # the F_q^3 table stores no indices: a block or a stack of blocks is
+    # built np.intp when read, and the sequence takes no assignment
+    f3_blocks = mx.affine_incidence(f, 3)[1]
+    assert f3_blocks[0].dtype == f3_blocks[-2:].dtype == np.intp
+    with pytest.raises(TypeError):
+        f3_blocks[0] = f3_blocks[0]
 
 
 @pytest.mark.parametrize("q", [25, 27])
@@ -642,13 +643,22 @@ def test_column_and_predicates_equal_the_whole_gather(q):
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 16, 25, 27])
 def test_narrow_f3_table_equals_the_native_width_build(q):
+    # the F_q^3 table keeps no narrow copy: block i is built by
+    # _coset_table when read, and a slice stacks its blocks
     f = Field(q)
-    dirs, table = mx.affine_incidence(f, 3)
-    assert table.dtype == np.min_scalar_type(q**3 - 1)
-    assert table.dtype == (np.uint8 if q < 7 else np.uint16)
-    assert len(dirs) == len(table) == q * q + q + 1
-    for v, block in zip(dirs, table):
+    dirs, blocks = mx.affine_incidence(f, 3)
+    assert len(dirs) == len(blocks) == q * q + q + 1
+    assert blocks.shape == (len(dirs), q * q, q)
+    for v, block in zip(dirs, blocks):
+        assert block.dtype == np.intp
         assert np.array_equal(block, hz._coset_table(f, v))
+    for rows in (slice(0, 3), slice(-2, None), slice(1, 12, 5),
+                 slice(4, 4)):
+        stack = blocks[rows]
+        want = [hz._coset_table(f, v) for v in dirs[rows]]
+        assert stack.dtype == np.intp
+        assert stack.shape == (len(want), q * q, q)
+        assert all(np.array_equal(a, b) for a, b in zip(stack, want))
 
 
 class _RecordedTakes(np.ndarray):
@@ -715,6 +725,47 @@ def test_block_gather_equals_the_whole_gather(monkeypatch, q, small):
         fam = mx.linearize(kind, f, for_function=F)
         assert np.array_equal(fam.point_idx,
                               table[np.arange(len(table)), choice])
+
+
+class _RecordedBlocks:
+    """An F_q^d block sequence that records the rows of every stack read."""
+
+    def __init__(self, blocks):
+        self.blocks, self.shape, self.rows = blocks, blocks.shape, []
+
+    def __getitem__(self, rows):
+        out = self.blocks[rows]
+        self.rows.append(len(out))
+        return out
+
+
+@pytest.mark.parametrize("small", [False, True])
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_f3_max_op_equals_the_whole_table_gather(monkeypatch, q, small):
+    # a row of a stacked block costs its running sums, the column in
+    # flight and its q^2 x q indices
+    live = 9 if q >= 8 else 2
+    row_bytes = (live + q) * q * q * 8
+    if small:  # three rows a block
+        monkeypatch.setattr(mx, "GATHER_BYTES", 3 * row_bytes + 8)
+    f = Field(q)
+    dom = mx.Domain.affine(f, 3)
+    blocks = mx.affine_incidence(f, 3)[1]
+    table = blocks[:]
+    rng = mx.seeded_rng(q, 31)
+    for F in (mx.random_complex_grid(dom, rng),
+              mx.GridFunction(dom, rng.integers(0, 2, q**3))):
+        absvals = np.abs(F.values)
+        sums = absvals[table].sum(axis=2)
+        got = mx.affine_max_op(F)
+        assert got.dtype == sums.dtype
+        assert got.tobytes() == sums.max(axis=1).tobytes()
+        rec = _RecordedBlocks(blocks)
+        assert mx._line_sums(absvals, rec).tobytes() == sums.tobytes()
+        assert sum(rec.rows) == len(blocks)
+        assert max(rec.rows) * row_bytes <= mx.GATHER_BYTES
+        if small:
+            assert max(rec.rows) == 3
 
 
 # -- TT* and operator norms ------------------------------------------------------
