@@ -19,7 +19,7 @@ import subprocess
 import sys
 import threading
 from collections import Counter
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -179,9 +179,11 @@ def _bound_rows(cfg, suite, fld, specs, trials):
     """Every spec on its operator's inputs: the structured ones, then one
     random grid per trial; rows spec by spec, input by input.
 
-    A trial's three grids (heis, refined, affine, drawn in that order from
-    its generator) go through every spec of their operator before the next
-    trial's are drawn, so one trial's inputs are alive at a time.
+    A trial's grids are drawn from its generator in the order heis,
+    refined, affine, each only if some spec reads its operator (offdiag's
+    specs read only heis, which is drawn first, so its grid is the same),
+    and go through every spec of their operator before the next trial's
+    are drawn, so one trial's inputs are alive at a time.
     """
     dom_h = mx.Domain.heisenberg(fld, 1)
     dom_a = mx.Domain.affine(fld, 2)
@@ -189,6 +191,9 @@ def _bound_rows(cfg, suite, fld, specs, trials):
     fixed = {"heis": structured, "refined": structured,
              "affine": [("plane-ones", mx.GridFunction.constant(dom_a)),
                         ("plane-delta", mx.GridFunction.delta(dom_a))]}
+    drawn = [(operator, dom) for operator, dom in
+             (("heis", dom_h), ("refined", dom_h), ("affine", dom_a))
+             if any(spec.operator == operator for spec in specs)]
     cells = [[] for _ in specs]  # the rows of specs[i], input by input
 
     def check(operator, tag, F):
@@ -202,8 +207,7 @@ def _bound_rows(cfg, suite, fld, specs, trials):
             check(operator, tag, F)
     for trial in range(trials):
         rng = _rng(cfg, suite, fld.q, trial)
-        for operator, dom in (("heis", dom_h), ("refined", dom_h),
-                              ("affine", dom_a)):
+        for operator, dom in drawn:
             check(operator, trial, mx.random_complex_grid(dom, rng))
     return [row for cell in cells for row in cell]
 
@@ -505,31 +509,31 @@ SUITES = {
 
 
 @contextmanager
-def _out_writer(path):
-    """write(text) into the file at path, or nothing without a path.
+def _out_writer(path, kept):
+    """write(text): text goes to the file at path, if any, flushed, and is
+    appended to the list kept, if that is not None.
 
     The file is opened on entry, before the run computes anything, so an
-    unwritable path exits 2 at once.  A run that leaves without writing
-    (status 2, or an error) removes the file it opened, so no empty CSV is
-    left where a report is expected.
+    unwritable path exits 2 at once.  A run that leaves by an exception
+    (status 2, or an error) removes the file it opened, with whatever rows
+    it already holds, so no partial CSV is left where a report is expected.
     """
-    if not path:
-        yield lambda text: None
-        return
-    fh = open(path, "w")
-    written = False
+    fh = open(path, "w") if path else None
 
     def write(text):
-        nonlocal written
-        fh.write(text)
-        written = True
+        if fh:
+            fh.write(text)
+            fh.flush()
+        if kept is not None:
+            kept.append(text)
 
     try:
-        with fh:
+        with fh or nullcontext():
             yield write
-    finally:
-        if not written and os.path.isfile(path):
+    except BaseException:
+        if path and os.path.isfile(path):
             os.remove(path)
+        raise
 
 
 def _task_digest(cfg, name, fields):
@@ -561,7 +565,7 @@ class RunReport:
     """A run's outcome: its exit status, CSV text and verdict counts."""
 
     status: int
-    csv: str = ""   # the header and every row; empty on status 2
+    csv: str = ""   # the header and every row, if kept; empty on status 2
     checks: int = 0
     held: int = 0
 
@@ -613,11 +617,14 @@ class _Pool:
     Tasks are handed out in suite order, each suite's fields largest q
     first: cost grows with q, so the small fields fill the tail.  This
     process and up to min(CPUs - 1, suites - 1) helpers take them; only
-    suites of code from this file count after the first.  Results are kept
-    in output order: suite order, then the run's field order.  A
-    DomainError or OSError in the task at output position i stops the
-    hand-out of every task after i, and the run reports the first failing
-    task in output order, as a serial run does.
+    suites of code from this file count after the first.  Results leave
+    in output order, suite order then the run's field order, on this
+    process's thread: a finished task's result is kept only until every
+    task before it in output order has left, and is dropped then.  Helper
+    threads only store results.  A DomainError or OSError in the task at
+    output position i stops the hand-out of every task after i, and run()
+    raises the exception of the first failing task in output order, as a
+    serial run does.
     """
 
     def __init__(self, cfg):
@@ -641,7 +648,8 @@ class _Pool:
                 self.pending.append(first)
             self.portable += [portable] * (len(self.tasks) - first)
         self.spare = sum(movable[1:])  # the most helpers the suites can use
-        self.results = [None] * len(self.tasks)  # a digest or an exception
+        # per task: its digest or exception, until it leaves run()
+        self.results = [None] * len(self.tasks)
         self.stop = len(self.tasks)  # no task from here on is handed out
         self.cond = threading.Condition()
 
@@ -689,8 +697,11 @@ class _Pool:
                     self.pending.insert(0, i)
                     self.cond.notify_all()
 
-    def run(self):
-        """Every task's result, in output order."""
+    def run(self, emit):
+        """Run every task and call emit(digest) on each task's digest in
+        output order, as soon as every task before it has been emitted;
+        raise the exception of the first failing task after the digests
+        before it."""
         cfg = self.cfg
         # plain fields: under `python -m`, SuiteConfig is __main__'s class,
         # which a helper cannot unpickle
@@ -715,19 +726,27 @@ class _Pool:
                 threads.append(threading.Thread(
                     target=self._feed, args=(proc, config), daemon=True))
                 threads[-1].start()
-            while True:
-                with self.cond:
-                    while (i := self._take(helper=False)) is None:
-                        # each task before stop is done or a helper's
-                        if None not in self.results[:self.stop]:
-                            return self.results
-                        self.cond.wait()
-                try:
-                    result = _task_digest(cfg, *self.tasks[i])
-                except (DomainError, OSError) as exc:
-                    result = exc
-                with self.cond:
-                    self._finish(i, result)
+            for done in range(len(self.tasks)):
+                while True:
+                    with self.cond:
+                        result = self.results[done]
+                        if result is not None:
+                            self.results[done] = None
+                            break
+                        i = self._take(helper=False)
+                        if i is None:
+                            # a helper holds task done: wait for any result
+                            self.cond.wait()
+                            continue
+                    try:
+                        result = _task_digest(cfg, *self.tasks[i])
+                    except (DomainError, OSError) as exc:
+                        result = exc
+                    with self.cond:
+                        self._finish(i, result)
+                if isinstance(result, Exception):
+                    raise result
+                emit(result)
         finally:
             # a helper still booting, idle, or running a task after a
             # failing one is not waited for
@@ -742,44 +761,47 @@ class _Pool:
                 proc.wait()
 
 
-def run_suite(cfg):
+def run_suite(cfg, keep=False):
     """Run the configured suites; returns their RunReport.
 
     The suites run in parallel as (suite, field) tasks (_Pool); each task
-    leaves as its digest (_task_digest), and the digests are joined in
-    output order, suite order then the run's field order, so every byte is
-    the one a serial run writes.  The VIOLATED lines go to stderr, in row
-    order, once every task has run.  The CSV goes to cfg.out, which is
-    opened before the first task runs (_out_writer); a status-2 run leaves
-    no file there.  A run whose first failing task raised OSError raises
-    it.
+    leaves as its digest (_task_digest), in output order, suite order then
+    the run's field order, so every byte is the one a serial run writes.
+    The CSV header, then each digest's text as soon as every task before it
+    has left, goes to cfg.out, which is opened before the first task runs
+    (_out_writer), and the text is dropped; only the counts and the
+    VIOLATED lines are kept.  The report holds the CSV text only without
+    cfg.out, or with keep.  The VIOLATED lines go to stderr, in row order,
+    once every task has run.  A status-2 run leaves no file at cfg.out.  A
+    run whose first failing task raised OSError raises it.
     """
     for name in cfg.suites:
         if name not in SUITES:
             print(f"unknown suite: {name}", file=sys.stderr)
             return RunReport(2)
-    with _out_writer(cfg.out) as write:
-        results = _Pool(cfg).run()
-        chunks = [rows_to_csv(())]
-        violated = []
-        checks = held = 0
-        for result in results:
-            if isinstance(result, DomainError):
-                print(f"configuration error: {result}", file=sys.stderr)
-                return RunReport(2)
-            if isinstance(result, OSError):
-                raise result
-            text, n, h, v = result
-            chunks.append(text)
-            checks += n
-            held += h
-            violated += v
-        for line in violated:
-            print("VIOLATED: " + line, file=sys.stderr)
-        report = RunReport(1 if violated else 0, "".join(chunks), checks,
-                           held)
-        if cfg.out:
-            write(report.csv)
+    kept = [] if keep or not cfg.out else None
+    report = RunReport(0)
+    violated = []
+
+    def tally(digest):
+        text, n, h, v = digest
+        write(text)
+        report.checks += n
+        report.held += h
+        violated.extend(v)
+
+    try:
+        with _out_writer(cfg.out, kept) as write:
+            write(rows_to_csv(()))
+            _Pool(cfg).run(tally)
+            for line in violated:
+                print("VIOLATED: " + line, file=sys.stderr)
+    except DomainError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return RunReport(2)
+    report.status = 1 if violated else 0
+    if kept is not None:
+        report.csv = "".join(kept)
     return report
 
 
@@ -875,7 +897,7 @@ def cmd_suite(args):
     """census and examples: run the one suite the subparser binds and print
     its CSV."""
     cfg = _config_from(args, default_qs=args.default_qs, suites=(args.suite,))
-    report = run_suite(cfg)
+    report = run_suite(cfg, keep=True)  # printed, with or without --out
     _emit(report.csv)
     return report.status
 

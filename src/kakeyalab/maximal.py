@@ -435,7 +435,7 @@ def heis_max_op_many(field, n, absrows):
                    dtype=absrows[:, :1].sum(axis=1).dtype)
     for di, v in enumerate(dirs):
         table = hz.line_table_for_direction(field, v)
-        out[:, di] = absrows[:, table].sum(axis=2).max(axis=1)
+        out[:, di] = absrows.take(table, axis=1).sum(axis=2).max(axis=1)
     return out
 
 

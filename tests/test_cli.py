@@ -470,8 +470,12 @@ def test_bound_rows_keep_one_trials_inputs_alive(monkeypatch, suite, q):
 
     monkeypatch.setattr(mx, "random_complex_grid", tracked)
     got = cli.SUITES[suite](cfg)
-    assert len(drawn) == 9
-    assert max(alive_at_draw) <= 3
+    # a trial draws a grid only for an operator that some spec reads:
+    # diag reads all three, offdiag only heis, which is drawn first
+    operators = {s.operator for s in specs}
+    assert len(operators) == (3 if suite == "diag" else 1)
+    assert len(drawn) == 3 * len(operators)
+    assert max(alive_at_draw) <= len(operators)
     assert got == want
 
 
@@ -1003,3 +1007,95 @@ def test_no_helper_outlives_an_exception(monkeypatch, tmp_path, exc):
     with pytest.raises(type(exc)):
         run_main(["verify", "--q", "3", "--suite", "census,diag"])
     assert_no_child_left()
+
+
+# ---------------------------------------------------------------------------
+# --out is written as tasks finish, in output order
+
+
+def test_out_holds_every_earlier_tasks_rows_when_a_task_starts(monkeypatch,
+                                                               tmp_path):
+    # one CPU, and a replaced suite is one task: tasks start in output order
+    out = tmp_path / "x.csv"
+    seen = []
+
+    def suite(name):
+        def run(cfg):
+            seen.append(out.read_text())
+            return [cli.make_row(name, f"b{i}", 3, 1, 2, 2, 1.0, 1.0, True)
+                    for i in range(2)]
+        return run
+    names = ("census", "diag", "fourier")
+    for name in names:
+        monkeypatch.setitem(cli.SUITES, name, suite(name))
+    set_cpus(monkeypatch, 1)
+    assert cli.main(["verify", "--q", "3", "--suite", ",".join(names),
+                     "--out", str(out)]) == 0
+    lines = out.read_text().splitlines(keepends=True)
+    assert len(lines) == 7
+    assert seen == ["".join(lines[:1 + 2 * k]) for k in range(3)]
+
+
+def test_a_finished_task_waits_only_for_earlier_ones(monkeypatch, tmp_path):
+    # real suites on one CPU, handed out largest q first: q = 5's rows wait
+    # in memory for q = 3's, and a suite's rows are in the file before the
+    # next suite starts
+    out = tmp_path / "x.csv"
+    started = []
+    task_digest = cli._task_digest
+
+    def reading(cfg, name, fields):
+        started.append((name, cfg.fields[fields[0]].q, out.read_text()))
+        return task_digest(cfg, name, fields)
+    monkeypatch.setattr(cli, "_task_digest", reading)
+    set_cpus(monkeypatch, 1)
+    assert cli.main(["verify", "--q", "3,5", "--trials", "1",
+                     "--suite", "census,ttstar", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines(keepends=True)
+    header = lines[0]
+    census = "".join(r for r in lines if r.startswith("census,"))
+    assert lines[1:] == sorted(lines[1:], key=lambda r: r.split(",")[0])
+    assert census and len(lines) > 1 + census.count("\n")
+    assert started == [("census", 5, header), ("census", 3, header),
+                       ("ttstar", 5, header + census),
+                       ("ttstar", 3, header + census)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_out_on_a_full_device_exits_2(monkeypatch, capsys, cpus):
+    set_cpus(monkeypatch, cpus)
+    assert run_main(["verify", "--q", "3,5", "--suite", "census,diag",
+                     "--trials", "1", "--out", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 28] No space left on device\n"
+    assert_no_child_left()
+
+
+_FULL_AFTER_HEADER = """
+import os, resource, sys
+from kakeyalab import cli
+# the header fits, the first task's rows do not: the write fails mid-run,
+# with a helper started (two CPUs whatever the machine has)
+resource.setrlimit(resource.RLIMIT_FSIZE, (200, 200))
+os.sched_getaffinity = lambda pid: {0, 1}
+status = cli.main(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    sys.exit("a helper was left")
+except ChildProcessError:
+    sys.exit(status)
+"""
+
+
+def test_out_that_fills_after_the_header_exits_2_and_is_removed(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _FULL_AFTER_HEADER,
+                           "verify", "--q", "3,5", "--suite", "census,diag",
+                           "--trials", "1", "--out", "x.csv"],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: [Errno 27] File too large\n"
+    assert not (tmp_path / "x.csv").exists()

@@ -241,6 +241,23 @@ def test_heis_max_op_keeps_an_integer_input_integer(q, n):
         assert np.array_equal(got, mx.heis_max_op(as_float))
 
 
+@pytest.mark.parametrize("q", [3, 5])
+def test_heis_max_op_many_equals_the_fancy_gather_bit_for_bit(q):
+    # rank 2 gathers with take along axis 1; the sums are the fancy
+    # index's, bit for bit, on float and integer rows
+    f = Field(q)
+    rng = np.random.default_rng(q)
+    dirs = hz.enumerate_projective_directions(f, 2)
+    floats = np.abs(rng.standard_normal((3, q**5)))
+    for absrows in (floats, (floats * 100).astype(np.int64)):
+        want = np.stack([
+            absrows[:, hz.line_table_for_direction(f, v)].sum(axis=2)
+            .max(axis=1) for v in dirs], axis=1)
+        got = mx.heis_max_op_many(f, 2, absrows)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 def test_refined_max_op_delta(f3):
     F = mx.GridFunction.delta(h1(f3))
     vals = mx.refined_max_op(F)
