@@ -20,7 +20,7 @@ import sys
 import threading
 from collections import Counter
 from contextlib import contextmanager, nullcontext, suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -44,7 +44,7 @@ ALL_SUITES = ("census", "planar-l2", "ttstar", "diag", "offdiag", "rd-l2",
 
 @dataclass
 class SuiteConfig:
-    fields: tuple = ()      # the run's fields, each built once (_config_from)
+    fields: tuple = ()      # built once (_config_from); a task takes one
     suites: tuple = ALL_SUITES
     seed: int = 0
     trials: int = None      # None: per-suite default
@@ -98,71 +98,69 @@ def _rng(cfg, suite, q, trial):
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: suite_X(cfg, fld) returns the rows of the one field fld, a field
+# of cfg.fields; cfg is the run's whole config
 
 
-def suite_census(cfg):
+def suite_census(cfg, fld):
     rows = []
-    for fld in cfg.fields:
-        q = fld.q
-        for n in (1, 2):
-            if n >= 2 and q > 7:
-                continue  # enumeration of all lines gets large
-            try:
-                rec = hz.census(fld, n)
-                pairs = [
-                    ("points", rec.points), ("proj-dirs", rec.proj_directions),
-                    ("refined-dirs", rec.refined_directions),
-                    ("lines", rec.lines),
-                    ("lines-per-dir", rec.lines_per_direction),
-                    ("lines-per-refined-dir", rec.lines_per_refined_direction),
-                    ("lines-per-point", rec.lines_per_point),
-                ]
-                for name, val in pairs:
-                    rows.append(make_row("census", f"census-{name}", q, n,
-                                         "", "", val, val, True))
-            except AssertionError as exc:
-                rows.append(make_row("census", f"census-mismatch:{exc}", q, n,
-                                     "", "", 0.0, 0.0, False))
+    q = fld.q
+    for n in (1, 2):
+        if n >= 2 and q > 7:
+            continue  # enumeration of all lines gets large
+        try:
+            rec = hz.census(fld, n)
+            pairs = [
+                ("points", rec.points), ("proj-dirs", rec.proj_directions),
+                ("refined-dirs", rec.refined_directions),
+                ("lines", rec.lines),
+                ("lines-per-dir", rec.lines_per_direction),
+                ("lines-per-refined-dir", rec.lines_per_refined_direction),
+                ("lines-per-point", rec.lines_per_point),
+            ]
+            for name, val in pairs:
+                rows.append(make_row("census", f"census-{name}", q, n,
+                                     "", "", val, val, True))
+        except AssertionError as exc:
+            rows.append(make_row("census", f"census-mismatch:{exc}", q, n,
+                                 "", "", 0.0, 0.0, False))
     return rows
 
 
-def suite_planar_l2(cfg):
+def suite_planar_l2(cfg, fld):
     """Every planar linearization has operator norm exactly sqrt(2q)."""
     rows = []
-    for fld in cfg.fields:
-        q = fld.q
-        target = math.sqrt(2 * q)
-        fams = [("default", mx.linearize("planar", fld))]
-        trials = cfg.ntrials(20)
-        for trial in range(trials):
-            rng = _rng(cfg, "planar-l2", q, trial)
-            fams.append((trial, mx.linearize("planar", fld, rng=rng)))
-        # the maximizing input takes the key after the last trial's
-        g = mx.random_complex_grid(mx.Domain.affine(fld, 2),
-                                   _rng(cfg, "planar-l2", q, trials))
-        fams.append(("maximizing", mx.linearize("planar", fld, for_function=g)))
-        for tag, fam in fams:
-            sigma = mx.l2_operator_norm(fam)
-            holds = abs(sigma - target) <= 1e-8 * target
-            rows.append(make_row("planar-l2", "planar-opnorm-sqrt2q", q, 1,
-                                 2, 2, sigma, target, holds, trial=tag))
+    q = fld.q
+    target = math.sqrt(2 * q)
+    fams = [("default", mx.linearize("planar", fld))]
+    trials = cfg.ntrials(20)
+    for trial in range(trials):
+        rng = _rng(cfg, "planar-l2", q, trial)
+        fams.append((trial, mx.linearize("planar", fld, rng=rng)))
+    # the maximizing input takes the key after the last trial's
+    g = mx.random_complex_grid(mx.Domain.affine(fld, 2),
+                               _rng(cfg, "planar-l2", q, trials))
+    fams.append(("maximizing", mx.linearize("planar", fld, for_function=g)))
+    for tag, fam in fams:
+        sigma = mx.l2_operator_norm(fam)
+        holds = abs(sigma - target) <= 1e-8 * target
+        rows.append(make_row("planar-l2", "planar-opnorm-sqrt2q", q, 1,
+                             2, 2, sigma, target, holds, trial=tag))
     return rows
 
 
-def suite_ttstar(cfg):
+def suite_ttstar(cfg, fld):
     """TT* eigenvalues are {2q} + {q-1} x q for every planar family."""
     rows = []
-    for fld in cfg.fields:
-        q = fld.q
-        expected = np.array([2 * q] + [q - 1] * q, dtype=np.float64)
-        for trial in range(cfg.ntrials(20)):
-            fam = mx.linearize("planar", fld,
-                               rng=_rng(cfg, "ttstar", q, trial))
-            eigs = mx.ttstar_spectrum(fam)
-            dev = float(np.abs(eigs - expected).max())
-            rows.append(make_row("ttstar", "ttstar-two-eigenvalues", q, 1,
-                                 2, 2, dev, 1e-8, dev <= 1e-8, trial=trial))
+    q = fld.q
+    expected = np.array([2 * q] + [q - 1] * q, dtype=np.float64)
+    for trial in range(cfg.ntrials(20)):
+        fam = mx.linearize("planar", fld,
+                           rng=_rng(cfg, "ttstar", q, trial))
+        eigs = mx.ttstar_spectrum(fam)
+        dev = float(np.abs(eigs - expected).max())
+        rows.append(make_row("ttstar", "ttstar-two-eigenvalues", q, 1,
+                             2, 2, dev, 1e-8, dev <= 1e-8, trial=trial))
     return rows
 
 
@@ -212,84 +210,76 @@ def _bound_rows(cfg, suite, fld, specs, trials):
     return [row for cell in cells for row in cell]
 
 
-def suite_diag(cfg):
-    rows = []
-    for fld in cfg.fields:
-        specs = [s for s in mx.bound_catalog(fld.q)
-                 if s.name != "rd-l2-sharp"]
-        rows.extend(_bound_rows(cfg, "diag", fld, specs, cfg.ntrials(25)))
-    return rows
+def suite_diag(cfg, fld):
+    specs = [s for s in mx.bound_catalog(fld.q)
+             if s.name != "rd-l2-sharp"]
+    return _bound_rows(cfg, "diag", fld, specs, cfg.ntrials(25))
 
 
-def suite_offdiag(cfg):
-    rows = []
-    for fld in cfg.fields:
-        rows.extend(_bound_rows(cfg, "offdiag", fld, mx.offdiag_catalog(),
-                                cfg.ntrials(10)))
-    return rows
+def suite_offdiag(cfg, fld):
+    return _bound_rows(cfg, "offdiag", fld, mx.offdiag_catalog(),
+                       cfg.ntrials(10))
 
 
-def suite_rd_l2(cfg):
+def suite_rd_l2(cfg, fld):
     """Theorem-grade l2 bound: 5 sqrt(q), plus the delta sharpness witness."""
     rows = []
-    for fld in cfg.fields:
-        q = fld.q
-        dom = mx.Domain.heisenberg(fld, 1)
-        spec = next(s for s in mx.bound_catalog(q)
-                    if s.name == "rd-l2-sharp")
-        worst = 0.0
-        for trial in range(cfg.ntrials(200)):
-            F = mx.random_complex_grid(dom, _rng(cfg, "rd-l2", q, trial))
-            rep = mx.verify_bound(spec, F, tol=cfg.tol)
-            worst = max(worst, rep.lhs / (math.sqrt(q) * F.norm(2)))
-            rows.append(report_row("rd-l2", rep, trial=trial))
-        rows.append(make_row("rd-l2", "rd-l2-max-observed-ratio", q, 1, 2, 2,
-                             worst, 5.0, worst <= 5.0))
-        delta_ratio = mx.lp_norm(mx.refined_max_op(
-            mx.GridFunction.delta(dom)), 2)
-        rows.append(make_row("rd-l2", "rd-l2-delta-sharpness", q, 1, 2, 2,
-                             delta_ratio, math.sqrt(q),
-                             delta_ratio >= math.sqrt(q)))
+    q = fld.q
+    dom = mx.Domain.heisenberg(fld, 1)
+    spec = next(s for s in mx.bound_catalog(q)
+                if s.name == "rd-l2-sharp")
+    worst = 0.0
+    for trial in range(cfg.ntrials(200)):
+        F = mx.random_complex_grid(dom, _rng(cfg, "rd-l2", q, trial))
+        rep = mx.verify_bound(spec, F, tol=cfg.tol)
+        worst = max(worst, rep.lhs / (math.sqrt(q) * F.norm(2)))
+        rows.append(report_row("rd-l2", rep, trial=trial))
+    rows.append(make_row("rd-l2", "rd-l2-max-observed-ratio", q, 1, 2, 2,
+                         worst, 5.0, worst <= 5.0))
+    delta_ratio = mx.lp_norm(mx.refined_max_op(
+        mx.GridFunction.delta(dom)), 2)
+    rows.append(make_row("rd-l2", "rd-l2-delta-sharpness", q, 1, 2, 2,
+                         delta_ratio, math.sqrt(q),
+                         delta_ratio >= math.sqrt(q)))
     return rows
 
 
-def suite_fourier(cfg):
+def suite_fourier(cfg, fld):
     """Per random input: defect sizes, worst-over-xi counting ratios, splits."""
     rows = []
-    for fld in cfg.fields:
-        q = fld.q
-        dom = mx.Domain.heisenberg(fld, 1)
-        for trial in range(cfg.ntrials(100)):
-            f = mx.random_complex_grid(dom, _rng(cfg, "fourier", q, trial))
-            fam = mx.linearize("refined", fld, for_function=f)
-            pl = fr.central_fourier(f).plancherel_defect(f)
-            rows.append(make_row("fourier", "plancherel-defect", q, 1, 2, 2,
-                                 pl, cfg.tol, pl <= cfg.tol, trial=trial))
-            dc = fr.decomposition_defect(f, fam)
-            rows.append(make_row("fourier", "decomposition-defect", q, 1,
-                                 "", "", dc, cfg.tol, dc <= cfg.tol,
-                                 trial=trial))
-            key_nv = key_v = 0.0
-            for xi in range(1, q):
-                r1, r2 = fr.key_counting_check(f, xi, tol=cfg.tol)
-                key_nv = max(key_nv, r1.lhs / r1.rhs)
-                key_v = max(key_v, r2.lhs / r2.rhs)
-            for name, val in (("key-nonvertical", key_nv),
-                              ("key-vertical", key_v)):
-                rows.append(make_row("fourier", f"fourier-{name}", q, 1, 2, 2,
-                                     val, 1.0, val <= 1.0 + cfg.tol,
-                                     trial=trial))
-            for rep in fr.split_bound_check(f, fam, tol=cfg.tol):
-                rows.append(report_row("fourier", rep, trial=trial))
-            if trial == 0 and cfg.dump_fourier and fld is cfg.fields[-1]:
-                _dump_fourier(cfg.dump_fourier, f)
-        fiber_max = 0
+    q = fld.q
+    dom = mx.Domain.heisenberg(fld, 1)
+    for trial in range(cfg.ntrials(100)):
+        f = mx.random_complex_grid(dom, _rng(cfg, "fourier", q, trial))
+        fam = mx.linearize("refined", fld, for_function=f)
+        pl = fr.central_fourier(f).plancherel_defect(f)
+        rows.append(make_row("fourier", "plancherel-defect", q, 1, 2, 2,
+                             pl, cfg.tol, pl <= cfg.tol, trial=trial))
+        dc = fr.decomposition_defect(f, fam)
+        rows.append(make_row("fourier", "decomposition-defect", q, 1,
+                             "", "", dc, cfg.tol, dc <= cfg.tol,
+                             trial=trial))
+        key_nv = key_v = 0.0
         for xi in range(1, q):
-            for rho in range(q):
-                fiber_max = max(fiber_max,
-                                max(fr.quadratic_fiber_count(fld, xi, rho)))
-        rows.append(make_row("fourier", "quadratic-fiber-count", q, 1, "", "",
-                             fiber_max, 2, fiber_max <= 2))
+            r1, r2 = fr.key_counting_check(f, xi, tol=cfg.tol)
+            key_nv = max(key_nv, r1.lhs / r1.rhs)
+            key_v = max(key_v, r2.lhs / r2.rhs)
+        for name, val in (("key-nonvertical", key_nv),
+                          ("key-vertical", key_v)):
+            rows.append(make_row("fourier", f"fourier-{name}", q, 1, 2, 2,
+                                 val, 1.0, val <= 1.0 + cfg.tol,
+                                 trial=trial))
+        for rep in fr.split_bound_check(f, fam, tol=cfg.tol):
+            rows.append(report_row("fourier", rep, trial=trial))
+        if trial == 0 and cfg.dump_fourier and fld is cfg.fields[-1]:
+            _dump_fourier(cfg.dump_fourier, f)
+    fiber_max = 0
+    for xi in range(1, q):
+        for rho in range(q):
+            fiber_max = max(fiber_max,
+                            max(fr.quadratic_fiber_count(fld, xi, rho)))
+    rows.append(make_row("fourier", "quadratic-fiber-count", q, 1, "", "",
+                         fiber_max, 2, fiber_max <= 2))
     return rows
 
 
@@ -327,22 +317,21 @@ LOWER_BOUND_PLAN = (
 )
 
 
-def suite_lowerbounds(cfg):
+def suite_lowerbounds(cfg, fld):
     """Exact integer certificates for every exponent-formula term."""
     rows = []
-    for fld in cfg.fields:
-        q = fld.q
-        for operator, n, kind, pairs in LOWER_BOUND_PLAN:
-            if n == 2 and q > 7:
-                continue
-            for u, v in pairs:
-                rep = cn.lower_bound_ratio(kind, fld, u, v, n=n,
-                                           operator=operator)
-                rhs = rep.certified_constant * mx.q_pow(q, rep.term)
-                holds = rep.cert_holds and rep.ratio >= rhs / (1 + cfg.tol)
-                rows.append(make_row(
-                    "lowerbounds", f"{operator}-{kind}-term", q, n,
-                    rep.u, rep.v, rep.ratio, rhs, holds))
+    q = fld.q
+    for operator, n, kind, pairs in LOWER_BOUND_PLAN:
+        if n == 2 and q > 7:
+            continue
+        for u, v in pairs:
+            rep = cn.lower_bound_ratio(kind, fld, u, v, n=n,
+                                       operator=operator)
+            rhs = rep.certified_constant * mx.q_pow(q, rep.term)
+            holds = rep.cert_holds and rep.ratio >= rhs / (1 + cfg.tol)
+            rows.append(make_row(
+                "lowerbounds", f"{operator}-{kind}-term", q, n,
+                rep.u, rep.v, rep.ratio, rhs, holds))
     return rows
 
 
@@ -362,7 +351,7 @@ SLOPE_PLAN = (
 )
 
 
-def suite_exponents(cfg):
+def suite_exponents(cfg, fld):
     """Per entry and field: the certified ratio, and its exact exponent.
 
     The exponent row holds iff the operator-value histogram equals its
@@ -370,125 +359,119 @@ def suite_exponents(cfg):
     degree in q equals the term exactly.
     """
     rows = []
-    for fld in cfg.fields:
-        for label, operator, n, kind, u, v in SLOPE_PLAN:
-            if n == 2 and fld.q > 9:
-                continue
-            rep = cn.lower_bound_ratio(kind, fld, u, v, n=n, operator=operator)
-            rows.append(make_row("exponents", f"{label}-ratio", fld.q, n,
-                                 rep.u, rep.v, rep.ratio,
-                                 mx.q_pow(fld.q, rep.term), rep.cert_holds))
-            opvals, support = cn._extremal_op_values(kind, fld, n, operator)
-            exact = (Counter(opvals.tolist()), support) == cn.profile_at(
-                operator, kind, n, fld.q)
-            degree = cn.profile_degree(operator, kind, n, rep.u, rep.v)
-            rows.append(make_row("exponents", f"{label}-exponent", fld.q, n,
-                                 rep.u, rep.v, degree, rep.term,
-                                 exact and degree == rep.term))
+    for label, operator, n, kind, u, v in SLOPE_PLAN:
+        if n == 2 and fld.q > 9:
+            continue
+        rep = cn.lower_bound_ratio(kind, fld, u, v, n=n, operator=operator)
+        rows.append(make_row("exponents", f"{label}-ratio", fld.q, n,
+                             rep.u, rep.v, rep.ratio,
+                             mx.q_pow(fld.q, rep.term), rep.cert_holds))
+        opvals, support = cn._extremal_op_values(kind, fld, n, operator)
+        exact = (Counter(opvals.tolist()), support) == cn.profile_at(
+            operator, kind, n, fld.q)
+        degree = cn.profile_degree(operator, kind, n, rep.u, rep.v)
+        rows.append(make_row("exponents", f"{label}-exponent", fld.q, n,
+                             rep.u, rep.v, degree, rep.term,
+                             exact and degree == rep.term))
     return rows
 
 
-def suite_examples(cfg):
+def suite_examples(cfg, fld):
     rows = []
-    for fld in cfg.fields:
-        q = fld.q
-        dirs = hz.enumerate_refined_directions(fld, 1)
-        om0 = dirs[len(dirs) // 2]
-        e1 = cn.example_affine_not_refined(fld, om0)
-        aff1, _ = cn.is_affine_kakeya(cn.as_affine_set(e1))
-        ref1, wit1 = cn.is_full_refined_kakeya(e1)
-        om0_lines = hz.lines_with_refined_direction(fld, om0)
-        om0_missing = not e1.mask[om0_lines].all(axis=1).any()
-        rows.append(make_row("examples", "ex-affine-not-refined", q, 1, "", "",
-                             float(aff1 and not ref1 and om0_missing), 1.0,
-                             aff1 and not ref1 and om0_missing,
-                             trial=hz.direction_label(om0)))
-        rows.append(make_row("examples", "ex-affine-not-refined-size", q, 1,
-                             "", "", len(e1), q**3 - q, len(e1) == q**3 - q))
+    q = fld.q
+    dirs = hz.enumerate_refined_directions(fld, 1)
+    om0 = dirs[len(dirs) // 2]
+    e1 = cn.example_affine_not_refined(fld, om0)
+    aff1, _ = cn.is_affine_kakeya(cn.as_affine_set(e1))
+    ref1, wit1 = cn.is_full_refined_kakeya(e1)
+    om0_lines = hz.lines_with_refined_direction(fld, om0)
+    om0_missing = not e1.mask[om0_lines].all(axis=1).any()
+    rows.append(make_row("examples", "ex-affine-not-refined", q, 1, "", "",
+                         float(aff1 and not ref1 and om0_missing), 1.0,
+                         aff1 and not ref1 and om0_missing,
+                         trial=hz.direction_label(om0)))
+    rows.append(make_row("examples", "ex-affine-not-refined-size", q, 1,
+                         "", "", len(e1), q**3 - q, len(e1) == q**3 - q))
 
-        rep = cn.lower_bound_ratio("constant", fld, 3, 3, operator="refined")
-        rows.append(make_row("examples", "ex-l3-sharpness", q, 1, 3, 3,
-                             rep.ratio, mx.q_pow(q, Fraction(2, 3)),
-                             rep.cert_holds))
+    rep = cn.lower_bound_ratio("constant", fld, 3, 3, operator="refined")
+    rows.append(make_row("examples", "ex-l3-sharpness", q, 1, 3, 3,
+                         rep.ratio, mx.q_pow(q, Fraction(2, 3)),
+                         rep.cert_holds))
 
-        if q % 2 and q > 3:
-            e2 = cn.example_refined_not_affine(fld)
-            aff2, wit2 = cn.is_affine_kakeya(cn.as_affine_set(e2))
-            ref2, _ = cn.is_full_refined_kakeya(e2)
-            ok = ref2 and not aff2 and wit2 == (0, 0, 1)
-            rows.append(make_row("examples", "ex-refined-not-affine", q, 1,
-                                 "", "", float(ok), 1.0, ok,
-                                 trial="None" if wit2 is None
-                                 else hz.direction_label(wit2)))
-            fiber = int(cn.vertical_fiber_sizes(e2).max())
-            rows.append(make_row("examples", "ex-refined-fiber-bound", q, 1,
-                                 "", "", fiber, (q + 3) // 2,
-                                 fiber <= (q + 3) // 2))
+    if q % 2 and q > 3:
+        e2 = cn.example_refined_not_affine(fld)
+        aff2, wit2 = cn.is_affine_kakeya(cn.as_affine_set(e2))
+        ref2, _ = cn.is_full_refined_kakeya(e2)
+        ok = ref2 and not aff2 and wit2 == (0, 0, 1)
+        rows.append(make_row("examples", "ex-refined-not-affine", q, 1,
+                             "", "", float(ok), 1.0, ok,
+                             trial="None" if wit2 is None
+                             else hz.direction_label(wit2)))
+        fiber = int(cn.vertical_fiber_sizes(e2).max())
+        rows.append(make_row("examples", "ex-refined-fiber-bound", q, 1,
+                             "", "", fiber, (q + 3) // 2,
+                             fiber <= (q + 3) // 2))
 
-        if q % 2:
-            para = cn.extremal_set("paraboloid", fld).indicator()
-            g = mx.project_aggregate(para, 1)
-            m2g = mx.affine_max_op(g)
-            mh = mx.heis_max_op(para)
-            rows.append(make_row("examples", "paraboloid-projected-max", q, 1,
-                                 1, "", float(m2g.min()), float(q),
-                                 bool(m2g.min() == q and m2g.max() == q)))
-            rows.append(make_row("examples", "paraboloid-heis-max", q, 1,
-                                 "", "", float(mh.max()), 2.0,
-                                 bool(mh.max() <= 2)))
+    if q % 2:
+        para = cn.extremal_set("paraboloid", fld).indicator()
+        g = mx.project_aggregate(para, 1)
+        m2g = mx.affine_max_op(g)
+        mh = mx.heis_max_op(para)
+        rows.append(make_row("examples", "paraboloid-projected-max", q, 1,
+                             1, "", float(m2g.min()), float(q),
+                             bool(m2g.min() == q and m2g.max() == q)))
+        rows.append(make_row("examples", "paraboloid-heis-max", q, 1,
+                             "", "", float(mh.max()), 2.0,
+                             bool(mh.max() <= 2)))
     return rows
 
 
-def suite_kakeya_bounds(cfg):
+def suite_kakeya_bounds(cfg, fld):
     rows = []
-    for fld in cfg.fields:
-        q = fld.q
-        dom = mx.Domain.heisenberg(fld, 1)
-        _, lines = mx.refined_incidence(fld)
-        every = np.arange(len(lines))
-        cases = [("full-space", cn.PointSet.full(dom), every, q)]
-        if q % 2 and q > 3:
-            e2 = cn.example_refined_not_affine(fld)
-            cases.append(("refined-kakeya-set", e2, every, q))
-        for trial in range(cfg.ntrials(5)):
-            rng = _rng(cfg, "kakeya-bounds", q, trial)
-            chosen = [int(i) for i in
-                      rng.choice(len(lines), size=q + 1, replace=False)]
-            m_target = q // 2 + 1
-            idx = set()
-            for i in chosen:
-                # m_target points of the line L_{omega,tau}, tau at random
-                pts = lines[i, int(rng.integers(q))]
-                take = rng.choice(q, size=m_target, replace=False)
-                idx.update(int(pts[j]) for j in take)
-            ps = cn.PointSet(dom, idx)
-            mvals = mx.refined_max_op(ps.indicator())
-            m = int(min(mvals[i] for i in chosen))
-            cases.append((f"planted-{trial}", ps, chosen, m))
-        for tag, ps, omega, m in cases:
-            for u, v in ((2, 2), (2, 4), (3, 3)):
-                rep = cn.kakeya_bound_report(ps, omega, m, u, v, tol=cfg.tol)
-                r = report_row("kakeya-bounds", rep, trial=tag)
-                r["bound"] = f"kakeya-size-({u},{v})"
-                rows.append(r)
+    q = fld.q
+    dom = mx.Domain.heisenberg(fld, 1)
+    _, lines = mx.refined_incidence(fld)
+    every = np.arange(len(lines))
+    cases = [("full-space", cn.PointSet.full(dom), every, q)]
+    if q % 2 and q > 3:
+        e2 = cn.example_refined_not_affine(fld)
+        cases.append(("refined-kakeya-set", e2, every, q))
+    for trial in range(cfg.ntrials(5)):
+        rng = _rng(cfg, "kakeya-bounds", q, trial)
+        chosen = [int(i) for i in
+                  rng.choice(len(lines), size=q + 1, replace=False)]
+        m_target = q // 2 + 1
+        idx = set()
+        for i in chosen:
+            # m_target points of the line L_{omega,tau}, tau at random
+            pts = lines[i, int(rng.integers(q))]
+            take = rng.choice(q, size=m_target, replace=False)
+            idx.update(int(pts[j]) for j in take)
+        ps = cn.PointSet(dom, idx)
+        mvals = mx.refined_max_op(ps.indicator())
+        m = int(min(mvals[i] for i in chosen))
+        cases.append((f"planted-{trial}", ps, chosen, m))
+    for tag, ps, omega, m in cases:
+        for u, v in ((2, 2), (2, 4), (3, 3)):
+            rep = cn.kakeya_bound_report(ps, omega, m, u, v, tol=cfg.tol)
+            rows.append(report_row("kakeya-bounds", rep, trial=tag))
     return rows
 
 
-def suite_moments(cfg):
+def suite_moments(cfg, fld):
     rows = []
-    for fld in cfg.fields:
-        q = fld.q
-        dom = mx.Domain.heisenberg(fld, 1)
-        sets = [("line", cn.extremal_set("single-line", fld)),
-                ("bush", cn.extremal_set("bush", fld)),
-                ("full", cn.PointSet.full(dom)),
-                ("blocking", cn.extremal_set("two-lines-blocking", fld))]
-        if q % 2 and q > 3:
-            sets.append(("refined-kakeya", cn.example_refined_not_affine(fld)))
-        for tag, ps in sets:
-            for s in (2, 3):
-                rep = cn.moment_report(ps, s, tol=cfg.tol)
-                rows.append(report_row("moments", rep, trial=tag))
+    q = fld.q
+    dom = mx.Domain.heisenberg(fld, 1)
+    sets = [("line", cn.extremal_set("single-line", fld)),
+            ("bush", cn.extremal_set("bush", fld)),
+            ("full", cn.PointSet.full(dom)),
+            ("blocking", cn.extremal_set("two-lines-blocking", fld))]
+    if q % 2 and q > 3:
+        sets.append(("refined-kakeya", cn.example_refined_not_affine(fld)))
+    for tag, ps in sets:
+        for s in (2, 3):
+            rep = cn.moment_report(ps, s, tol=cfg.tol)
+            rows.append(report_row("moments", rep, trial=tag))
     return rows
 
 
@@ -536,19 +519,15 @@ def _out_writer(path, kept):
         raise
 
 
-def _task_digest(cfg, name, fields):
+def _task_digest(cfg, name, i):
     """One task's rows as run_suite keeps them: (CSV text without header,
     row count, rows that hold, VIOLATED lines).  The task runs suite name
-    on the fields at the indices fields; only the task that holds the
-    run's last field keeps the --dump-fourier path, so one process writes
-    the dump, once.  The seed is stamped on the rows, and the row dicts die
-    when this returns, so one task's rows are alive at a time per
-    process."""
-    if len(fields) < len(cfg.fields):
-        cfg = replace(cfg, fields=tuple(cfg.fields[i] for i in fields),
-                      dump_fourier=cfg.dump_fourier
-                      if len(cfg.fields) - 1 in fields else None)
-    rows = SUITES[name](cfg)
+    on the run's field cfg.fields[i], with the run's whole config, so the
+    suite itself can tell the run's last field (suite_fourier's
+    --dump-fourier).  A VIOLATED line is its row's CSV line.  The seed is
+    stamped on the rows, and the row dicts die when this returns, so one
+    task's rows are alive at a time per process."""
+    rows = SUITES[name](cfg, cfg.fields[i])
     violated = []
     held = 0
     for r in rows:
@@ -556,7 +535,7 @@ def _task_digest(cfg, name, fields):
         if r["holds"]:
             held += 1
         else:
-            violated.append(",".join(_fmt(r[k]) for k in CSV_HEADER))
+            violated.append(rows_to_csv([r], header=False).removesuffix("\n"))
     return rows_to_csv(rows, header=False), len(rows), held, violated
 
 
@@ -585,7 +564,7 @@ def _cpus():
 
 def _serve():
     """A helper's loop: read the run's config fields from stdin, then run
-    each task named there, a (suite name, field indices) pair, and write
+    each task named there, a (suite name, field index) pair, and write
     back its digest, or the DomainError or OSError it raised, until stdin
     closes.  The first message written says that the imports are done."""
     inp, out = sys.stdin.buffer, sys.stdout.buffer
@@ -595,11 +574,11 @@ def _serve():
         pickle.dump(result, out)
         out.flush()
         try:
-            name, fields = pickle.load(inp)
+            name, i = pickle.load(inp)
         except EOFError:
             return
         try:
-            result = _task_digest(cfg, name, fields)
+            result = _task_digest(cfg, name, i)
         except (DomainError, OSError) as exc:
             result = exc
 
@@ -607,12 +586,11 @@ def _serve():
 class _Pool:
     """The tasks of one run, on this process and on helper interpreters.
 
-    A task is a suite name and a tuple of indices into cfg.fields.  A suite
-    whose SUITES entry is code from this file is one task per field; a
-    replaced entry (a test double, a tracer's wrapper) is one task over
-    every field.  A helper imports the package afresh, so it takes only
-    tasks of code from this file; a replaced entry runs here with the whole
-    config, and so does a task whose helper dies without a result.
+    A task is a suite name and an index into cfg.fields: one task per
+    suite and field.  A helper imports the package afresh, so it takes only
+    tasks whose SUITES entry is code from this file; a task of a replaced
+    entry (a test double, a tracer's wrapper) runs here, and so does a task
+    whose helper dies without a result.
 
     Tasks are handed out in suite order, each suite's fields largest q
     first: cost grows with q, so the small fields fill the tail.  This
@@ -629,24 +607,18 @@ class _Pool:
 
     def __init__(self, cfg):
         self.cfg = cfg
-        self.tasks = []     # (suite name, field indices), in output order
+        self.tasks = []     # (suite name, field index), in output order
         self.portable = []  # per task: a helper may run it
         self.pending = []   # output positions not yet handed out, in order
-        every = tuple(range(len(cfg.fields)))
+        nfields = len(cfg.fields)
+        largest_first = sorted(range(nfields), key=lambda i: -cfg.fields[i].q)
         movable = []        # per suite: its SUITES entry is code from here
         for name in cfg.suites:
             code = getattr(SUITES[name], "__code__", None)
-            portable = code is not None and code.co_filename == __file__
-            movable.append(portable)
-            first = len(self.tasks)
-            if portable:
-                self.tasks += [(name, (i,)) for i in every]
-                self.pending += sorted(range(first, len(self.tasks)),
-                                       key=lambda t: -cfg.fields[t - first].q)
-            else:
-                self.tasks.append((name, every))
-                self.pending.append(first)
-            self.portable += [portable] * (len(self.tasks) - first)
+            movable.append(code is not None and code.co_filename == __file__)
+            self.pending += [len(self.tasks) + i for i in largest_first]
+            self.tasks += [(name, i) for i in range(nfields)]
+            self.portable += [movable[-1]] * nfields
         self.spare = sum(movable[1:])  # the most helpers the suites can use
         # per task: its digest or exception, until it leaves run()
         self.results = [None] * len(self.tasks)
@@ -829,8 +801,6 @@ def _parse_qs(text):
         qs = tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise DomainError(f"bad q list {text!r}") from exc
-    if not qs:
-        raise DomainError("empty q list")
     repeated = sorted({q for q in qs if qs.count(q) > 1})
     if repeated:  # each suite would run twice on the same field
         raise DomainError(f"q list {text!r} repeats q = "
@@ -859,14 +829,14 @@ def _config_from(args, default_qs=DEFAULT_QS, suites=ALL_SUITES):
     fields: the --q list, --modulus applied to its single q, then the q
     values --big adds.
     """
-    qs = _parse_qs(args.q) if args.q else tuple(default_qs)
+    qs = _parse_qs(args.q) if args.q is not None else tuple(default_qs)
     if args.trials is not None and args.trials < 1:
         raise DomainError("--trials must be at least 1")
     if args.seed < 0:
         raise DomainError("--seed must be at least 0")
     if not 0 <= args.tol < math.inf:  # nan fails both comparisons
         raise DomainError("--tol must be finite and at least 0")
-    if args.modulus:
+    if args.modulus is not None:
         try:
             modulus = tuple(int(c) for c in args.modulus.split(","))
         except ValueError as exc:
@@ -903,7 +873,7 @@ def cmd_suite(args):
 
 
 def cmd_verify(args):
-    suites = tuple(args.suite.split(",")) if args.suite else ALL_SUITES
+    suites = ALL_SUITES if args.suite is None else tuple(args.suite.split(","))
     cfg = _config_from(args, suites=suites)
     report = run_suite(cfg)
     if report.status == 2:  # bad config: the error is on stderr, stdout empty

@@ -86,10 +86,6 @@ class PointSet:
 # extremal sets and functions
 
 
-EXTREMAL_KINDS = ("point-mass", "single-line", "bush", "two-lines-blocking",
-                  "constant", "paraboloid")
-
-
 def extremal_set(kind, field, n=1, *, eta=None):
     """The support of a named extremal test function, as a PointSet.
 
@@ -527,7 +523,7 @@ def kakeya_bound_report(ps, omega, m, u, v, tol=REL_TOL):
     rhs = (C ** -uu) * (m ** uu) * omega_pow \
         * q_pow(field.q, -u * exponent_Ard(u, v))
     lhs = float(len(ps))
-    return VerifyReport("kakeya-size-bound", field.q, 1, u, v, lhs, rhs,
+    return VerifyReport(f"kakeya-size-({u},{v})", field.q, 1, u, v, lhs, rhs,
                         lhs * (1 + tol) >= rhs, sense="ge", constant_used=C)
 
 

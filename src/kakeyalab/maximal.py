@@ -596,12 +596,6 @@ class VerifyReport:
     sense: str = "le"  # 'le': lhs <= rhs must hold; 'ge': lhs >= rhs
     constant_used: float = float("nan")
 
-    def __str__(self):
-        op = "<=" if self.sense == "le" else ">="
-        flag = "ok" if self.holds else "VIOLATED"
-        return (f"{self.name}[q={self.q}] {self.lhs:.6g} {op} {self.rhs:.6g}"
-                f" ({flag})")
-
 
 def verify_bound(spec, F, tol=REL_TOL):
     """Evaluate the operator, compare norms, and report.

@@ -32,9 +32,11 @@ def small_config(qs=(3, 5), **kw):
 def resolved_config(monkeypatch, argv, suite="census"):
     """The SuiteConfig a verify command line hands to its suites."""
     seen = []
-    monkeypatch.setitem(cli.SUITES, suite, lambda cfg: seen.append(cfg) or [])
+    monkeypatch.setitem(cli.SUITES, suite,
+                        lambda cfg, fld: seen.append(cfg) or [])
     assert cli.main(["verify", *argv, "--suite", suite]) == 0
-    (cfg,) = seen
+    cfg = seen[0]
+    assert all(c is cfg for c in seen)  # one config, whole, for every field
     return cfg
 
 
@@ -56,13 +58,13 @@ def test_run_suite_unknown_suite():
 
 
 def test_violated_row_gives_exit_1(monkeypatch, capsys):
-    def bad_suite(cfg):
-        return [cli.make_row("bad", "always-false", 3, 1, 2, 2, 2.0, 1.0,
+    def bad_suite(cfg, fld):
+        return [cli.make_row("bad", "always-false", fld.q, 1, 2, 2, 2.0, 1.0,
                              False)]
     monkeypatch.setitem(cli.SUITES, "census", bad_suite)
-    report = cli.run_suite(small_config())
+    report = cli.run_suite(small_config())  # q = 3 and 5: one row each
     assert report.status == 1
-    assert (report.checks, report.held) == (1, 0)
+    assert (report.checks, report.held) == (2, 0)
     assert "VIOLATED" in capsys.readouterr().err
 
 
@@ -117,14 +119,14 @@ def test_main_verify_writes_csv(tmp_path):
 def test_verify_summary_names_the_q_values_of_its_fields(monkeypatch, capsys):
     # the q values of the run's fields, each once (--big adds no q the list
     # names), whatever q the rows carry
-    def suite(cfg):
+    def suite(cfg, fld):
         return [cli.make_row("w", "ratio", q, 1, 2, 2, 1.0, 1.0, True)
                 for q in (7, "")]
     monkeypatch.setitem(cli.SUITES, "census", suite)
     assert cli.main(["verify", "--q", "9,3,16", "--big",
                      "--suite", "census"]) == 0
     assert capsys.readouterr().out.splitlines()[0] \
-        == "2/2 checks hold across q=[9, 3, 16, 25, 27]"
+        == "10/10 checks hold across q=[9, 3, 16, 25, 27]"
 
 
 @pytest.mark.parametrize("argv", [
@@ -151,8 +153,7 @@ def test_repeated_q_exits_2_and_writes_nothing(monkeypatch, capsys, tmp_path,
 def test_big_runs_each_field_once(monkeypatch):
     calls = []
     monkeypatch.setitem(cli.SUITES, "census",
-                        lambda cfg: calls.extend(f.q for f in cfg.fields)
-                        or [])
+                        lambda cfg, fld: calls.append(fld.q) or [])
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert cli.main(["verify", "--q", "16", "--big", "--suite",
                      "census"]) == 0
@@ -252,8 +253,8 @@ def test_examples_trial_labels_are_pinned():
     # the witness directions the examples rows print, as in the CSV bytes
     cfg = cli.SuiteConfig(fields=(Field(3), Field(5), Field(7)),
                           suites=("examples",))
-    labels = [(r["bound"], r["q"], r["trial"])
-              for r in cli.suite_examples(cfg) if r["trial"] != ""]
+    labels = [(r["bound"], r["q"], r["trial"]) for fld in cfg.fields
+              for r in cli.suite_examples(cfg, fld) if r["trial"] != ""]
     assert labels == [("ex-affine-not-refined", 3, "[1:2:0]"),
                       ("ex-affine-not-refined", 5, "[1:3:0]"),
                       ("ex-refined-not-affine", 5, "[0:0:1]"),
@@ -359,7 +360,7 @@ def test_unwritable_out_exits_2_before_any_suite_runs(monkeypatch, capsys,
 
 
 def test_status_2_run_leaves_no_file_at_out(monkeypatch, capsys, tmp_path):
-    def late_error(cfg):
+    def late_error(cfg, fld):
         raise DomainError("raised after the output file was opened")
     monkeypatch.setitem(cli.SUITES, "examples", late_error)
     out = tmp_path / "x.csv"
@@ -368,8 +369,10 @@ def test_status_2_run_leaves_no_file_at_out(monkeypatch, capsys, tmp_path):
     assert capsys.readouterr().out == ""
     assert not out.exists()
     # a violated bound (status 1) still writes every row
-    monkeypatch.setitem(cli.SUITES, "examples", lambda cfg: [cli.make_row(
-        "examples", "always-false", 3, 1, "", "", 2.0, 1.0, False)])
+    monkeypatch.setitem(cli.SUITES, "examples",
+                        lambda cfg, fld: [cli.make_row(
+                            "examples", "always-false", 3, 1, "", "", 2.0,
+                            1.0, False)])
     assert cli.main(["verify", "--q", "3", "--suite", "census,examples",
                      "--out", str(out)]) == 1
     assert out.read_text().splitlines()[-1].startswith(
@@ -380,10 +383,10 @@ def test_domain_error_after_violated_rows_exits_2_quietly(monkeypatch,
                                                           capsys, tmp_path):
     # the earlier suite's rows are already CSV text when the later one
     # raises: no row reaches stdout or --out, and stderr holds only the error
-    monkeypatch.setitem(cli.SUITES, "census", lambda cfg: [cli.make_row(
+    monkeypatch.setitem(cli.SUITES, "census", lambda cfg, fld: [cli.make_row(
         "census", "always-false", 3, 1, "", "", 2.0, 1.0, False)])
 
-    def late_error(cfg):
+    def late_error(cfg, fld):
         raise DomainError("raised after a suite returned rows")
     monkeypatch.setitem(cli.SUITES, "examples", late_error)
     out = tmp_path / "x.csv"
@@ -399,9 +402,9 @@ def test_domain_error_after_violated_rows_exits_2_quietly(monkeypatch,
 
 def test_violated_lines_keep_row_order(monkeypatch, capsys):
     def suite(name, verdicts):
-        return lambda cfg: [cli.make_row(name, f"b{i}", 3, 1, 2, 2, 1.0, 1.0,
-                                         holds, trial=i)
-                            for i, holds in enumerate(verdicts)]
+        return lambda cfg, fld: [cli.make_row(name, f"b{i}", 3, 1, 2, 2, 1.0,
+                                              1.0, holds, trial=i)
+                                 for i, holds in enumerate(verdicts)]
     monkeypatch.setitem(cli.SUITES, "census",
                         suite("first", [False, True, False]))
     monkeypatch.setitem(cli.SUITES, "diag", suite("second", [True, False]))
@@ -413,6 +416,43 @@ def test_violated_lines_keep_row_order(monkeypatch, capsys):
         "VIOLATED: " + r for r in rows if ",false," in r]
     assert [r.split(",")[:2] for r in rows if ",false," in r] == [
         ["first", "b0"], ["first", "b2"], ["second", "b1"]]
+
+
+def test_violated_lines_are_the_failing_csv_lines(monkeypatch, capsys):
+    # a census mismatch carries the record's repr, commas included, in its
+    # bound, which the CSV quotes; tol 0 fails float rows of fourier too
+    def mismatch(fld, n):
+        raise AssertionError(f"Census(q={fld.q}, n={n}, points=27)")
+    monkeypatch.setattr(cli.hz, "census", mismatch)
+    set_cpus(monkeypatch, 1)  # every task runs here, where census is patched
+    assert cli.main(["verify", "--q", "3", "--suite", "census,fourier",
+                     "--trials", "1", "--tol", "0"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()[2:]  # after the summary and the header
+    failing = [line for line in lines
+               if next(csv.reader([line]))[9] == "false"]
+    assert any('"census-mismatch:Census(q=3, n=1, points=27)"' in line
+               for line in failing)
+    assert any(line.startswith("fourier,") for line in failing)
+    assert captured.err.splitlines() == ["VIOLATED: " + line
+                                         for line in failing]
+
+
+def test_a_suite_returns_the_rows_of_its_one_field():
+    # suite_X(cfg, fld) is one task: its rows, seed stamped, are the rows
+    # run_suite writes for that suite and field, in output order
+    cfg = small_config(qs=(3, 5), suites=cli.ALL_SUITES, trials=1)
+    written = cli.run_suite(cfg, keep=True).csv.splitlines(keepends=True)[1:]
+    for name in cli.ALL_SUITES:
+        for fld in cfg.fields:
+            rows = cli.SUITES[name](cfg, fld)
+            for r in rows:
+                r["seed"] = cfg.seed
+            assert rows and {r["q"] for r in rows} == {fld.q}
+            text = cli.rows_to_csv(rows, header=False)
+            assert "".join(written[:len(rows)]) == text, (name, fld.q)
+            del written[:len(rows)]
+    assert written == []
 
 
 def test_verify_stdout_csv_equals_its_out_bytes(capsys, tmp_path):
@@ -469,7 +509,7 @@ def test_bound_rows_keep_one_trials_inputs_alive(monkeypatch, suite, q):
         return F
 
     monkeypatch.setattr(mx, "random_complex_grid", tracked)
-    got = cli.SUITES[suite](cfg)
+    got = cli.SUITES[suite](cfg, fld)
     # a trial draws a grid only for an operator that some spec reads:
     # diag reads all three, offdiag only heis, which is drawn first
     operators = {s.operator for s in specs}
@@ -487,7 +527,7 @@ def test_one_suites_rows_are_alive_at_a_time(monkeypatch):
     refs = []
 
     def suite(name):
-        def run(cfg):
+        def run(cfg, fld):
             assert [r for r in refs if r() is not None] == []
             rows = [_Row(cli.make_row(name, "b", 3, 1, 2, 2, 1.0, 1.0, True))
                     for _ in range(3)]
@@ -497,8 +537,9 @@ def test_one_suites_rows_are_alive_at_a_time(monkeypatch):
 
     for name in ("census", "diag", "fourier"):
         monkeypatch.setitem(cli.SUITES, name, suite(name))
+    # q = 3 and 5: each suite runs once per field
     report = cli.run_suite(small_config(suites=("census", "diag", "fourier")))
-    assert report.status == 0 and report.checks == 9 and len(refs) == 9
+    assert report.status == 0 and report.checks == 18 and len(refs) == 18
     assert [r for r in refs if r() is not None] == []
 
 
@@ -516,16 +557,16 @@ def test_one_tasks_rows_are_alive_at_a_time(monkeypatch):
     started = []
     task_digest = cli._task_digest
 
-    def checked(cfg, name, fields):
+    def checked(cfg, name, i):
         assert [r for r in refs if r() is not None] == []
-        started.append((name, fields))
-        return task_digest(cfg, name, fields)
+        started.append((name, i))
+        return task_digest(cfg, name, i)
     monkeypatch.setattr(cli, "_task_digest", checked)
     set_cpus(monkeypatch, 1)
     report = cli.run_suite(small_config(
         qs=(3, 5), suites=("census", "diag", "fourier"), trials=1))
     assert report.status == 0 and report.checks == len(refs) > 0
-    assert started == [(name, (i,)) for name in ("census", "diag", "fourier")
+    assert started == [(name, i) for name in ("census", "diag", "fourier")
                        for i in (1, 0)]
     assert [r for r in refs if r() is not None] == []
 
@@ -545,6 +586,11 @@ def test_one_tasks_rows_are_alive_at_a_time(monkeypatch):
     ["verify", "--q", "3", "--suite", "diag", "--trials", "1", "--tol", "nan"],
     ["verify", "--q", "3", "--suite", "diag", "--tol", "-1"],
     ["verify", "--q", "3", "--suite", "diag", "--tol", "inf"],
+    # an empty value is not an absent one
+    ["verify", "--q", ""],
+    ["verify", "--q", "3", "--suite", ""],
+    ["verify", "--q", "9", "--modulus", ""],
+    ["census", "--q", ""],
 ])
 def test_verify_config_error_writes_nothing_to_stdout(capsys, argv):
     # a bad config must not read like an empty passing run on stdout, under
@@ -823,16 +869,16 @@ def set_cpus(monkeypatch, cpus):
                             lambda pid: set(range(cpus)))
 
 
-def mark_in_helpers(monkeypatch, marks, then="return run(cfg)",
+def mark_in_helpers(monkeypatch, marks, then="return run(cfg, fld)",
                     suites=None, extra=""):
     """Helpers wrap their own SUITES entries, those named or all, so that a
-    task first leaves a file named after its suite and first q under marks
+    task first leaves a file named after its suite and q under marks
     ("diag-5"), then runs the statement then (run is the entry it wraps).
     The code extra runs in each helper before it serves."""
     code = ("import os, time\nfrom kakeyalab import cli\n"
             "def wrap(name, run):\n"
-            "    def suite(cfg):\n"
-            "        mark = f'{name}-{cfg.fields[0].q}'\n"
+            "    def suite(cfg, fld):\n"
+            "        mark = f'{name}-{fld.q}'\n"
             f"        open(os.path.join({str(marks)!r}, mark), 'w').close()\n"
             f"        {then}\n"
             "    return suite\n"
@@ -855,9 +901,9 @@ def census_after_marks(monkeypatch, marks, count):
     """census runs here once count helpers have each taken a task."""
     census = cli.SUITES["census"]
 
-    def waiting(cfg):
+    def waiting(cfg, fld):
         wait_for_marks(marks, count)
-        return census(cfg)
+        return census(cfg, fld)
     monkeypatch.setitem(cli.SUITES, "census", waiting)
 
 
@@ -902,7 +948,7 @@ def test_domain_error_in_this_process_stops_a_helper_holding_a_suite(
     marks.mkdir()
     mark_in_helpers(monkeypatch, marks, then="time.sleep(600)")
 
-    def late_error(cfg):
+    def late_error(cfg, fld):
         wait_for_marks(marks, 1)  # a helper now holds diag
         raise DomainError("raised while a helper holds a suite")
     monkeypatch.setitem(cli.SUITES, "census", late_error)
@@ -944,7 +990,7 @@ def test_first_failing_field_in_output_order_is_reported(monkeypatch,
     assert want == (2, "", "configuration error: census fails at q=3\n",
                     None, None)
     mark_in_helpers(monkeypatch, marks, suites=["census"], then=(
-        "raise cli.DomainError(f'census fails at q={cfg.fields[0].q}')"))
+        "raise cli.DomainError(f'census fails at q={fld.q}')"))
     monkeypatch.setattr(cli.hz, "census", failing(True))
     set_cpus(monkeypatch, 2)
     assert run_outputs(capsys, tmp_path, argv, "pool") == want
@@ -968,26 +1014,30 @@ def test_suite_of_a_helper_that_dies_runs_in_this_process(monkeypatch,
     assert [p.name for p in marks.iterdir()] == ["diag-5"]
 
 
-def test_replaced_suite_runs_once_in_this_process(monkeypatch, capsys,
-                                                  tmp_path):
+def test_replaced_suite_runs_in_this_process_once_per_field(monkeypatch,
+                                                             capsys, tmp_path):
     calls = []
 
-    def recording(cfg):
-        calls.append((os.getpid(), cfg))
-        return [cli.make_row("diag", "replaced", 3, 1, "", "", 1.0, 1.0,
+    def recording(cfg, fld):
+        calls.append((os.getpid(), cfg, fld))
+        return [cli.make_row("diag", "replaced", fld.q, 1, "", "", 1.0, 1.0,
                              True)]
     monkeypatch.setitem(cli.SUITES, "diag", recording)
     set_cpus(monkeypatch, 4)
     out = tmp_path / "x.csv"
     assert run_main(["verify", "--q", "3,5", "--trials", "1", "--suite",
                      "census,diag,offdiag", "--out", str(out)]) == 0
-    # one task over both fields, where a suite of cli.py has one per field
-    ((pid, cfg),) = calls
-    assert pid == os.getpid()
-    assert cfg.suites == ("census", "diag", "offdiag")
-    assert cfg.out == str(out) and cfg.trials == 1
-    assert [f.q for f in cfg.fields] == [3, 5]
-    assert ",replaced," in out.read_text()
+    # one task per field, like a suite of cli.py, each given the run's
+    # whole config; a helper would import cli.py afresh and lose the double
+    assert sorted(fld.q for _, _, fld in calls) == [3, 5]
+    for pid, cfg, fld in calls:
+        assert pid == os.getpid()
+        assert cfg.suites == ("census", "diag", "offdiag")
+        assert cfg.out == str(out) and cfg.trials == 1
+        assert [f.q for f in cfg.fields] == [3, 5]
+        assert any(f is fld for f in cfg.fields)
+    assert [r.split(",")[2] for r in out.read_text().splitlines()
+            if ",replaced," in r] == ["3", "5"]
     assert_no_child_left()
 
 
@@ -999,7 +1049,7 @@ def test_no_helper_outlives_an_exception(monkeypatch, tmp_path, exc):
     marks.mkdir()
     mark_in_helpers(monkeypatch, marks, then="time.sleep(600)")
 
-    def interrupted(cfg):
+    def interrupted(cfg, fld):
         wait_for_marks(marks, 1)
         raise exc
     monkeypatch.setitem(cli.SUITES, "census", interrupted)
@@ -1015,12 +1065,12 @@ def test_no_helper_outlives_an_exception(monkeypatch, tmp_path, exc):
 
 def test_out_holds_every_earlier_tasks_rows_when_a_task_starts(monkeypatch,
                                                                tmp_path):
-    # one CPU, and a replaced suite is one task: tasks start in output order
+    # one CPU and one field: tasks start in output order
     out = tmp_path / "x.csv"
     seen = []
 
     def suite(name):
-        def run(cfg):
+        def run(cfg, fld):
             seen.append(out.read_text())
             return [cli.make_row(name, f"b{i}", 3, 1, 2, 2, 1.0, 1.0, True)
                     for i in range(2)]
@@ -1044,9 +1094,9 @@ def test_a_finished_task_waits_only_for_earlier_ones(monkeypatch, tmp_path):
     started = []
     task_digest = cli._task_digest
 
-    def reading(cfg, name, fields):
-        started.append((name, cfg.fields[fields[0]].q, out.read_text()))
-        return task_digest(cfg, name, fields)
+    def reading(cfg, name, i):
+        started.append((name, cfg.fields[i].q, out.read_text()))
+        return task_digest(cfg, name, i)
     monkeypatch.setattr(cli, "_task_digest", reading)
     set_cpus(monkeypatch, 1)
     assert cli.main(["verify", "--q", "3,5", "--trials", "1",
