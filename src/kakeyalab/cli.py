@@ -271,7 +271,8 @@ def suite_fourier(cfg, fld):
                                  trial=trial))
         for rep in fr.split_bound_check(f, fam, tol=cfg.tol):
             rows.append(report_row("fourier", rep, trial=trial))
-        if trial == 0 and cfg.dump_fourier and fld is cfg.fields[-1]:
+        if (trial == 0 and cfg.dump_fourier is not None
+                and fld is cfg.fields[-1]):
             _dump_fourier(cfg.dump_fourier, f)
     fiber_max = 0
     for xi in range(1, q):
@@ -501,10 +502,10 @@ def _out_writer(path, kept):
     (status 2, or an error) removes the file it opened, with whatever rows
     it already holds, so no partial CSV is left where a report is expected.
     """
-    fh = open(path, "w") if path else None
+    fh = open(path, "w") if path is not None else None
 
     def write(text):
-        if fh:
+        if fh is not None:
             fh.write(text)
             fh.flush()
         if kept is not None:
@@ -514,7 +515,7 @@ def _out_writer(path, kept):
         with fh or nullcontext():
             yield write
     except BaseException:
-        if path and os.path.isfile(path):
+        if path is not None and os.path.isfile(path):
             os.remove(path)
         raise
 
@@ -595,11 +596,13 @@ class _Pool:
     Tasks are handed out in suite order, each suite's fields largest q
     first: cost grows with q, so the small fields fill the tail.  This
     process and up to min(CPUs - 1, suites - 1) helpers take them; only
-    suites of code from this file count after the first.  Results leave
-    in output order, suite order then the run's field order, on this
-    process's thread: a finished task's result is kept only until every
-    task before it in output order has left, and is dropped then.  Helper
-    threads only store results.  A DomainError or OSError in the task at
+    suites of code from this file count after the first.  With no helper
+    started, this process takes them in output order instead, so no
+    finished task waits for an earlier one.  Results leave in output
+    order, suite order then the run's field order, on this process's
+    thread: a finished task's result is kept only until every task before
+    it in output order has left, and is dropped then.  Helper threads only
+    store results.  A DomainError or OSError in the task at
     output position i stops the hand-out of every task after i, and run()
     raises the exception of the first failing task in output order, as a
     serial run does.
@@ -698,6 +701,8 @@ class _Pool:
                 threads.append(threading.Thread(
                     target=self._feed, args=(proc, config), daemon=True))
                 threads[-1].start()
+            if not procs:  # alone, no task waits in memory for an earlier one
+                self.pending.sort()
             for done in range(len(self.tasks)):
                 while True:
                     with self.cond:
@@ -751,7 +756,7 @@ def run_suite(cfg, keep=False):
         if name not in SUITES:
             print(f"unknown suite: {name}", file=sys.stderr)
             return RunReport(2)
-    kept = [] if keep or not cfg.out else None
+    kept = [] if keep or cfg.out is None else None
     report = RunReport(0)
     violated = []
 
@@ -836,6 +841,10 @@ def _config_from(args, default_qs=DEFAULT_QS, suites=ALL_SUITES):
         raise DomainError("--seed must be at least 0")
     if not 0 <= args.tol < math.inf:  # nan fails both comparisons
         raise DomainError("--tol must be finite and at least 0")
+    for flag, path in (("--out", args.out),
+                       ("--dump-fourier", args.dump_fourier)):
+        if path == "":  # an empty path is not an absent one
+            raise DomainError(f"{flag} needs a path")
     if args.modulus is not None:
         try:
             modulus = tuple(int(c) for c in args.modulus.split(","))
@@ -880,7 +889,7 @@ def cmd_verify(args):
         return 2
     qs = [f.q for f in cfg.fields]
     _emit(f"{report.held}/{report.checks} checks hold across q={qs}\n")
-    if not cfg.out:
+    if cfg.out is None:
         _emit(report.csv)
     return report.status
 
@@ -900,7 +909,7 @@ def cmd_maxop(args):
            "directions": dirs.tolist(),
            "values": [float(x) for x in vals]}
     text = json.dumps(doc)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:

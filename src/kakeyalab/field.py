@@ -9,7 +9,6 @@ loops over the whole field stay allocation-free.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from itertools import product
 
 import numpy as np
@@ -231,17 +230,11 @@ class Field:
         return f"Field({self.q}, modulus={list(self.modulus)})"
 
 
-# The most bytes the per-field table cache keeps across fields.  The H_1
-# tables of every default and --big field fit together (2.2 MB); an F_q^d
-# incidence entry from d = 3 on keeps only its direction array (18 KB for
-# F_27^3), since its blocks are built when read.
-TABLE_BUDGET = 16 * 2**20
-
-# (field, key) -> value, least recently used first; keyed by field
-# equality, so equal fields built apart share every entry.  field_table
-# holds it to TABLE_BUDGET bytes by dropping other fields' entries before
-# each build; the building field's entries stay, however large.
-_FIELD_TABLES = OrderedDict()
+# (field, key) -> value for one field at a time: a verify task reads the
+# tables of its one field, so field_table drops every entry before it builds
+# one for another field.  Keyed by field equality, so equal fields built
+# apart share every entry.
+_FIELD_TABLES = {}
 
 
 def _arrays(value):
@@ -250,47 +243,22 @@ def _arrays(value):
             if isinstance(part, np.ndarray)]
 
 
-def _root(a):
-    while isinstance(a.base, np.ndarray):
-        a = a.base
-    return a
-
-
-def table_bytes(values):
-    """Bytes held by cached values: each root buffer once, so a view of
-    another entry's table (the H_1 table reshapes the refined one) adds
-    nothing, and it keeps its root counted when that entry is dropped."""
-    roots = {id(r): r.nbytes
-             for value in values for r in map(_root, _arrays(value))}
-    return sum(roots.values())
-
-
-def _evict_for(field):
-    """Drop the least recently used entries of fields other than field until
-    the cache holds at most TABLE_BUDGET bytes."""
-    for key in [k for k in _FIELD_TABLES if k[0] != field]:
-        if table_bytes(_FIELD_TABLES.values()) <= TABLE_BUDGET:
-            return
-        del _FIELD_TABLES[key]
-
-
 def field_table(field, key, build):
     """build(field), computed once per (field, key) while it stays cached.
 
-    A hit makes the entry the most recently used.  A miss first drops other
-    fields' entries to the byte budget (_evict_for), then builds; a dropped
-    entry is built again when next asked for.  Every ndarray in the value,
-    whether the value itself or a member of a tuple, is made read-only,
-    because all callers share it.
+    A miss for another field than the cached one first drops every entry,
+    then builds; a dropped entry is built again when next asked for.  A
+    nested build for the same field (heis1_incidence reads
+    refined_incidence) keeps the field's entries.  Every ndarray in the
+    value, whether the value itself or a member of a tuple, is made
+    read-only, because all callers share it.
     """
     try:
-        value = _FIELD_TABLES[field, key]
+        return _FIELD_TABLES[field, key]
     except KeyError:
         pass
-    else:
-        _FIELD_TABLES.move_to_end((field, key))
-        return value
-    _evict_for(field)
+    if any(f != field for f, _ in _FIELD_TABLES):
+        _FIELD_TABLES.clear()
     value = build(field)
     for part in _arrays(value):
         part.flags.writeable = False

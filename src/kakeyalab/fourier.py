@@ -13,8 +13,8 @@ import math
 import numpy as np
 
 from .field import DomainError, field_table
-from .maximal import (VerifyReport, affine_incidence, apply_linearized,
-                      lp_norm, refined_incidence, REL_TOL)
+from .maximal import (VerifyReport, apply_linearized, lp_norm,
+                      refined_incidence, REL_TOL)
 
 
 def chi_matrix(field):
@@ -23,19 +23,11 @@ def chi_matrix(field):
 
 
 def _u_plane_index(field):
-    """Flat [x, y] plane index of the point (x, mx - g), indexed [m, g, x].
-
-    These are the planar lines of direction [1:m], the first q blocks of the
-    affine table, whose row -g starts at (0, -g).  The copy is C-ordered:
-    _u_rows sums the gather along x, and its bits depend on the layout.
-    """
-    _, table = affine_incidence(field, 2)
-    return np.ascontiguousarray(table[:field.q, field.np_neg])
-
-
-def _u_phases(field):
-    """chi(xi g x) indexed [xi, g, x]."""
-    return chi_matrix(field)[field.np_mul]
+    """Flat plane index x*q + (m*x - g) of the point (x, mx - g) on the line
+    of direction [1:m] through (0, -g), as a C-ordered np.intp table
+    indexed [m, g, x]."""
+    m, g, x = np.ogrid[:field.q, :field.q, :field.q]
+    return x * field.q + field.np_sub[field.np_mul[m, x], g]
 
 
 class CentralFourierTable:
@@ -78,31 +70,27 @@ def central_fourier(F):
     return F.memo("central-fourier", lambda: _transform(F))
 
 
-def _planes(F):
-    """The (q, q*q) array whose row xi is f^(., .; xi) flattened.
-
-    A read-only C-ordered copy memoized on F: _u_rows sums its gather in
-    memory order, so the bits depend on the layout.
-    """
-    def build():
-        q = F.field.q
-        planes = np.ascontiguousarray(
-            central_fourier(F).table.reshape(q * q, q).T)
-        planes.flags.writeable = False
-        return planes
-    return F.memo("fourier-planes", build)
-
-
 def _u_rows(F):
     """Read-only (q, q*q + q) array memoized on F: row xi holds U_xi(m, g) at
-    m*q + g, then U_xi^inf(g) at q*q + g, as enumerate_refined_directions."""
+    m*q + g, then U_xi^inf(g) at q*q + g, as enumerate_refined_directions.
+
+    The sums run in memory order over a C-ordered copy of the planes, so
+    the bits depend on the layout.
+    """
     def build():
-        q = F.field.q
-        index = field_table(F.field, "u-plane-index", _u_plane_index)
-        phases = field_table(F.field, "u-phases", _u_phases)   # [xi, g, x]
+        field, q = F.field, F.field.q
+        index = field_table(field, "u-plane-index", _u_plane_index)
+        chi = chi_matrix(field)
+        planes = np.ascontiguousarray(  # row xi: f^(., .; xi) flattened
+            central_fourier(F).table.reshape(q * q, q).T)
         rows = np.empty((q, q * q + q), dtype=np.complex128)
-        for plane, phase, row in zip(_planes(F), phases, rows):
-            row[:q * q] = (plane[index] * phase[None]).sum(axis=2).ravel()
+        gathered = np.empty((q, q, q), dtype=np.complex128)  # [m, g, x]
+        for xi, (plane, row) in enumerate(zip(planes, rows)):
+            phase = chi[field.np_mul[xi]]  # chi(xi g x) indexed [g, x]
+            # every index is in range: "clip" lets take fill out unbuffered
+            np.take(plane, index, out=gathered, mode="clip")
+            np.multiply(gathered, phase, out=gathered)
+            gathered.sum(axis=2, out=row[:q * q].reshape(q, q))
             # U_inf(g) = sum_y f^(g, y; xi) chi(xi g y): the phase with y for x
             row[q * q:] = (plane.reshape(q, q) * phase).sum(axis=1)
         rows.flags.writeable = False

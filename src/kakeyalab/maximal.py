@@ -267,12 +267,12 @@ def affine_incidence(field, d):
     """(directions, (#dirs, q^{d-1}, q) point-index table).
 
     Each direction's block holds its parallel lines in transversal order.
-    The planar table (d = 2) is an np.intp array, and the U-table index is
-    a C-ordered copy of part of it.  From d = 3 on the table is a
-    _CosetBlocks, which builds a block when it is read: the F_q^3 table has
-    q^2 (q^2+q+1) q entries (15M at q = 27), and its readers, the set
-    predicates and affine_max_op, need a block or a few at a time, so the
-    cache keeps only the direction array.
+    The planar table (d = 2) is an np.intp array; the U-table index
+    (fourier._u_plane_index) is a closed form of its first q blocks.  From
+    d = 3 on the table is a _CosetBlocks, which builds a block when it is
+    read: the F_q^3 table has q^2 (q^2+q+1) q entries (15M at q = 27), and
+    its readers, the set predicates and affine_max_op, need a block or a
+    few at a time, so the cache keeps only the direction array.
     """
     return field_table(field, ("affine-incidence", d),
                        lambda f: _build_affine(f, d))

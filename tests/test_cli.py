@@ -224,6 +224,16 @@ def test_maxop_command(tmp_path, capsys):
     assert vals.sum() == 6  # delta: 1 on the q+1 zero-slope classes
 
 
+def test_maxop_empty_out_exits_2_and_prints_nothing(tmp_path, capsys):
+    # an empty --out is an unwritable path, not standard output
+    F = mx.GridFunction.delta(mx.Domain.heisenberg(Field(3), 1))
+    src = tmp_path / "f.json"
+    src.write_text(json.dumps(docs.grid_to_json(F)))
+    assert cli.main(["maxop", "--in", str(src), "--out", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err
+
+
 @pytest.mark.parametrize("op,domain,want", [
     ("affine", mx.Domain.affine(Field(2), 3),
      [[1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1], [0, 1, 0], [0, 1, 1],
@@ -545,7 +555,7 @@ def test_one_suites_rows_are_alive_at_a_time(monkeypatch):
 
 def test_one_tasks_rows_are_alive_at_a_time(monkeypatch):
     # real suites on one CPU: a task is one suite on one field, handed out
-    # largest q first, and its rows die before the next task starts
+    # in output order, and its rows die before the next task starts
     refs = []
     make_row = cli.make_row
 
@@ -567,7 +577,7 @@ def test_one_tasks_rows_are_alive_at_a_time(monkeypatch):
         qs=(3, 5), suites=("census", "diag", "fourier"), trials=1))
     assert report.status == 0 and report.checks == len(refs) > 0
     assert started == [(name, i) for name in ("census", "diag", "fourier")
-                       for i in (1, 0)]
+                       for i in (0, 1)]
     assert [r for r in refs if r() is not None] == []
 
 
@@ -591,6 +601,10 @@ def test_one_tasks_rows_are_alive_at_a_time(monkeypatch):
     ["verify", "--q", "3", "--suite", ""],
     ["verify", "--q", "9", "--modulus", ""],
     ["census", "--q", ""],
+    ["verify", "--q", "3", "--suite", "census", "--out", ""],
+    ["verify", "--q", "3", "--suite", "fourier", "--trials", "1",
+     "--dump-fourier", ""],
+    ["census", "--q", "3", "--out", ""],
 ])
 def test_verify_config_error_writes_nothing_to_stdout(capsys, argv):
     # a bad config must not read like an empty passing run on stdout, under
@@ -1086,10 +1100,29 @@ def test_out_holds_every_earlier_tasks_rows_when_a_task_starts(monkeypatch,
     assert seen == ["".join(lines[:1 + 2 * k]) for k in range(3)]
 
 
+def test_one_cpu_hands_tasks_out_in_output_order(monkeypatch, tmp_path):
+    # alone, this process takes the (suite, field) tasks in output order:
+    # the run's field order within each suite, not largest q first
+    calls = []
+
+    def recording(name):
+        def run(cfg, fld):
+            calls.append((name, fld.q))
+            return [cli.make_row(name, "b", fld.q, 1, 2, 2, 1.0, 1.0, True)]
+        return run
+    names = ("census", "diag")
+    for name in names:
+        monkeypatch.setitem(cli.SUITES, name, recording(name))
+    set_cpus(monkeypatch, 1)
+    assert cli.main(["verify", "--q", "5,3,7", "--suite", ",".join(names),
+                     "--out", str(tmp_path / "x.csv")]) == 0
+    assert calls == [(name, q) for name in names for q in (5, 3, 7)]
+
+
 def test_a_finished_task_waits_only_for_earlier_ones(monkeypatch, tmp_path):
-    # real suites on one CPU, handed out largest q first: q = 5's rows wait
-    # in memory for q = 3's, and a suite's rows are in the file before the
-    # next suite starts
+    # real suites on one CPU, handed out in output order: no finished task
+    # waits in memory, so every earlier task's rows are in the file when a
+    # task starts
     out = tmp_path / "x.csv"
     started = []
     task_digest = cli._task_digest
@@ -1102,13 +1135,16 @@ def test_a_finished_task_waits_only_for_earlier_ones(monkeypatch, tmp_path):
     assert cli.main(["verify", "--q", "3,5", "--trials", "1",
                      "--suite", "census,ttstar", "--out", str(out)]) == 0
     lines = out.read_text().splitlines(keepends=True)
-    header = lines[0]
-    census = "".join(r for r in lines if r.startswith("census,"))
-    assert lines[1:] == sorted(lines[1:], key=lambda r: r.split(",")[0])
-    assert census and len(lines) > 1 + census.count("\n")
-    assert started == [("census", 5, header), ("census", 3, header),
-                       ("ttstar", 5, header + census),
-                       ("ttstar", 3, header + census)]
+    want, written = [], lines[0]
+    for name in ("census", "ttstar"):
+        for q in (3, 5):
+            want.append((name, q, written))
+            task = [r for r in lines[1:]
+                    if r.split(",")[0] == name and r.split(",")[2] == str(q)]
+            assert task
+            written += "".join(task)
+    assert written == "".join(lines)
+    assert started == want
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

@@ -1,7 +1,7 @@
 import json
 import math
 import tracemalloc
-from collections import Counter, OrderedDict
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -444,11 +444,11 @@ def test_f3_set_checks_hold_no_table_sized_array(monkeypatch):
     e1 = cn.example_affine_not_refined(f, (1, 0, 0))
     for ps, omega2, witnessed in ((para, d1, 0), (bent, 728, 728),
                                   (e1, 28, 28)):
-        monkeypatch.setattr(fd, "_FIELD_TABLES", OrderedDict())
+        monkeypatch.setattr(fd, "_FIELD_TABLES", {})
         _, peak = _traced_peak(lambda: cn.is_affine_kakeya(
             cn.as_affine_set(ps)))
         assert peak < 4e6
-        monkeypatch.setattr(fd, "_FIELD_TABLES", OrderedDict())
+        monkeypatch.setattr(fd, "_FIELD_TABLES", {})
         rep, peak = _traced_peak(lambda: cn.omega_partition(ps))
         assert peak < 4e6
         assert len(rep.omega2) == omega2

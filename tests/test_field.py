@@ -1,7 +1,6 @@
 import cmath
 import math
 import os
-from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -288,7 +287,7 @@ def test_other_modulus_gets_its_own_entries():
 @pytest.fixture
 def cache(monkeypatch):
     """An empty table cache for one test; the module's own comes back after."""
-    monkeypatch.setattr(fd, "_FIELD_TABLES", OrderedDict())
+    monkeypatch.setattr(fd, "_FIELD_TABLES", {})
     return fd._FIELD_TABLES
 
 
@@ -314,29 +313,25 @@ def _snapshot(entries):
             for key, value in entries.items()}
 
 
-def _zeros(nbytes):
-    return lambda f: np.zeros(nbytes, dtype=np.uint8)
-
-
-def test_evicted_entries_are_rebuilt_with_identical_bytes(cache, monkeypatch):
+def test_evicted_entries_are_rebuilt_with_identical_bytes(cache):
     f3 = Field(3)
     _fill_every_table(f3)
     before = _snapshot(_entries_of(f3))
     assert {k if isinstance(k, str) else k[0] for k in before} == {
         "affine-incidence", "heis1-incidence", "refined-incidence", "chi",
-        "u-plane-index", "u-phases", "extremal-op-values"}
-    monkeypatch.setattr(fd, "TABLE_BUDGET", 0)
+        "u-plane-index", "extremal-op-values"}
     fr.chi_matrix(Field(5))  # a build for another field drops every entry
-    assert not _entries_of(f3)
+    assert list(cache) == [(Field(5), "chi")]
     _fill_every_table(f3)
     assert _snapshot(_entries_of(f3)) == before
 
 
-def test_a_build_never_evicts_its_own_fields_entries(cache, monkeypatch):
-    monkeypatch.setattr(fd, "TABLE_BUDGET", 0)
+def test_a_build_never_evicts_its_own_fields_entries(cache):
     fr.chi_matrix(Field(7))
     f5 = Field(5)
-    _fill_every_table(f5)  # nested builds (heis1 reads refined) included
+    mx.heis1_incidence(f5)  # its build reads refined_incidence
+    assert list(cache) == [(f5, "refined-incidence"), (f5, "heis1-incidence")]
+    _fill_every_table(f5)
     assert list(_entries_of(f5)) == [key for _, key in cache]
     # as in the examples suite: the refined checks of e1 and e2 and the
     # build between them share one refined table
@@ -348,72 +343,48 @@ def test_a_build_never_evicts_its_own_fields_entries(cache, monkeypatch):
 def test_the_f3_entry_holds_only_its_directions(cache):
     f27 = Field(27)
     dirs, blocks = mx.affine_incidence(f27, 3)
-    assert fd.table_bytes(_entries_of(f27).values()) == dirs.nbytes
+    assert list(cache) == [(f27, ("affine-incidence", 3))]
+    stored = fd._arrays(cache[f27, ("affine-incidence", 3)])
+    assert sum(a.nbytes for a in stored) == dirs.nbytes
     assert len(blocks) == len(dirs) == 27**2 + 27 + 1
 
 
-def test_a_build_leaves_at_most_the_budget_besides_its_field(cache,
-                                                             monkeypatch):
-    budget = 10_000
-    monkeypatch.setattr(fd, "TABLE_BUDGET", budget)
+class _StoreCountingTables(dict):
+    """A table cache that records each stored key and how many fields'
+    entries it holds after the store."""
 
-    def build_of(nbytes, view):
-        def build(f):
-            # other fields' entries were dropped before the build began
-            assert fd.table_bytes(value for (g, _), value in cache.items()
-                                  if g != f) <= budget
-            if view:  # a view of another entry, built by a nested build
-                return fd.field_table(f, 0, build_of(nbytes, False))[:10]
-            return np.zeros(nbytes, dtype=np.uint8)
-        return build
+    def __init__(self):
+        super().__init__()
+        self.stored, self.held = [], []
 
-    fields = [Field(q) for q in (2, 3, 4, 5, 7)]
-    rng = np.random.Generator(np.random.PCG64(13))
-    for _ in range(400):
-        fld = fields[rng.integers(len(fields))]
-        key = int(rng.integers(8))
-        build = build_of(int(rng.integers(1, 6000)), key == 7)
-        missing = (fld, key) not in cache
-        fd.field_table(fld, key, build)
-        if missing:
-            own = fd.table_bytes(_entries_of(fld).values())
-            assert fd.table_bytes(cache.values()) <= budget + own
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.stored.append(key)
+        self.held.append(len({f for f, _ in self}))
 
 
-def test_hits_refresh_entries_and_views_count_their_root_once(cache,
-                                                             monkeypatch):
-    f3, f5, f7 = Field(3), Field(5), Field(7)
-    base = fd.field_table(f3, "base", _zeros(1000))
-    view = fd.field_table(f3, "view", lambda f: base.reshape(10, 100))
-    assert fd.table_bytes(cache.values()) == 1000
-    fd.field_table(f5, "t", _zeros(1000))
-    assert fd.field_table(f3, "base", None) is base  # a hit: now most recent
-    monkeypatch.setattr(fd, "TABLE_BUDGET", 1999)
-    fd.field_table(f7, "t", _zeros(1000))
-    # the view goes first but frees nothing, then f5's entry
-    assert list(cache) == [(f3, "base"), (f7, "t")]
-    assert fd.table_bytes([view]) == 1000  # a view keeps its root counted
-
-
-def test_h1_tables_of_every_default_and_big_field_fit_the_budget(
-        cache, monkeypatch, tmp_path):
-    evict = fd._evict_for
-    dropped = []
-
-    def counting_evict(field):
-        before = len(cache)
-        evict(field)
-        dropped.append(before - len(cache))
-
-    monkeypatch.setattr(fd, "_evict_for", counting_evict)
-    # one CPU: every suite runs in this process, against this cache
+def test_h1_big_suites_never_hold_two_fields_tables(monkeypatch, tmp_path):
+    tables = _StoreCountingTables()
+    monkeypatch.setattr(fd, "_FIELD_TABLES", tables)
+    # one CPU: every task runs in this process, against this cache
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert cli.main(["verify", "--big", "--trials", "1", "--suite",
                      "planar-l2,ttstar,diag,offdiag,rd-l2,fourier",
                      "--out", str(tmp_path / "h1.csv")]) == 0
-    assert dropped and not any(dropped)
-    assert {f.q for f, _ in cache} == set(cli.DEFAULT_QS + cli.BIG_QS)
-    assert fd.table_bytes(cache.values()) <= fd.TABLE_BUDGET
+    assert {f.q for f, _ in tables.stored} == set(cli.DEFAULT_QS + cli.BIG_QS)
+    assert set(tables.held) == {1}
+    assert {f.q for f, _ in tables} == {cli.BIG_QS[-1]}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27])
+def test_u_plane_index_is_the_planar_table_of_slopes(q):
+    # the closed form x*q + (m*x - g) against the planar lines of direction
+    # [1:m], row -g, in value and in dtype
+    f = Field(q)
+    want = np.ascontiguousarray(mx.affine_incidence(f, 2)[1][:q, f.np_neg])
+    got = fr._u_plane_index(f)
+    assert got.dtype == want.dtype and got.flags.c_contiguous
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("bad", [1.9, 0.5, 4.0, True, False, np.bool_(True),

@@ -183,10 +183,7 @@ def test_u_tables_bits_match_c_ordered_gather(q):
     fld = Field(q)
     ar = ol.arithmetic(fld)
     f = random_f(fld, 8, q)
-    planes = fr._planes(f)
-    assert planes.flags.c_contiguous and not planes.flags.writeable
     tab = fr.central_fourier(f)
-    assert np.array_equal(planes, tab.table.reshape(q * q, q).T)
     index = np.array([[[x * q + ar.sub(ar.mul(m, x), g) for x in range(q)]
                        for g in range(q)] for m in range(q)])
     for xi in range(1, q):
@@ -353,7 +350,7 @@ def test_u_rows_built_once_per_input(f7, monkeypatch):
     fr.t_components(f, mx.linearize("refined", f7, for_function=f))
     uts = [fr.u_tables(f, xi) for xi in range(1, 7)]
     assert asked.count("u-plane-index") == 1
-    assert asked.count("u-phases") == 1
+    assert "u-phases" not in asked
     rows = fr._u_rows(f)
     for ut in uts:
         assert np.shares_memory(ut.u, rows) and np.shares_memory(ut.u_inf, rows)
