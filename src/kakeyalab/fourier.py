@@ -146,15 +146,37 @@ def u_tables(f, xi):
     return UTable(field, xi, row[:q * q].reshape(q, q), row[q * q:])
 
 
+def _key_sums(f):
+    """Read-only (q, 3) array memoized on f: row xi holds sum |U_xi|^2,
+    sum |U_xi^inf|^2 and sum |f^(., .; xi)|^2, for every xi in one pass.
+
+    Each sum runs over its own contiguous row, a U row part or a C-ordered
+    copy of the plane f^(., .; xi), so it has the bits of the same sum
+    taken on that one table alone.
+    """
+    def build():
+        q = f.field.q
+        rows = np.abs(_u_rows(f)) ** 2
+        planes = np.ascontiguousarray(  # row xi: |f^(., .; xi)|^2 flattened
+            (np.abs(central_fourier(f).table) ** 2).reshape(q * q, q).T)
+        sums = np.stack([rows[:, :q * q].sum(axis=1),
+                         rows[:, q * q:].sum(axis=1), planes.sum(axis=1)],
+                        axis=1)
+        sums.flags.writeable = False
+        return sums
+    return f.memo("key-sums", build)
+
+
 def key_counting_check(f, xi, tol=REL_TOL):
-    """The two counting inequalities behind the sharp l2 bound."""
+    """The two counting inequalities behind the sharp l2 bound:
+    sum |U_xi|^2 <= 2q sum |f^(., .; xi)|^2 and sum |U_xi^inf|^2 <= q times
+    the same; xi nonzero.  The sums of every xi come from one pass over
+    the input (_key_sums)."""
     field = f.field
     xi = field.coerce_index(xi)
-    ut = u_tables(f, xi)
-    plane_sq = float((np.abs(central_fourier(f).table[:, :, xi]) ** 2).sum())
+    u_tables(f, xi)                                 # raises for xi = 0
+    lhs_u, lhs_inf, plane_sq = map(float, _key_sums(f)[xi])
     q = field.q
-    lhs_u = float((np.abs(ut.u) ** 2).sum())
-    lhs_inf = float((np.abs(ut.u_inf) ** 2).sum())
     rep_u = VerifyReport("fourier-key-nonvertical", q, 1, 2, 2,
                          lhs_u, 2 * q * plane_sq,
                          lhs_u <= 2 * q * plane_sq * (1 + tol) + 1e-12)

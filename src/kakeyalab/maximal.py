@@ -34,8 +34,11 @@ def exponent(u):
     Field.coerce_index and heisenberg.check_dimension), a float (to the
     nearest fraction with denominator at most 10^6) or a string: "inf",
     "infty", "oo" or a fraction such as "3/2".  Every refusal, NaN and -inf
-    included, is a DomainError.
+    included, is a DomainError.  An exponent already read (a Fraction >= 1,
+    or math.inf) is returned as given, with no parsing.
     """
+    if u is INF or (type(u) is Fraction and u >= 1):
+        return u
     if isinstance(u, bool) or not isinstance(
             u, (str, float, int, np.integer, Fraction)):
         raise DomainError(f"cannot read exponent from {u!r}")
@@ -85,10 +88,16 @@ _POW_RANGE_LOG2 = 960
 def lp_norm(values, u, axis=None):
     """(sum |g|^u)^(1/u) on a flat table; max for u = infinity.
 
-    With an axis, the norm of every slice along it, as an array.
+    With an axis, the norm of every slice along it, as an array.  A complex
+    table is read as complex128; any other (float, integer or bool) as
+    float64, with no complex copy: |complex(x)| = |x| exactly, so the bits
+    are those of the complex cast.  Integers are cast before any product,
+    so a * a cannot wrap past int64 as it would from about 3.04e9 on.
     """
     uu = float(exponent(u))
-    a = np.abs(np.asarray(values, dtype=np.complex128))
+    values = np.asarray(values)
+    dtype = np.complex128 if np.iscomplexobj(values) else np.float64
+    a = np.abs(values.astype(dtype, copy=False))
     if a.size == 0:
         return 0.0
     if uu == INF:
@@ -184,9 +193,9 @@ class Domain:
 class GridFunction:
     """A dense complex (or integer) table over a Domain's point enumeration.
 
-    The values are read-only, so quantities derived from them (operator
-    values, norms, the central Fourier table) are memoized per instance and
-    freed with it.
+    The values are read-only, so quantities derived from them (|F|,
+    operator values, norms, the central Fourier table) are memoized per
+    instance and freed with it.
     """
 
     __slots__ = ("domain", "values", "_memo")
@@ -231,9 +240,18 @@ class GridFunction:
             self._memo[key] = compute()
         return self._memo[key]
 
+    def abs(self):
+        """|F|, read-only, in np.abs's dtype (an integer table stays
+        integer): computed once, for the operators, linearize and norm."""
+        def build():
+            a = np.abs(self.values)
+            a.flags.writeable = False
+            return a
+        return self.memo("abs", build)
+
     def norm(self, u):
         u = exponent(u)
-        return self.memo(("norm", u), lambda: lp_norm(self.values, u))
+        return self.memo(("norm", u), lambda: lp_norm(self.abs(), u))
 
     @property
     def field(self):
@@ -244,13 +262,11 @@ class GridFunction:
 
 
 def random_complex_grid(domain, rng):
-    """Independent complex Gaussian entries via Box-Muller: real and
-    imaginary parts independent N(0, 1), so E|z|^2 = 2."""
-    n = domain.size
-    u1 = rng.random(n)
-    u2 = rng.random(n)
-    radii = np.sqrt(-2.0 * np.log1p(-u1))
-    vals = radii * np.exp(2j * np.pi * u2)
+    """Independent standard complex Gaussian entries: 2 * size normals from
+    rng.standard_normal (numpy's ziggurat sampler), read in pairs as the
+    real and imaginary parts, which are independent N(0, 1), so
+    E|z|^2 = 2."""
+    vals = rng.standard_normal(2 * domain.size).view(np.complex128)
     return GridFunction(domain, vals)
 
 
@@ -410,14 +426,14 @@ def affine_max_op(f):
     if f.domain.kind != "affine" or f.domain.n < 2:
         raise DomainError("affine maximal operator needs F_q^d with d >= 2")
     _, table = affine_incidence(f.field, f.domain.n)
-    return _max_over_table(np.abs(f.values), table)
+    return _max_over_table(f.abs(), table)
 
 
 def heis_max_op(F):
     """The horizontal maximal operator on P^{2n-1}: max over cosets."""
     if F.domain.kind != "heisenberg":
         raise DomainError("heisenberg maximal operator needs an H_n function")
-    absvals = np.abs(F.values)
+    absvals = F.abs()
     if F.domain.n == 1:
         _, table = heis1_incidence(F.field)
         return _max_over_table(absvals, table)
@@ -444,7 +460,7 @@ def refined_max_op(F):
     if F.domain.kind != "heisenberg" or F.domain.n != 1:
         raise DomainError("refined operator is defined on H_1")
     _, table = refined_incidence(F.field)
-    return _max_over_table(np.abs(F.values), table)
+    return _max_over_table(F.abs(), table)
 
 
 def project_aggregate(F, u):
@@ -508,7 +524,7 @@ def linearize(kind, field, *, for_function=None, rng=None):
     if for_function is not None:
         if for_function.domain != domain:
             raise DomainError("function domain does not match the family")
-        sums = _line_sums(np.abs(for_function.values), table)
+        sums = _line_sums(for_function.abs(), table)
         choice = sums.argmax(axis=1)  # first maximum: enumeration-order ties
     elif rng is not None:
         choice = rng.integers(table.shape[1], size=table.shape[0])

@@ -8,6 +8,7 @@ from kakeyalab import fourier as fr
 
 import oracle as ol
 from test_field import ALL_Q
+from test_maximal import count_memo_builds
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +217,28 @@ def test_key_counting_random(q):
             assert r1.holds and r2.holds
 
 
+@pytest.mark.parametrize("q", [3, 4, 8, 9, 25, 27])
+def test_key_counting_sums_keep_the_per_frequency_bits(q):
+    # one pass over all xi gives the bits of each xi's sums taken alone
+    fld = Field(q)
+    f = random_f(fld, 27, q)
+    tab = fr.central_fourier(f)
+    for xi in range(1, q):
+        ut = fr.u_tables(f, xi)
+        plane_sq = float((np.abs(tab.table[:, :, xi]) ** 2).sum())
+        lhs_u = float((np.abs(ut.u) ** 2).sum())
+        lhs_inf = float((np.abs(ut.u_inf) ** 2).sum())
+        r1, r2 = fr.key_counting_check(f, xi)
+        assert (r1.lhs, r1.rhs, r1.holds) == (
+            lhs_u, 2 * q * plane_sq,
+            lhs_u <= 2 * q * plane_sq * (1 + mx.REL_TOL) + 1e-12)
+        assert (r2.lhs, r2.rhs, r2.holds) == (
+            lhs_inf, q * plane_sq,
+            lhs_inf <= q * plane_sq * (1 + mx.REL_TOL) + 1e-12)
+    with pytest.raises(DomainError):
+        fr.key_counting_check(f, 0)
+
+
 def test_key_counting_single_fiber_support():
     # f supported on one t-fiber: f^(x,y;xi) = f(x,y,t0) chi(-xi t0), so the
     # counting inequality reduces to an exact planar character computation
@@ -337,7 +360,8 @@ def test_frequency_components_factor_through_u_tables(q):
 
 
 def test_u_rows_built_once_per_input(f7, monkeypatch):
-    # t_components and all q - 1 u_tables calls read one build of the rows
+    # t_components, all q - 1 u_tables calls and all q - 1 key counting
+    # checks read one build of the rows and one of the key sums
     asked = []
     table = fr.field_table
 
@@ -346,11 +370,17 @@ def test_u_rows_built_once_per_input(f7, monkeypatch):
         return table(fld, name, build)
 
     monkeypatch.setattr(fr, "field_table", counting_table)
+    built = count_memo_builds(monkeypatch)
     f = random_f(f7, 24)
     fr.t_components(f, mx.linearize("refined", f7, for_function=f))
     uts = [fr.u_tables(f, xi) for xi in range(1, 7)]
+    for xi in range(1, 7):
+        fr.key_counting_check(f, xi)
     assert asked.count("u-plane-index") == 1
     assert "u-phases" not in asked
+    keys = [key for g, key in built if g is f]
+    assert keys.count("u-rows") == 1 and keys.count("key-sums") == 1
+    assert not fr._key_sums(f).flags.writeable
     rows = fr._u_rows(f)
     for ut in uts:
         assert np.shares_memory(ut.u, rows) and np.shares_memory(ut.u_inf, rows)

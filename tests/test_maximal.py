@@ -80,8 +80,13 @@ def test_extended_exponent_parsing():
     assert mx.recip(2) == Fraction(1, 2)
     assert mx.recip(INF) == 0 and type(mx.recip(INF)) is Fraction
     assert mx.recip("oo") == 0
-    with pytest.raises(DomainError):
-        mx.exponent(Fraction(1, 2))
+    # an exponent already read comes back as given, with no parsing
+    three_halves = Fraction(3, 2)
+    assert mx.exponent(three_halves) is three_halves
+    assert mx.exponent(INF) is INF
+    for bad in (Fraction(1, 2), Fraction(0), -INF, math.nan, True):
+        with pytest.raises(DomainError):
+            mx.exponent(bad)
     with pytest.raises(DomainError):
         mx.recip(Fraction(1, 2))
 
@@ -186,6 +191,28 @@ def test_lp_norm_ordinary_inputs_keep_their_bits():
     g = np.abs(mx.random_complex_grid(h1(Field(5)), mx.seeded_rng(4)).values)
     assert mx.lp_norm(g, 3) == float((g**3.0).sum() ** (1.0 / 3.0))
     assert mx.lp_norm(g, 2) == float(math.sqrt((g * g).sum()))
+
+
+_REAL_TABLES = {
+    "float64": np.array([0.5, -3.25, 7.0, 0.0, -1e-3, 2.5e3]),
+    "float64-large": np.array([1e200, -3e200, 2e199, 0.0, 5e200, 1.0]),
+    "float64-small": np.array([1e-200, -3e-200, 2e-201, 0.0, 4e-200, 0.0]),
+    # entries >= 2^32: an int64 product a * a would wrap
+    "int64": np.array([2**32 + 5, -(2**33), 3 * 2**40, 7, 0, -(2**62)]),
+    "bool": np.array([True, False, True, True, False, True]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REAL_TABLES))
+@pytest.mark.parametrize("u", [1, Fraction(3, 2), 2, 3, 4, INF])
+def test_lp_norm_of_a_real_table_equals_its_complex_cast(name, u):
+    # a real table skips the complex128 copy; the bits stay those of it
+    g = _REAL_TABLES[name]
+    assert mx.lp_norm(g, u) == mx.lp_norm(g.astype(np.complex128), u)
+    rows = g.reshape(2, 3)
+    got = mx.lp_norm(rows, u, axis=1)
+    assert got.tobytes() == \
+        mx.lp_norm(rows.astype(np.complex128), u, axis=1).tobytes()
 
 
 @pytest.mark.parametrize("u", [1, Fraction(3, 2), 2, 3, INF])
@@ -922,6 +949,76 @@ def test_verify_bound_memo_matches_fresh_inputs(q):
         fresh = mx.verify_bound(spec, mx.GridFunction(F.domain, F.values))
         assert (shared.lhs, shared.rhs, shared.holds) == \
             (fresh.lhs, fresh.rhs, fresh.holds), spec.name
+
+
+def count_memo_builds(monkeypatch):
+    """A list that records (function, key) for every memo entry built."""
+    builds = []
+    memo = mx.GridFunction.memo
+
+    def counting_memo(self, key, compute):
+        def counted():
+            builds.append((self, key))
+            return compute()
+        return memo(self, key, counted)
+
+    monkeypatch.setattr(mx.GridFunction, "memo", counting_memo)
+    return builds
+
+
+@pytest.mark.parametrize("q", [5, 8])
+def test_absolute_values_are_built_once_per_input(monkeypatch, q):
+    fld = Field(q)
+    builds = count_memo_builds(monkeypatch)
+    rng = mx.seeded_rng(32, q)
+    F = mx.random_complex_grid(h1(fld), rng)
+    G = mx.random_complex_grid(mx.Domain.affine(fld, 2), rng)
+    inputs = {"heis": F, "refined": F, "affine": G}
+    for spec in mx.bound_catalog(q):
+        mx.verify_bound(spec, inputs[spec.operator])
+    fam = mx.linearize("refined", fld, for_function=F)
+    mx.linearize("planar", fld, for_function=G)
+    for H in (F, G):
+        assert sum(1 for h, key in builds if h is H and key == "abs") == 1
+        assert H.abs().tobytes() == np.abs(H.values).tobytes()
+        assert not H.abs().flags.writeable
+    # the operators and the maximizing family read |F|: compare with the
+    # C-ordered gather of np.abs of the values
+    gathers = {"heis": mx.heis1_incidence(fld)[1],
+               "refined": mx.refined_incidence(fld)[1],
+               "affine": mx.affine_incidence(fld, 2)[1]}
+    for name, op in mx._OPERATORS.items():
+        H = inputs[name]
+        sums = np.abs(H.values)[_c_ordered(gathers[name])].sum(axis=2)
+        assert op(H).tobytes() == sums.max(axis=1).tobytes()
+        if name == "refined":
+            table = gathers[name]
+            want = table[np.arange(len(table)), sums.argmax(axis=1)]
+            assert np.array_equal(fam.point_idx, want)
+    # an integer input keeps an integer |F|
+    assert mx.GridFunction.delta(h1(fld)).abs().dtype == np.int64
+
+
+def test_random_complex_grid_is_the_ziggurat_draw(f5):
+    for dom, key in ((h1(f5), (3, 5, 0)), (mx.Domain.affine(f5, 2), (9,)),
+                     (mx.Domain.heisenberg(Field(3), 2), (1, 2, 3))):
+        F = mx.random_complex_grid(dom, mx.seeded_rng(*key))
+        want = mx.seeded_rng(*key).standard_normal(2 * dom.size)
+        assert F.values.dtype == np.complex128
+        assert F.values.tobytes() == want.view(np.complex128).tobytes()
+        assert not F.values.flags.writeable
+
+
+def test_random_complex_grid_is_standard_complex_gaussian():
+    # q = 27: N = 19,683 entries, each part N(0, 1) and |z|^2 = 2 Exp(1)
+    F = mx.random_complex_grid(h1(Field(27)), mx.seeded_rng(2026, 27))
+    z = F.values
+    n = z.size
+    for part in (z.real, z.imag):
+        assert abs(part.mean()) <= 4 * part.std() / math.sqrt(n)
+    sq = np.abs(z) ** 2
+    assert abs(sq.mean() - 2) <= 4 * sq.std() / math.sqrt(n)
+    assert abs(np.corrcoef(z.real, z.imag)[0, 1]) <= 4 / math.sqrt(n)
 
 
 def test_grid_function_norm_is_memoized_per_exponent(f5):
