@@ -48,7 +48,7 @@ class SuiteConfig:
     suites: tuple = ALL_SUITES
     seed: int = 0
     trials: int = None      # None: per-suite default
-    tol: float = 1e-9
+    tol: float = mx.REL_TOL
     out: str = None
     dump_fourier: str = None
 
@@ -64,31 +64,16 @@ def _fmt(x):
     return str(x)
 
 
-def make_row(suite, bound, q, n, u, v, lhs, rhs, holds, trial=""):
-    if rhs:
-        ratio = lhs / rhs
-    else:
-        ratio = math.inf if lhs else 1.0
-    return {
-        "suite": suite, "bound": bound, "q": q, "n": n,
-        "u": str(u), "v": str(v),
-        "lhs": lhs, "rhs": rhs, "ratio": ratio, "holds": holds,
-        "seed": "", "trial": trial,
-    }
-
-
-def report_row(suite, rep, trial=""):
-    return make_row(suite, rep.name, rep.q, rep.n, rep.u, rep.v,
-                    rep.lhs, rep.rhs, rep.holds, trial)
-
-
-def rows_to_csv(rows, header=True):
+def rows_to_csv(rows, seed="", header=True):
+    """CSV text of (suite, mx.VerifyReport, trial) rows, seed on each."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if header:
         writer.writerow(CSV_HEADER)
-    for r in rows:
-        writer.writerow([_fmt(r[k]) for k in CSV_HEADER])
+    for suite, rep, trial in rows:
+        writer.writerow([_fmt(x) for x in (
+            suite, rep.name, rep.q, rep.n, rep.u, rep.v, rep.lhs, rep.rhs,
+            rep.ratio, rep.holds, seed, trial)])
     return buf.getvalue()
 
 
@@ -98,8 +83,8 @@ def _rng(cfg, suite, q, trial):
 
 
 # ---------------------------------------------------------------------------
-# suites: suite_X(cfg, fld) returns the rows of the one field fld, a field
-# of cfg.fields; cfg is the run's whole config
+# suites: suite_X(cfg, fld) returns the (mx.VerifyReport, trial) rows of
+# the one field fld, a field of cfg.fields; cfg is the run's whole config
 
 
 def suite_census(cfg, fld):
@@ -118,12 +103,12 @@ def suite_census(cfg, fld):
                 ("lines-per-refined-dir", rec.lines_per_refined_direction),
                 ("lines-per-point", rec.lines_per_point),
             ]
-            for name, val in pairs:
-                rows.append(make_row("census", f"census-{name}", q, n,
-                                     "", "", val, val, True))
+            rows += [(mx.VerifyReport(f"census-{name}", q, n, "", "", val,
+                                      val, None), "") for name, val in pairs]
         except AssertionError as exc:
-            rows.append(make_row("census", f"census-mismatch:{exc}", q, n,
-                                 "", "", 0.0, 0.0, False))
+            rows.append((mx.VerifyReport(f"census-mismatch:{exc}", q, n, "",
+                                         "", 0.0, 0.0, None, premise=False),
+                         ""))
     return rows
 
 
@@ -142,10 +127,9 @@ def suite_planar_l2(cfg, fld):
                                _rng(cfg, "planar-l2", q, trials))
     fams.append(("maximizing", mx.linearize("planar", fld, for_function=g)))
     for tag, fam in fams:
-        sigma = mx.l2_operator_norm(fam)
-        holds = abs(sigma - target) <= 1e-8 * target
-        rows.append(make_row("planar-l2", "planar-opnorm-sqrt2q", q, 1,
-                             2, 2, sigma, target, holds, trial=tag))
+        rows.append((mx.VerifyReport("planar-opnorm-sqrt2q", q, 1, 2, 2,
+                                     mx.l2_operator_norm(fam), target, "eq",
+                                     1e-8), tag))
     return rows
 
 
@@ -159,8 +143,8 @@ def suite_ttstar(cfg, fld):
                            rng=_rng(cfg, "ttstar", q, trial))
         eigs = mx.ttstar_spectrum(fam)
         dev = float(np.abs(eigs - expected).max())
-        rows.append(make_row("ttstar", "ttstar-two-eigenvalues", q, 1,
-                             2, 2, dev, 1e-8, dev <= 1e-8, trial=trial))
+        rows.append((mx.VerifyReport("ttstar-two-eigenvalues", q, 1, 2, 2,
+                                     dev, 1e-8), trial))
     return rows
 
 
@@ -197,8 +181,7 @@ def _bound_rows(cfg, suite, fld, specs, trials):
     def check(operator, tag, F):
         for spec, cell in zip(specs, cells):
             if spec.operator == operator:
-                rep = mx.verify_bound(spec, F, tol=cfg.tol)
-                cell.append(report_row(suite, rep, trial=tag))
+                cell.append((mx.verify_bound(spec, F, tol=cfg.tol), tag))
 
     for operator, inputs in fixed.items():
         for tag, F in inputs:
@@ -233,15 +216,14 @@ def suite_rd_l2(cfg, fld):
         F = mx.random_complex_grid(dom, _rng(cfg, "rd-l2", q, trial))
         rep = mx.verify_bound(spec, F, tol=cfg.tol)
         worst = max(worst, rep.lhs / (math.sqrt(q) * F.norm(2)))
-        rows.append(report_row("rd-l2", rep, trial=trial))
-    rows.append(make_row("rd-l2", "rd-l2-max-observed-ratio", q, 1, 2, 2,
-                         worst, 5.0, worst <= 5.0))
+        rows.append((rep, trial))
     delta_ratio = mx.lp_norm(mx.refined_max_op(
         mx.GridFunction.delta(dom)), 2)
-    rows.append(make_row("rd-l2", "rd-l2-delta-sharpness", q, 1, 2, 2,
-                         delta_ratio, math.sqrt(q),
-                         delta_ratio >= math.sqrt(q)))
-    return rows
+    return rows + [
+        (mx.VerifyReport("rd-l2-max-observed-ratio", q, 1, 2, 2, worst, 5.0),
+         ""),
+        (mx.VerifyReport("rd-l2-delta-sharpness", q, 1, 2, 2, delta_ratio,
+                         math.sqrt(q), "ge"), "")]
 
 
 def suite_fourier(cfg, fld):
@@ -253,24 +235,22 @@ def suite_fourier(cfg, fld):
         f = mx.random_complex_grid(dom, _rng(cfg, "fourier", q, trial))
         fam = mx.linearize("refined", fld, for_function=f)
         pl = fr.central_fourier(f).plancherel_defect(f)
-        rows.append(make_row("fourier", "plancherel-defect", q, 1, 2, 2,
-                             pl, cfg.tol, pl <= cfg.tol, trial=trial))
+        rows.append((mx.VerifyReport("plancherel-defect", q, 1, 2, 2, pl,
+                                     cfg.tol), trial))
         dc = fr.decomposition_defect(f, fam)
-        rows.append(make_row("fourier", "decomposition-defect", q, 1,
-                             "", "", dc, cfg.tol, dc <= cfg.tol,
-                             trial=trial))
+        rows.append((mx.VerifyReport("decomposition-defect", q, 1, "", "",
+                                     dc, cfg.tol), trial))
         key_nv = key_v = 0.0
         for xi in range(1, q):
             r1, r2 = fr.key_counting_check(f, xi, tol=cfg.tol)
-            key_nv = max(key_nv, r1.lhs / r1.rhs)
-            key_v = max(key_v, r2.lhs / r2.rhs)
+            key_nv = max(key_nv, r1.ratio)
+            key_v = max(key_v, r2.ratio)
         for name, val in (("key-nonvertical", key_nv),
                           ("key-vertical", key_v)):
-            rows.append(make_row("fourier", f"fourier-{name}", q, 1, 2, 2,
-                                 val, 1.0, val <= 1.0 + cfg.tol,
-                                 trial=trial))
-        for rep in fr.split_bound_check(f, fam, tol=cfg.tol):
-            rows.append(report_row("fourier", rep, trial=trial))
+            rows.append((mx.VerifyReport(f"fourier-{name}", q, 1, 2, 2, val,
+                                         1.0, tol=cfg.tol), trial))
+        rows += [(rep, trial)
+                 for rep in fr.split_bound_check(f, fam, tol=cfg.tol)]
         if (trial == 0 and cfg.dump_fourier is not None
                 and fld is cfg.fields[-1]):
             _dump_fourier(cfg.dump_fourier, f)
@@ -279,8 +259,8 @@ def suite_fourier(cfg, fld):
         for rho in range(q):
             fiber_max = max(fiber_max,
                             max(fr.quadratic_fiber_count(fld, xi, rho)))
-    rows.append(make_row("fourier", "quadratic-fiber-count", q, 1, "", "",
-                         fiber_max, 2, fiber_max <= 2))
+    rows.append((mx.VerifyReport("quadratic-fiber-count", q, 1, "", "",
+                                 fiber_max, 2), ""))
     return rows
 
 
@@ -328,11 +308,10 @@ def suite_lowerbounds(cfg, fld):
         for u, v in pairs:
             rep = cn.lower_bound_ratio(kind, fld, u, v, n=n,
                                        operator=operator)
-            rhs = rep.certified_constant * mx.q_pow(q, rep.term)
-            holds = rep.cert_holds and rep.ratio >= rhs / (1 + cfg.tol)
-            rows.append(make_row(
-                "lowerbounds", f"{operator}-{kind}-term", q, n,
-                rep.u, rep.v, rep.ratio, rhs, holds))
+            rows.append((mx.VerifyReport(
+                f"{operator}-{kind}-term", q, n, rep.u, rep.v, rep.ratio,
+                rep.certified_constant * mx.q_pow(q, rep.term), "ge",
+                cfg.tol, rep.cert_holds), ""))
     return rows
 
 
@@ -355,25 +334,27 @@ SLOPE_PLAN = (
 def suite_exponents(cfg, fld):
     """Per entry and field: the certified ratio, and its exact exponent.
 
-    The exponent row holds iff the operator-value histogram equals its
-    closed form (cn.EXTREMAL_PROFILES) at q and the closed form's leading
-    degree in q equals the term exactly.
+    The ratio row holds iff its certificate does.  The exponent row holds
+    iff the operator-value histogram equals its closed form
+    (cn.EXTREMAL_PROFILES) at q and the closed form's leading degree in q
+    equals the term exactly.
     """
     rows = []
     for label, operator, n, kind, u, v in SLOPE_PLAN:
         if n == 2 and fld.q > 9:
             continue
         rep = cn.lower_bound_ratio(kind, fld, u, v, n=n, operator=operator)
-        rows.append(make_row("exponents", f"{label}-ratio", fld.q, n,
-                             rep.u, rep.v, rep.ratio,
-                             mx.q_pow(fld.q, rep.term), rep.cert_holds))
+        rows.append((mx.VerifyReport(f"{label}-ratio", fld.q, n, rep.u,
+                                     rep.v, rep.ratio,
+                                     mx.q_pow(fld.q, rep.term), None,
+                                     premise=rep.cert_holds), ""))
         opvals, support = cn._extremal_op_values(kind, fld, n, operator)
         exact = (Counter(opvals.tolist()), support) == cn.profile_at(
             operator, kind, n, fld.q)
         degree = cn.profile_degree(operator, kind, n, rep.u, rep.v)
-        rows.append(make_row("exponents", f"{label}-exponent", fld.q, n,
-                             rep.u, rep.v, degree, rep.term,
-                             exact and degree == rep.term))
+        rows.append((mx.VerifyReport(f"{label}-exponent", fld.q, n, rep.u,
+                                     rep.v, degree, rep.term, "eq",
+                                     premise=exact), ""))
     return rows
 
 
@@ -387,43 +368,40 @@ def suite_examples(cfg, fld):
     ref1, wit1 = cn.is_full_refined_kakeya(e1)
     om0_lines = hz.lines_with_refined_direction(fld, om0)
     om0_missing = not e1.mask[om0_lines].all(axis=1).any()
-    rows.append(make_row("examples", "ex-affine-not-refined", q, 1, "", "",
-                         float(aff1 and not ref1 and om0_missing), 1.0,
-                         aff1 and not ref1 and om0_missing,
-                         trial=hz.direction_label(om0)))
-    rows.append(make_row("examples", "ex-affine-not-refined-size", q, 1,
-                         "", "", len(e1), q**3 - q, len(e1) == q**3 - q))
+    ok = aff1 and not ref1 and om0_missing
+    rows.append((mx.VerifyReport("ex-affine-not-refined", q, 1, "", "",
+                                 float(ok), 1.0, None, premise=ok),
+                 hz.direction_label(om0)))
+    rows.append((mx.VerifyReport("ex-affine-not-refined-size", q, 1, "", "",
+                                 len(e1), q**3 - q, "eq"), ""))
 
     rep = cn.lower_bound_ratio("constant", fld, 3, 3, operator="refined")
-    rows.append(make_row("examples", "ex-l3-sharpness", q, 1, 3, 3,
-                         rep.ratio, mx.q_pow(q, Fraction(2, 3)),
-                         rep.cert_holds))
+    rows.append((mx.VerifyReport("ex-l3-sharpness", q, 1, 3, 3, rep.ratio,
+                                 mx.q_pow(q, Fraction(2, 3)), None,
+                                 premise=rep.cert_holds), ""))
 
     if q % 2 and q > 3:
         e2 = cn.example_refined_not_affine(fld)
         aff2, wit2 = cn.is_affine_kakeya(cn.as_affine_set(e2))
         ref2, _ = cn.is_full_refined_kakeya(e2)
         ok = ref2 and not aff2 and wit2 == (0, 0, 1)
-        rows.append(make_row("examples", "ex-refined-not-affine", q, 1,
-                             "", "", float(ok), 1.0, ok,
-                             trial="None" if wit2 is None
-                             else hz.direction_label(wit2)))
-        fiber = int(cn.vertical_fiber_sizes(e2).max())
-        rows.append(make_row("examples", "ex-refined-fiber-bound", q, 1,
-                             "", "", fiber, (q + 3) // 2,
-                             fiber <= (q + 3) // 2))
+        rows.append((mx.VerifyReport("ex-refined-not-affine", q, 1, "", "",
+                                     float(ok), 1.0, None, premise=ok),
+                     "None" if wit2 is None else hz.direction_label(wit2)))
+        rows.append((mx.VerifyReport(
+            "ex-refined-fiber-bound", q, 1, "", "",
+            int(cn.vertical_fiber_sizes(e2).max()), (q + 3) // 2), ""))
 
     if q % 2:
         para = cn.extremal_set("paraboloid", fld).indicator()
         g = mx.project_aggregate(para, 1)
         m2g = mx.affine_max_op(g)
         mh = mx.heis_max_op(para)
-        rows.append(make_row("examples", "paraboloid-projected-max", q, 1,
-                             1, "", float(m2g.min()), float(q),
-                             bool(m2g.min() == q and m2g.max() == q)))
-        rows.append(make_row("examples", "paraboloid-heis-max", q, 1,
-                             "", "", float(mh.max()), 2.0,
-                             bool(mh.max() <= 2)))
+        rows.append((mx.VerifyReport("paraboloid-projected-max", q, 1, 1, "",
+                                     float(m2g.min()), float(q), "eq",
+                                     premise=bool(m2g.max() == q)), ""))
+        rows.append((mx.VerifyReport("paraboloid-heis-max", q, 1, "", "",
+                                     float(mh.max()), 2.0), ""))
     return rows
 
 
@@ -454,8 +432,8 @@ def suite_kakeya_bounds(cfg, fld):
         cases.append((f"planted-{trial}", ps, chosen, m))
     for tag, ps, omega, m in cases:
         for u, v in ((2, 2), (2, 4), (3, 3)):
-            rep = cn.kakeya_bound_report(ps, omega, m, u, v, tol=cfg.tol)
-            rows.append(report_row("kakeya-bounds", rep, trial=tag))
+            rows.append((cn.kakeya_bound_report(ps, omega, m, u, v,
+                                                tol=cfg.tol), tag))
     return rows
 
 
@@ -471,8 +449,7 @@ def suite_moments(cfg, fld):
         sets.append(("refined-kakeya", cn.example_refined_not_affine(fld)))
     for tag, ps in sets:
         for s in (2, 3):
-            rep = cn.moment_report(ps, s, tol=cfg.tol)
-            rows.append(report_row("moments", rep, trial=tag))
+            rows.append((cn.moment_report(ps, s, tol=cfg.tol), tag))
     return rows
 
 
@@ -525,19 +502,15 @@ def _task_digest(cfg, name, i):
     row count, rows that hold, VIOLATED lines).  The task runs suite name
     on the run's field cfg.fields[i], with the run's whole config, so the
     suite itself can tell the run's last field (suite_fourier's
-    --dump-fourier).  A VIOLATED line is its row's CSV line.  The seed is
-    stamped on the rows, and the row dicts die when this returns, so one
+    --dump-fourier).  A row is (name, record, trial); a VIOLATED line is
+    its CSV line, seed stamped.  The records die when this returns, so one
     task's rows are alive at a time per process."""
-    rows = SUITES[name](cfg, cfg.fields[i])
-    violated = []
-    held = 0
-    for r in rows:
-        r["seed"] = cfg.seed
-        if r["holds"]:
-            held += 1
-        else:
-            violated.append(rows_to_csv([r], header=False).removesuffix("\n"))
-    return rows_to_csv(rows, header=False), len(rows), held, violated
+    rows = [(name, rep, trial)
+            for rep, trial in SUITES[name](cfg, cfg.fields[i])]
+    violated = [rows_to_csv([row], cfg.seed, header=False).removesuffix("\n")
+                for row in rows if not row[1].holds]
+    return (rows_to_csv(rows, cfg.seed, header=False), len(rows),
+            len(rows) - len(violated), violated)
 
 
 @dataclass
@@ -817,7 +790,10 @@ def _add_common(parser):
     parser.add_argument("--q", default=None, help="comma-separated field sizes")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument("--tol", type=float, default=mx.REL_TOL, help=(
+        "relative tolerance of the float bounds (diag, offdiag, rd-l2-sharp,"
+        " fourier-key/split, kakeya-size, moment, lowerbounds); absolute"
+        " bound of the plancherel and decomposition defects"))
     parser.add_argument("--out", default=None, help="CSV output path")
     parser.add_argument("--modulus", default=None,
                         help="comma-separated modulus coefficients c0,c1,...")

@@ -154,7 +154,6 @@ class LowerBoundReport:
     term: Fraction          # the exponent term this test function certifies
     certified_constant: float  # ratio >= certified_constant * q^term
     cert_holds: bool        # verified in exact integer arithmetic
-    op_norm_pow: int        # sum of op-values^v (or max when v = inf)
     support: int
 
 
@@ -269,7 +268,7 @@ def lower_bound_ratio(kind, field, u, v, *, n=1, operator="refined"):
         cert_c = 2.0 ** (-float(recip(u)))
     cert = _cert_inequality(A, B, q, term, u, v, two_power)
     return LowerBoundReport(kind, operator, q, n, u, v, float(ratio), term,
-                            cert_c, bool(cert), A, support_size)
+                            cert_c, bool(cert), support_size)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +523,7 @@ def kakeya_bound_report(ps, omega, m, u, v, tol=REL_TOL):
         * q_pow(field.q, -u * exponent_Ard(u, v))
     lhs = float(len(ps))
     return VerifyReport(f"kakeya-size-({u},{v})", field.q, 1, u, v, lhs, rhs,
-                        lhs * (1 + tol) >= rhs, sense="ge", constant_used=C)
+                        "ge", tol)
 
 
 def moment_report(ps, s, tol=REL_TOL):
@@ -540,4 +539,4 @@ def moment_report(ps, s, tol=REL_TOL):
     C_s = rd_upper_constant(u_dual, s) ** ss
     rhs = C_s * field.q * float(len(ps)) ** (ss - 1)
     return VerifyReport(f"moment-s={s}", field.q, 1, u_dual, s, lhs, rhs,
-                        lhs <= rhs * (1 + tol), constant_used=C_s)
+                        tol=tol)

@@ -177,13 +177,10 @@ def key_counting_check(f, xi, tol=REL_TOL):
     u_tables(f, xi)                                 # raises for xi = 0
     lhs_u, lhs_inf, plane_sq = map(float, _key_sums(f)[xi])
     q = field.q
-    rep_u = VerifyReport("fourier-key-nonvertical", q, 1, 2, 2,
-                         lhs_u, 2 * q * plane_sq,
-                         lhs_u <= 2 * q * plane_sq * (1 + tol) + 1e-12)
-    rep_inf = VerifyReport("fourier-key-vertical", q, 1, 2, 2,
-                           lhs_inf, q * plane_sq,
-                           lhs_inf <= q * plane_sq * (1 + tol) + 1e-12)
-    return rep_u, rep_inf
+    return (VerifyReport("fourier-key-nonvertical", q, 1, 2, 2, lhs_u,
+                         2 * q * plane_sq, tol=tol),
+            VerifyReport("fourier-key-vertical", q, 1, 2, 2, lhs_inf,
+                         q * plane_sq, tol=tol))
 
 
 def quadratic_fiber_count(field, xi, rho):
@@ -202,16 +199,12 @@ def split_bound_check(f, family, tol=REL_TOL):
     fnorm = f.norm(2)
     q = f.field.q
     comps = t_components(f, family)
-    lhs0 = lp_norm(comps[0], 2)
-    lhs_rest = lp_norm(comps[1:].sum(axis=0), 2)
-    rhs0 = math.sqrt(2 * q) * fnorm
-    rhs_rest = math.sqrt(5 * q) * fnorm
-    rep0 = VerifyReport("fourier-split-zero", q, 1, 2, 2, lhs0, rhs0,
-                        lhs0 <= rhs0 * (1 + tol) + 1e-12)
-    rep_rest = VerifyReport("fourier-split-nonzero", q, 1, 2, 2,
-                            lhs_rest, rhs_rest,
-                            lhs_rest <= rhs_rest * (1 + tol) + 1e-12)
-    return rep0, rep_rest
+    return (VerifyReport("fourier-split-zero", q, 1, 2, 2,
+                         lp_norm(comps[0], 2),
+                         math.sqrt(2 * q) * fnorm, tol=tol),
+            VerifyReport("fourier-split-nonzero", q, 1, 2, 2,
+                         lp_norm(comps[1:].sum(axis=0), 2),
+                         math.sqrt(5 * q) * fnorm, tol=tol))
 
 
 def decomposition_defect(f, family):

@@ -597,20 +597,50 @@ class BoundSpec:
     alpha: Fraction
 
 
-@dataclass
+@dataclass(slots=True)
 class VerifyReport:
-    """Outcome of checking one inequality on one input."""
+    """One checked claim, a verify CSV row: lhs against rhs in its sense,
+    with a relative tolerance and an exact premise, decided by verdict()."""
 
     name: str
     q: int
     n: int
-    u: Fraction | float   # an exponent(): a Fraction, or math.inf
-    v: Fraction | float
+    u: Fraction | float | str   # an exponent(), or "" where none applies
+    v: Fraction | float | str
     lhs: float
     rhs: float
-    holds: bool
-    sense: str = "le"  # 'le': lhs <= rhs must hold; 'ge': lhs >= rhs
-    constant_used: float = float("nan")
+    sense: str | None = "le"    # 'le', 'ge', 'eq'; None: the premise alone
+    tol: float = 0.0
+    premise: bool = True
+
+    @property
+    def holds(self):
+        return verdict(self)
+
+    @property
+    def ratio(self):
+        if self.rhs:
+            return self.lhs / self.rhs
+        return math.inf if self.lhs else 1.0
+
+
+def verdict(rep):
+    """Whether rep holds, the one place a row's lhs meets its rhs: a false
+    premise fails it, and then its sense asks 'le': lhs <= rhs (1 + tol),
+    'ge': lhs (1 + tol) >= rhs, 'eq': |lhs - rhs| <= tol |rhs|, or
+    (None) nothing more."""
+    if not rep.premise:
+        return False
+    lhs, rhs, tol = rep.lhs, rep.rhs, rep.tol
+    if rep.sense == "le":
+        return lhs <= rhs * (1 + tol)
+    if rep.sense == "ge":
+        return lhs * (1 + tol) >= rhs
+    if rep.sense == "eq":
+        return abs(lhs - rhs) <= tol * abs(rhs)
+    if rep.sense is None:
+        return True
+    raise ValueError(f"unknown sense {rep.sense!r}")
 
 
 def verify_bound(spec, F, tol=REL_TOL):
@@ -623,9 +653,8 @@ def verify_bound(spec, F, tol=REL_TOL):
     opvals = F.memo(op, lambda: op(F))
     lhs = lp_norm(opvals, spec.v)
     rhs = spec.constant * q_pow(F.field.q, spec.alpha) * F.norm(spec.u)
-    holds = lhs <= rhs * (1 + tol) if rhs else lhs == 0
     return VerifyReport(spec.name, F.field.q, F.domain.n, spec.u, spec.v,
-                        lhs, rhs, holds, constant_used=spec.constant)
+                        lhs, rhs, tol=tol)
 
 
 def bound_catalog(q):

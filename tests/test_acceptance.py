@@ -136,8 +136,8 @@ def test_criterion_5_exponent_formulas():
     # exact exponents at q in {3, 5, 7, 9, 11, 13, 25}, rank 2 at q <= 9
     cfg = cli.SuiteConfig(fields=tuple(map(field, (3, 5, 7, 9, 11, 13, 25))))
     for fld in cfg.fields:
-        for row in cli.suite_exponents(cfg, fld):
-            if not row["holds"]:
+        for rep, _ in cli.suite_exponents(cfg, fld):
+            if not rep.holds:
                 ok = False
     outcome(5, "exponent-term-certificates-and-exact-exponents", ok)
 
@@ -147,7 +147,7 @@ def test_criterion_6_upper_bound_suite():
                           suites=("diag", "offdiag"), seed=0, trials=8)
     rows = [r for fld in cfg.fields
             for r in cli.suite_diag(cfg, fld) + cli.suite_offdiag(cfg, fld)]
-    ok = bool(rows) and all(r["holds"] for r in rows)
+    ok = bool(rows) and all(rep.holds for rep, _ in rows)
     # the paper's explicit constants appear in the catalog
     consts = {s.name: s.constant for s in mx.bound_catalog(7)}
     consts.update({s.name: s.constant for s in mx.offdiag_catalog()})
@@ -193,7 +193,7 @@ def test_criterion_8_size_and_moment_reports():
                           suites=("kakeya-bounds",), seed=0, trials=5)
     rows = [r for fld in cfg.fields
             for r in cli.suite_kakeya_bounds(cfg, fld)]
-    ok &= bool(rows) and all(r["holds"] for r in rows)
+    ok &= bool(rows) and all(rep.holds for rep, _ in rows)
     # the (2,2) report uses exactly |E| >= m^2 |Omega| / (25 q)
     for q in (5, 7):
         fld = field(q)

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from kakeyalab.field import DomainError, Field
 from kakeyalab import maximal as mx
 from kakeyalab import constructions as cn
+from kakeyalab import fourier as fr
 from kakeyalab import cli
 
 import documents as docs
@@ -59,8 +60,8 @@ def test_run_suite_unknown_suite():
 
 def test_violated_row_gives_exit_1(monkeypatch, capsys):
     def bad_suite(cfg, fld):
-        return [cli.make_row("bad", "always-false", fld.q, 1, 2, 2, 2.0, 1.0,
-                             False)]
+        return [(mx.VerifyReport("always-false", fld.q, 1, 2, 2, 2.0, 1.0),
+                 "")]
     monkeypatch.setitem(cli.SUITES, "census", bad_suite)
     report = cli.run_suite(small_config())  # q = 3 and 5: one row each
     assert report.status == 1
@@ -120,7 +121,7 @@ def test_verify_summary_names_the_q_values_of_its_fields(monkeypatch, capsys):
     # the q values of the run's fields, each once (--big adds no q the list
     # names), whatever q the rows carry
     def suite(cfg, fld):
-        return [cli.make_row("w", "ratio", q, 1, 2, 2, 1.0, 1.0, True)
+        return [(mx.VerifyReport("ratio", q, 1, 2, 2, 1.0, 1.0), "")
                 for q in (7, "")]
     monkeypatch.setitem(cli.SUITES, "census", suite)
     assert cli.main(["verify", "--q", "9,3,16", "--big",
@@ -263,8 +264,8 @@ def test_examples_trial_labels_are_pinned():
     # the witness directions the examples rows print, as in the CSV bytes
     cfg = cli.SuiteConfig(fields=(Field(3), Field(5), Field(7)),
                           suites=("examples",))
-    labels = [(r["bound"], r["q"], r["trial"]) for fld in cfg.fields
-              for r in cli.suite_examples(cfg, fld) if r["trial"] != ""]
+    labels = [(rep.name, rep.q, trial) for fld in cfg.fields
+              for rep, trial in cli.suite_examples(cfg, fld) if trial != ""]
     assert labels == [("ex-affine-not-refined", 3, "[1:2:0]"),
                       ("ex-affine-not-refined", 5, "[1:3:0]"),
                       ("ex-refined-not-affine", 5, "[0:0:1]"),
@@ -380,9 +381,8 @@ def test_status_2_run_leaves_no_file_at_out(monkeypatch, capsys, tmp_path):
     assert not out.exists()
     # a violated bound (status 1) still writes every row
     monkeypatch.setitem(cli.SUITES, "examples",
-                        lambda cfg, fld: [cli.make_row(
-                            "examples", "always-false", 3, 1, "", "", 2.0,
-                            1.0, False)])
+                        lambda cfg, fld: [(mx.VerifyReport(
+                            "always-false", 3, 1, "", "", 2.0, 1.0), "")])
     assert cli.main(["verify", "--q", "3", "--suite", "census,examples",
                      "--out", str(out)]) == 1
     assert out.read_text().splitlines()[-1].startswith(
@@ -393,8 +393,8 @@ def test_domain_error_after_violated_rows_exits_2_quietly(monkeypatch,
                                                           capsys, tmp_path):
     # the earlier suite's rows are already CSV text when the later one
     # raises: no row reaches stdout or --out, and stderr holds only the error
-    monkeypatch.setitem(cli.SUITES, "census", lambda cfg, fld: [cli.make_row(
-        "census", "always-false", 3, 1, "", "", 2.0, 1.0, False)])
+    monkeypatch.setitem(cli.SUITES, "census", lambda cfg, fld: [(
+        mx.VerifyReport("always-false", 3, 1, "", "", 2.0, 1.0), "")])
 
     def late_error(cfg, fld):
         raise DomainError("raised after a suite returned rows")
@@ -411,21 +411,21 @@ def test_domain_error_after_violated_rows_exits_2_quietly(monkeypatch,
 
 
 def test_violated_lines_keep_row_order(monkeypatch, capsys):
-    def suite(name, verdicts):
-        return lambda cfg, fld: [cli.make_row(name, f"b{i}", 3, 1, 2, 2, 1.0,
-                                              1.0, holds, trial=i)
-                                 for i, holds in enumerate(verdicts)]
-    monkeypatch.setitem(cli.SUITES, "census",
-                        suite("first", [False, True, False]))
-    monkeypatch.setitem(cli.SUITES, "diag", suite("second", [True, False]))
+    def suite(verdicts):
+        return lambda cfg, fld: [
+            (mx.VerifyReport(f"b{i}", 3, 1, 2, 2, 1.0, 1.0, premise=holds), i)
+            for i, holds in enumerate(verdicts)]
+    monkeypatch.setitem(cli.SUITES, "census", suite([False, True, False]))
+    monkeypatch.setitem(cli.SUITES, "diag", suite([True, False]))
     assert cli.main(["verify", "--q", "3", "--suite", "census,diag"]) == 1
     captured = capsys.readouterr()
     rows = captured.out.splitlines()[2:]  # after the summary and the header
     assert captured.out.splitlines()[0] == "2/5 checks hold across q=[3]"
     assert captured.err.splitlines() == [
         "VIOLATED: " + r for r in rows if ",false," in r]
+    # the suite column is the task's suite
     assert [r.split(",")[:2] for r in rows if ",false," in r] == [
-        ["first", "b0"], ["first", "b2"], ["second", "b1"]]
+        ["census", "b0"], ["census", "b2"], ["diag", "b1"]]
 
 
 def test_violated_lines_are_the_failing_csv_lines(monkeypatch, capsys):
@@ -448,18 +448,36 @@ def test_violated_lines_are_the_failing_csv_lines(monkeypatch, capsys):
                                          for line in failing]
 
 
+@pytest.mark.parametrize("verdict", [False, True])
+def test_every_row_is_decided_by_verdict(monkeypatch, capsys, tmp_path,
+                                         verdict):
+    # no suite, report or check decides a row itself: every row of every
+    # suite holds exactly when mx.verdict says so
+    monkeypatch.setattr(mx, "verdict", lambda rep: verdict)
+    set_cpus(monkeypatch, 1)  # every task runs here, where verdict is patched
+    out = tmp_path / "x.csv"
+    assert cli.main(["verify", "--q", "3,5", "--trials", "1",
+                     "--out", str(out)]) == (0 if verdict else 1)
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert {r["suite"] for r in rows} == set(cli.ALL_SUITES)
+    assert {r["holds"] for r in rows} == {"true" if verdict else "false"}
+    held = len(rows) if verdict else 0
+    assert capsys.readouterr().out == \
+        f"{held}/{len(rows)} checks hold across q=[3, 5]\n"
+
+
 def test_a_suite_returns_the_rows_of_its_one_field():
-    # suite_X(cfg, fld) is one task: its rows, seed stamped, are the rows
-    # run_suite writes for that suite and field, in output order
+    # suite_X(cfg, fld) is one task: its (record, trial) rows, under the
+    # suite's name with the seed stamped, are the rows run_suite writes for
+    # that suite and field, in output order
     cfg = small_config(qs=(3, 5), suites=cli.ALL_SUITES, trials=1)
     written = cli.run_suite(cfg, keep=True).csv.splitlines(keepends=True)[1:]
     for name in cli.ALL_SUITES:
         for fld in cfg.fields:
             rows = cli.SUITES[name](cfg, fld)
-            for r in rows:
-                r["seed"] = cfg.seed
-            assert rows and {r["q"] for r in rows} == {fld.q}
-            text = cli.rows_to_csv(rows, header=False)
+            assert rows and {rep.q for rep, _ in rows} == {fld.q}
+            text = cli.rows_to_csv([(name, rep, trial) for rep, trial in rows],
+                                   cfg.seed, header=False)
             assert "".join(written[:len(rows)]) == text, (name, fld.q)
             del written[:len(rows)]
     assert written == []
@@ -492,12 +510,8 @@ def _bound_rows_all_inputs_first(cfg, suite, fld, specs, trials):
         inputs["heis"].append((trial, mx.random_complex_grid(dom_h, rng)))
         inputs["refined"].append((trial, mx.random_complex_grid(dom_h, rng)))
         inputs["affine"].append((trial, mx.random_complex_grid(dom_a, rng)))
-    rows = []
-    for spec in specs:
-        for tag, F in inputs[spec.operator]:
-            rep = mx.verify_bound(spec, F, tol=cfg.tol)
-            rows.append(cli.report_row(suite, rep, trial=tag))
-    return rows
+    return [(mx.verify_bound(spec, F, tol=cfg.tol), tag) for spec in specs
+            for tag, F in inputs[spec.operator]]
 
 
 @pytest.mark.parametrize("suite", ["diag", "offdiag"])
@@ -529,24 +543,23 @@ def test_bound_rows_keep_one_trials_inputs_alive(monkeypatch, suite, q):
     assert got == want
 
 
-class _Row(dict):
-    """A row dict that a weak reference can follow."""
+class _Record(mx.VerifyReport):
+    """A row record that a weak reference can follow."""
+
+    __slots__ = ("__weakref__",)
 
 
 def test_one_suites_rows_are_alive_at_a_time(monkeypatch):
     refs = []
 
-    def suite(name):
-        def run(cfg, fld):
-            assert [r for r in refs if r() is not None] == []
-            rows = [_Row(cli.make_row(name, "b", 3, 1, 2, 2, 1.0, 1.0, True))
-                    for _ in range(3)]
-            refs.extend(weakref.ref(r) for r in rows)
-            return rows
-        return run
+    def suite(cfg, fld):
+        assert [r for r in refs if r() is not None] == []
+        rows = [(_Record("b", 3, 1, 2, 2, 1.0, 1.0), "") for _ in range(3)]
+        refs.extend(weakref.ref(rep) for rep, _ in rows)
+        return rows
 
     for name in ("census", "diag", "fourier"):
-        monkeypatch.setitem(cli.SUITES, name, suite(name))
+        monkeypatch.setitem(cli.SUITES, name, suite)
     # q = 3 and 5: each suite runs once per field
     report = cli.run_suite(small_config(suites=("census", "diag", "fourier")))
     assert report.status == 0 and report.checks == 18 and len(refs) == 18
@@ -555,15 +568,28 @@ def test_one_suites_rows_are_alive_at_a_time(monkeypatch):
 
 def test_one_tasks_rows_are_alive_at_a_time(monkeypatch):
     # real suites on one CPU: a task is one suite on one field, handed out
-    # in output order, and its rows die before the next task starts
+    # in output order, and its records, rows and those a check only reads,
+    # die before the next task starts
     refs = []
-    make_row = cli.make_row
+    rows = []
 
-    def weak_row(*args, **kw):
-        row = _Row(make_row(*args, **kw))
-        refs.append(weakref.ref(row))
-        return row
-    monkeypatch.setattr(cli, "make_row", weak_row)
+    class Tracked(_Record):
+        __slots__ = ()
+
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            refs.append(weakref.ref(self))
+    for module in (mx, fr, cn):
+        monkeypatch.setattr(module, "VerifyReport", Tracked)
+
+    def weak_rows(run):
+        def suite(cfg, fld):
+            out = run(cfg, fld)
+            rows.extend(weakref.ref(rep) for rep, _ in out)
+            return out
+        return suite
+    for name in ("census", "diag", "fourier"):
+        monkeypatch.setitem(cli.SUITES, name, weak_rows(cli.SUITES[name]))
     started = []
     task_digest = cli._task_digest
 
@@ -575,9 +601,10 @@ def test_one_tasks_rows_are_alive_at_a_time(monkeypatch):
     set_cpus(monkeypatch, 1)
     report = cli.run_suite(small_config(
         qs=(3, 5), suites=("census", "diag", "fourier"), trials=1))
-    assert report.status == 0 and report.checks == len(refs) > 0
+    assert report.status == 0 and report.checks == len(rows) > 0
     assert started == [(name, i) for name in ("census", "diag", "fourier")
                        for i in (0, 1)]
+    assert len(refs) > len(rows)  # key_counting_check's records are read only
     assert [r for r in refs if r() is not None] == []
 
 
@@ -1034,8 +1061,7 @@ def test_replaced_suite_runs_in_this_process_once_per_field(monkeypatch,
 
     def recording(cfg, fld):
         calls.append((os.getpid(), cfg, fld))
-        return [cli.make_row("diag", "replaced", fld.q, 1, "", "", 1.0, 1.0,
-                             True)]
+        return [(mx.VerifyReport("replaced", fld.q, 1, "", "", 1.0, 1.0), "")]
     monkeypatch.setitem(cli.SUITES, "diag", recording)
     set_cpus(monkeypatch, 4)
     out = tmp_path / "x.csv"
@@ -1083,15 +1109,13 @@ def test_out_holds_every_earlier_tasks_rows_when_a_task_starts(monkeypatch,
     out = tmp_path / "x.csv"
     seen = []
 
-    def suite(name):
-        def run(cfg, fld):
-            seen.append(out.read_text())
-            return [cli.make_row(name, f"b{i}", 3, 1, 2, 2, 1.0, 1.0, True)
-                    for i in range(2)]
-        return run
+    def suite(cfg, fld):
+        seen.append(out.read_text())
+        return [(mx.VerifyReport(f"b{i}", 3, 1, 2, 2, 1.0, 1.0), "")
+                for i in range(2)]
     names = ("census", "diag", "fourier")
     for name in names:
-        monkeypatch.setitem(cli.SUITES, name, suite(name))
+        monkeypatch.setitem(cli.SUITES, name, suite)
     set_cpus(monkeypatch, 1)
     assert cli.main(["verify", "--q", "3", "--suite", ",".join(names),
                      "--out", str(out)]) == 0
@@ -1108,7 +1132,7 @@ def test_one_cpu_hands_tasks_out_in_output_order(monkeypatch, tmp_path):
     def recording(name):
         def run(cfg, fld):
             calls.append((name, fld.q))
-            return [cli.make_row(name, "b", fld.q, 1, 2, 2, 1.0, 1.0, True)]
+            return [(mx.VerifyReport("b", fld.q, 1, 2, 2, 1.0, 1.0), "")]
         return run
     names = ("census", "diag")
     for name in names:

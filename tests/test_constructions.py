@@ -868,8 +868,9 @@ def test_kakeya_bound_report_matches_object_run(q):
                     assert str(got.value).split()[1] == str(exc).split()[1]
                     continue
                 rep = cn.kakeya_bound_report(e, idx, m, 2, 4)
-                assert (rep.lhs, rep.rhs) == want
-                assert rep.holds == (want[0] * (1 + mx.REL_TOL) >= want[1])
+                assert rep == mx.VerifyReport(rep.name, q, 1, 2, 4, *want,
+                                              "ge", mx.REL_TOL)
+                assert rep.holds == mx.verdict(rep)
 
 
 @pytest.mark.parametrize("omega,match", [
@@ -892,8 +893,9 @@ def test_kakeya_bound_full_space(f5):
     rep = cn.kakeya_bound_report(cn.PointSet.full(h1(f5)), range(30), 5, 2, 2)
     assert rep.holds
     assert rep.lhs == 125
+    # C = 5 at (2, 2): |E| >= C^-2 m^2 |Omega| / q
     assert rep.rhs == pytest.approx((1 / 25) * 25 * 30 / 5)
-    assert rep.constant_used == pytest.approx(5.0)
+    assert mx.rd_upper_constant(2, 2) == pytest.approx(5.0)
 
 
 def test_kakeya_bound_checks_witnesses(f5):
@@ -931,7 +933,8 @@ def test_moment_report_s3_on_kakeya_set(f7):
     e = cn.example_refined_not_affine(f7)
     rep = cn.moment_report(e, 3)
     assert rep.holds
-    assert rep.constant_used == pytest.approx(25.0)  # (5^(2/3))^3
+    # C_3 q |E|^2 with C_3 = (5^(2/3))^3 = 25
+    assert rep.rhs == pytest.approx(25.0 * 7 * len(e) ** 2)
 
 
 def test_moment_rejects_small_s(f5):

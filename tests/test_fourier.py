@@ -229,12 +229,13 @@ def test_key_counting_sums_keep_the_per_frequency_bits(q):
         lhs_u = float((np.abs(ut.u) ** 2).sum())
         lhs_inf = float((np.abs(ut.u_inf) ** 2).sum())
         r1, r2 = fr.key_counting_check(f, xi)
-        assert (r1.lhs, r1.rhs, r1.holds) == (
-            lhs_u, 2 * q * plane_sq,
-            lhs_u <= 2 * q * plane_sq * (1 + mx.REL_TOL) + 1e-12)
-        assert (r2.lhs, r2.rhs, r2.holds) == (
-            lhs_inf, q * plane_sq,
-            lhs_inf <= q * plane_sq * (1 + mx.REL_TOL) + 1e-12)
+        # relative tolerance alone, decided by mx.verdict
+        assert r1 == mx.VerifyReport("fourier-key-nonvertical", q, 1, 2, 2,
+                                     lhs_u, 2 * q * plane_sq,
+                                     tol=mx.REL_TOL)
+        assert r2 == mx.VerifyReport("fourier-key-vertical", q, 1, 2, 2,
+                                     lhs_inf, q * plane_sq, tol=mx.REL_TOL)
+        assert (r1.holds, r2.holds) == (mx.verdict(r1), mx.verdict(r2))
     with pytest.raises(DomainError):
         fr.key_counting_check(f, 0)
 

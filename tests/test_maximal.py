@@ -936,6 +936,51 @@ def test_verify_bound_zero_function(f3):
     assert rep.holds
 
 
+def test_verdict_at_the_boundary():
+    def holds(lhs, rhs, sense, tol=0.0, premise=True):
+        rep = mx.VerifyReport("b", 3, 1, 2, 2, lhs, rhs, sense, tol, premise)
+        assert rep.holds == mx.verdict(rep)
+        return mx.verdict(rep)
+
+    for tol in (0.0, 1e-9, 2.0**-20):
+        # the exact boundary holds; one float step past it fails.  le:
+        # lhs = rhs (1 + tol); ge: lhs (1 + tol) = rhs; eq: lhs - rhs is
+        # exact near rhs = 7, so its boundary is tol * 7 rounded down to
+        # the float grid at 7, on either side
+        near = (7.0 * tol) // math.ulp(7.0) * math.ulp(7.0)
+        for sense, lhs, rhs, outward in (
+                ("le", 7.0 * (1 + tol), 7.0, math.inf),
+                ("ge", 7.0, 7.0 * (1 + tol), -math.inf),
+                ("eq", 7.0 + near, 7.0, math.inf),
+                ("eq", 7.0 - near, 7.0, -math.inf)):
+            assert holds(lhs, rhs, sense, tol)
+            assert not holds(math.nextafter(lhs, outward), rhs, sense, tol)
+    # rhs = 0: only lhs = 0 holds, in every sense that compares
+        for sense in ("le", "eq"):
+            assert holds(0.0, 0.0, sense, tol)
+            assert not holds(5e-324, 0.0, sense, tol)
+        assert holds(0.0, 0.0, "ge", tol) and holds(1.0, 0.0, "ge", tol)
+        # a false premise fails whatever lhs and rhs are; sense None
+        # compares nothing
+        for sense in ("le", "ge", "eq", None):
+            for lhs, r in ((0.0, 0.0), (1.0, 7.0), (7.0, 1.0)):
+                assert not holds(lhs, r, sense, tol, premise=False)
+        assert holds(7.0, 1.0, None, tol) and holds(1.0, 7.0, None, tol)
+    with pytest.raises(ValueError, match="unknown sense 'lt'"):
+        mx.verdict(mx.VerifyReport("b", 3, 1, 2, 2, 1.0, 7.0, "lt"))
+    # ratio: lhs / rhs, and 1 or inf where rhs = 0
+    assert mx.VerifyReport("b", 3, 1, 2, 2, 3.0, 2.0).ratio == 1.5
+    assert mx.VerifyReport("b", 3, 1, 2, 2, 0.0, 0.0).ratio == 1.0
+    assert mx.VerifyReport("b", 3, 1, 2, 2, 1.0, 0.0).ratio == math.inf
+
+
+def test_verify_report_is_slotted_and_holds_no_verdict():
+    rep = mx.VerifyReport("b", 3, 1, 2, 2, 1.0, 2.0)
+    assert not hasattr(rep, "__dict__")
+    assert "holds" not in mx.VerifyReport.__slots__
+    assert (rep.sense, rep.tol, rep.premise) == ("le", 0.0, True)
+
+
 @pytest.mark.parametrize("q", [5, 9])
 def test_verify_bound_memo_matches_fresh_inputs(q):
     fld = Field(q)
